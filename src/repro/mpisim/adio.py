@@ -21,7 +21,7 @@ The guard interface is deliberately tiny so that both the no-op baseline
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..simcore import Simulator
 from ..storage import ParallelFileSystem
@@ -128,17 +128,26 @@ class ADIOLayer:
         self.procs_per_node = int(procs_per_node)
         self.guard = guard if guard is not None else NullGuard()
         self.history: List[WriteStats] = []
+        self._plans: Dict[Tuple[AccessPattern, int], CollectivePlan] = {}
 
     # -- operations -------------------------------------------------------------
     def plan(self, pattern: AccessPattern, base_offset: int = 0) -> CollectivePlan:
-        """The round plan a collective write of ``pattern`` would execute."""
-        return plan_collective_write(
-            pattern, self.comm.nprocs,
-            cb_buffer_size=self.cb_buffer_size,
-            naggregators=self.naggregators,
-            procs_per_node=self.procs_per_node,
-            base_offset=base_offset,
-        )
+        """The round plan a collective write of ``pattern`` would execute.
+
+        Plans are pure in their inputs and immutable, so each
+        ``(pattern, base_offset)`` is planned once per ADIO layer.
+        """
+        key = (pattern, base_offset)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = plan_collective_write(
+                pattern, self.comm.nprocs,
+                cb_buffer_size=self.cb_buffer_size,
+                naggregators=self.naggregators,
+                procs_per_node=self.procs_per_node,
+                base_offset=base_offset,
+            )
+        return plan
 
     def write_collective(self, path: str, pattern: AccessPattern,
                          grain: Optional[str] = "round",

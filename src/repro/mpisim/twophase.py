@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .datatypes import AccessPattern
 
@@ -42,9 +42,13 @@ class CollectiveRound:
 
 @dataclass(frozen=True)
 class CollectivePlan:
-    """The full round schedule for one collective write."""
+    """The full round schedule for one collective write.
 
-    rounds: List[CollectiveRound]
+    Immutable (``rounds`` is a tuple), so one plan can be shared by every
+    operation that asks for it.
+    """
+
+    rounds: Tuple[CollectiveRound, ...]
     naggregators: int
     cb_buffer_size: int
     total_bytes: int
@@ -113,5 +117,5 @@ def plan_collective_write(pattern: AccessPattern, nprocs: int,
         offset += chunk
         remaining -= chunk
     assert remaining == 0, "round planning must cover all bytes"
-    return CollectivePlan(rounds=rounds, naggregators=naggregators,
+    return CollectivePlan(rounds=tuple(rounds), naggregators=naggregators,
                           cb_buffer_size=cb_buffer_size, total_bytes=total)

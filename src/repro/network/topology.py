@@ -1,8 +1,8 @@
 """Cluster interconnect topologies.
 
-A :class:`Fabric` is a graph (networkx) of endpoints and switches whose
-edges are :class:`~repro.simcore.fairshare.FluidLink` resources.  Both the
-paper's platforms reduce to simple fabrics:
+A :class:`Fabric` is a graph of endpoints and switches whose edges are
+:class:`~repro.simcore.fairshare.FluidLink` resources.  Both the paper's
+platforms reduce to simple fabrics:
 
 * Grid'5000 *parapluie/parapide*: "all nodes ... connected through a common
   InfiniBand switch" — a star; and
@@ -10,8 +10,9 @@ paper's platforms reduce to simple fabrics:
 
 Construction helpers build stars and two-level trees; arbitrary graphs can
 be assembled edge by edge.  Endpoint-to-endpoint transfers pick shortest
-paths and move as fluid flows across every link on the path, so a congested
-switch or uplink shows up exactly where it should.
+paths (breadth-first, so unique on stars and trees) and move as fluid flows
+across every link on the path, so a congested switch or uplink shows up
+exactly where it should.
 """
 
 from __future__ import annotations
@@ -19,11 +20,72 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
-
 from ..simcore import FluidLink, FlowNetwork, SimulationError, Simulator
 
-__all__ = ["Fabric"]
+__all__ = ["Fabric", "FabricGraph"]
+
+
+class FabricGraph:
+    """The undirected node/edge structure of a :class:`Fabric`.
+
+    ``adj`` maps each node to its neighbours.  Nodes and neighbours keep
+    insertion order, so a breadth-first search over it is deterministic.
+    """
+
+    def __init__(self) -> None:
+        #: node -> {neighbour: None}.
+        self.adj: Dict[Hashable, Dict[Hashable, None]] = {}
+        self._nedges = 0
+
+    def __contains__(self, node: Hashable) -> bool:
+        return node in self.adj
+
+    def add_node(self, node: Hashable) -> None:
+        self.adj.setdefault(node, {})
+
+    def add_edge(self, a: Hashable, b: Hashable) -> None:
+        if b not in self.adj[a]:
+            self._nedges += 1
+        self.adj[a][b] = None
+        self.adj[b][a] = None
+
+    def number_of_nodes(self) -> int:
+        return len(self.adj)
+
+    def number_of_edges(self) -> int:
+        return self._nedges
+
+    def shortest_path(self, src: Hashable, dst: Hashable) -> List[Hashable]:
+        """Node path from ``src`` to ``dst`` with the fewest hops.
+
+        Breadth-first, stopping at the first node adjacent to ``dst``, so
+        a star route expands only ``src`` and its switch.  Raises
+        :class:`SimulationError` for an unknown or unreachable node.
+        """
+        adj = self.adj
+        if src not in adj or dst not in adj:
+            raise SimulationError(f"no path {src!r} -> {dst!r}")
+        parent = {src: src}
+        frontier = [src]
+        while dst not in parent:
+            if not frontier:
+                raise SimulationError(f"no path {src!r} -> {dst!r}")
+            level = []
+            for node in frontier:
+                nbrs = adj[node]
+                if dst in nbrs:
+                    parent[dst] = node
+                    break
+                for nb in nbrs:
+                    if nb not in parent:
+                        parent[nb] = node
+                        level.append(nb)
+            frontier = level
+        path = [dst]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return path
 
 
 class Fabric:
@@ -48,19 +110,19 @@ class Fabric:
         self.sim = sim
         self.net = net
         self.latency = float(latency)
-        self.graph = nx.Graph()
+        self.graph = FabricGraph()
         self._links: Dict[Tuple[Hashable, Hashable], FluidLink] = {}
         self._path_cache: Dict[Tuple[Hashable, Hashable], List[FluidLink]] = {}
 
     # -- construction --------------------------------------------------------
     def add_endpoint(self, name: Hashable) -> Hashable:
         """Add a leaf endpoint (compute node group, storage server...)."""
-        self.graph.add_node(name, kind="endpoint")
+        self.graph.add_node(name)
         return name
 
-    def add_switch(self, name: Hashable, kind: str = "switch") -> Hashable:
+    def add_switch(self, name: Hashable) -> Hashable:
         """Add an internal routing node."""
-        self.graph.add_node(name, kind=kind)
+        self.graph.add_node(name)
         return name
 
     def add_edge(self, a: Hashable, b: Hashable, bandwidth: float) -> None:
@@ -105,7 +167,7 @@ class Fabric:
         fab = cls(sim, net, latency=latency)
         fab.add_switch("core")
         for leaf, endpoints in groups.items():
-            fab.add_switch(leaf, kind="leaf")
+            fab.add_switch(leaf)
             fab.add_edge(leaf, "core", uplink_bandwidth)
             for name, bw in endpoints.items():
                 fab.add_endpoint(name)
@@ -119,10 +181,7 @@ class Fabric:
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
-        try:
-            nodes = nx.shortest_path(self.graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise SimulationError(f"no path {src!r} -> {dst!r}") from exc
+        nodes = self.graph.shortest_path(src, dst)
         links = [self._links[(a, b)] for a, b in zip(nodes, nodes[1:])]
         self._path_cache[key] = links
         return links

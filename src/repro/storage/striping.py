@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
-import numpy as np
-
 __all__ = ["StripeLayout"]
 
 
@@ -71,20 +69,19 @@ class StripeLayout:
         last_unit = (offset + size - 1) // ss
         nunits = last_unit - first_unit + 1
         # Full bytes if every touched unit were complete:
-        units_per_server = np.full(n, nunits // n, dtype=np.int64)
-        extra = nunits % n
+        full, extra = divmod(nunits, n)
+        totals = [full * ss] * n
         # Servers (in rotation order starting at the first touched unit) that
         # get one extra unit.
         start = (self.first_server + first_unit) % n
         for i in range(extra):
-            units_per_server[(start + i) % n] += 1
-        totals = units_per_server * ss
+            totals[(start + i) % n] += ss
         # Trim the partial head and tail units.
         head_trim = offset - first_unit * ss
         tail_trim = (last_unit + 1) * ss - (offset + size)
-        totals[(self.first_server + first_unit) % n] -= head_trim
+        totals[start] -= head_trim
         totals[(self.first_server + last_unit) % n] -= tail_trim
-        return {int(s): int(b) for s, b in enumerate(totals) if b > 0}
+        return {s: b for s, b in enumerate(totals) if b > 0}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

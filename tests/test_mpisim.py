@@ -6,7 +6,7 @@ import pytest
 
 from repro.mpisim import (
     ADIOLayer, Communicator, Contiguous, MPIInfo, MPIIOFile,
-    Strided, plan_collective_write,
+    Strided, WriteStats, plan_collective_write,
 )
 from repro.platforms import Platform, PlatformConfig
 from repro.simcore import SimulationError
@@ -270,6 +270,54 @@ def test_adio_independent_write():
     assert stats.bytes == 4000
     assert stats.nrounds == 1
     assert stats.comm_time == 0.0
+
+
+def test_adio_plan_is_memoized_and_immutable(monkeypatch):
+    from repro.mpisim import adio as adio_mod
+    calls = []
+    planner = adio_mod.plan_collective_write
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return planner(*args, **kwargs)
+    monkeypatch.setattr(adio_mod, "plan_collective_write", counted)
+    _platform, adio = adio_fixture()
+    plan = adio.plan(Strided(block_size=500, nblocks=4))
+    # An equal pattern object hits the memo; another base offset does not.
+    assert adio.plan(Strided(block_size=500, nblocks=4)) is plan
+    shifted = adio.plan(Strided(block_size=500, nblocks=4), base_offset=4000)
+    assert shifted is not plan
+    assert adio.plan(Strided(block_size=500, nblocks=4), 4000) is shifted
+    assert len(calls) == 2
+    assert isinstance(plan.rounds, tuple)
+    assert plan == planner(Strided(block_size=500, nblocks=4), 8,
+                           cb_buffer_size=1000, naggregators=8)
+
+
+def test_adio_stats_with_shared_plans():
+    """Operations that reuse one memoized plan keep their own timings."""
+    platform, adio = adio_fixture()
+    pattern = Strided(block_size=500, nblocks=4)
+
+    def body():
+        w = yield from adio.write_collective("/f", pattern, grain="round")
+        r = yield from adio.read_collective("/f", pattern, grain="round")
+        w2 = yield from adio.write_collective("/g", pattern, grain="file",
+                                              base_offset=4000)
+        return w, r, w2
+
+    p = platform.sim.process(body())
+    assert platform.sim.run(until=p) == (
+        WriteStats(path="/f", bytes=16000, nrounds=2, start=0.0, end=400.0,
+                   comm_time=200.0, write_time=200.0, wait_time=0.0,
+                   round_marks=[200.0, 400.0]),
+        WriteStats(path="/f", bytes=16000, nrounds=2, start=400.0,
+                   end=800.0, comm_time=200.0, write_time=200.0,
+                   wait_time=0.0, round_marks=[500.0, 700.0]),
+        WriteStats(path="/g", bytes=16000, nrounds=2, start=800.0,
+                   end=1200.0, comm_time=200.0, write_time=200.0,
+                   wait_time=0.0, round_marks=[1000.0, 1200.0]),
+    )
 
 
 # -- MPI-IO facade ---------------------------------------------------------------------

@@ -67,6 +67,77 @@ def test_no_path_raises():
         fab.path_links("lonely", "island")
 
 
+def route(fab, src, dst):
+    return [link.name for link in fab.path_links(src, dst)]
+
+
+def two_rack_tree():
+    sim = Simulator()
+    return Fabric.tree(sim, FlowNetwork(sim), groups={
+        "rack0": {"n0": 100.0, "n1": 100.0},
+        "io": {"srv": 200.0},
+    }, uplink_bandwidth=50.0)
+
+
+def test_exact_routes_on_star_and_tree():
+    _sim, _net, star = star_fabric()
+    assert route(star, "b", "a") == ["b->switch", "switch->a"]
+    assert route(star, "srv", "b") == ["srv->switch", "switch->b"]
+    assert route(star, "a", "switch") == ["a->switch"]
+    assert route(star, "a", "a") == []
+    tree = two_rack_tree()
+    assert route(tree, "n0", "n1") == ["n0->rack0", "rack0->n1"]
+    assert route(tree, "n1", "srv") == [
+        "n1->rack0", "rack0->core", "core->io", "io->srv"]
+    assert route(tree, "srv", "n0") == [
+        "srv->io", "io->core", "core->rack0", "rack0->n0"]
+
+
+def test_route_takes_fewest_hops_on_edge_built_fabric():
+    sim = Simulator()
+    fab = Fabric(sim, FlowNetwork(sim))
+    for name in ("s", "t"):
+        fab.add_endpoint(name)
+    for name in ("x", "y", "z"):
+        fab.add_switch(name)
+    # s-x-y-t (three hops) is added before the two-hop detour s-z-t.
+    for a, b in [("s", "x"), ("x", "y"), ("y", "t"), ("s", "z"), ("z", "t")]:
+        fab.add_edge(a, b, 10.0)
+    assert route(fab, "s", "t") == ["s->z", "z->t"]
+    assert route(fab, "t", "x") == ["t->y", "y->x"]
+
+
+def test_unknown_and_disconnected_nodes_raise():
+    sim = Simulator()
+    fab = Fabric(sim, FlowNetwork(sim))
+    for name in ("a", "b", "c", "d"):
+        fab.add_endpoint(name)
+    fab.add_edge("a", "b", 10.0)
+    fab.add_edge("c", "d", 10.0)
+    for src, dst in [("a", "ghost"), ("ghost", "a"), ("a", "d"), ("d", "b")]:
+        with pytest.raises(SimulationError):
+            fab.path_links(src, dst)
+
+
+def test_add_edge_invalidates_cached_routes():
+    _sim, _net, fab = star_fabric()
+    assert route(fab, "a", "b") == ["a->switch", "switch->b"]
+    fab.add_edge("a", "b", 10.0)
+    assert route(fab, "a", "b") == ["a->b"]
+    assert fab.path_links("a", "b") == [fab.link("a", "b")]
+
+
+def test_graph_counts_match_built_fabric():
+    _sim, _net, star = star_fabric()
+    assert (star.graph.number_of_nodes(), star.graph.number_of_edges()) == (4, 3)
+    tree = two_rack_tree()
+    # core + 2 leaves + 3 endpoints; 2 uplinks + 3 access links.
+    assert (tree.graph.number_of_nodes(), tree.graph.number_of_edges()) == (6, 5)
+    tree.add_edge("n0", "rack0", 1.0)  # re-linking replaces, not adds
+    tree.add_endpoint("n2")
+    assert (tree.graph.number_of_nodes(), tree.graph.number_of_edges()) == (7, 5)
+
+
 def test_edge_requires_known_nodes():
     sim = Simulator()
     fab = Fabric(sim, FlowNetwork(sim))

@@ -1,7 +1,7 @@
 """Unit + property tests for stripe layout arithmetic."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.storage import StripeLayout
@@ -89,15 +89,25 @@ def test_invalid_parameters():
     offset=st.integers(min_value=0, max_value=1 << 30),
     size=st.integers(min_value=0, max_value=1 << 26),
 )
+@example(nservers=4, stripe=100, first=1, offset=250, size=0)
+@example(nservers=4, stripe=100, first=1, offset=300, size=100)  # one unit
+@example(nservers=1, stripe=100, first=0, offset=123, size=4567)
+@example(nservers=8, stripe=1 << 30, first=5, offset=(1 << 30) - 7,
+         size=(1 << 30) + 9)  # 1 GiB stripe, partial head and tail
 def test_partition_matches_chunks_and_conserves_bytes(nservers, stripe, first,
                                                       offset, size):
-    """Closed-form partition == brute-force chunk walk; bytes conserved."""
+    """Closed-form partition == brute-force chunk walk; bytes conserved.
+
+    Keys are plain ints in ascending server order, the order in which the
+    file system submits per-server requests.
+    """
     layout = StripeLayout(nservers, stripe, first)
     fast = layout.partition(offset, size)
     slow = {}
     for server, _local, nbytes in layout.chunks(offset, size):
         slow[server] = slow.get(server, 0) + nbytes
-    assert fast == slow
+    assert list(fast.items()) == sorted(slow.items())
+    assert all(type(k) is int and type(v) is int for k, v in fast.items())
     assert sum(fast.values()) == size
 
 
