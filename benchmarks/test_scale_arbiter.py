@@ -5,9 +5,9 @@ workload — many applications, each cycling guarded accesses (fresh Inform,
 per-round continuation Inform/Release, Complete) under the dynamic
 strategy — at scales (100/500/1000 applications) where the old per-inform
 path's every-decision-rescans-every-app behaviour dominates.  The same
-virtual-time workload runs under both ``Arbiter(batched=True)`` (indexed
-state + coordination rounds) and ``batched=False`` (the historical oracle);
-the benchmark
+virtual-time workload runs under both :class:`~repro.core.Arbiter` (indexed
+state + coordination rounds) and :class:`repro.oracles.UnbatchedArbiter`
+(the historical per-inform loop); the benchmark
 
 * verifies the two produce **identical decision logs and completion
   times** (batching is a pure optimization, not a policy change) — both on
@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core import AccessDescriptor, Arbiter
 from repro.experiments import ExperimentEngine, build_scenario
+from repro.oracles import UnbatchedArbiter, unbatched_arbiters
 from repro.perf import PerfCounters
 from repro.simcore import Simulator
 
@@ -47,14 +48,14 @@ DT_ARRIVAL = 0.2    #: inter-arrival spacing (keeps the wait queue short)
 SEED = 20140519
 
 
-def _drive(batched: bool, napps: int):
+def _drive(arbiter_cls, napps: int):
     """One full coordination run; returns (perf dict, log, completion times).
 
     Every application cycles ``PHASES`` accesses through the paper's
     protocol shape: fresh Inform (a strategy decision), wait if not
     authorized, then ``ROUNDS`` guarded rounds each re-Informing
     (continuation) and Releasing, then Complete.  Virtual timing is
-    deterministic and independent of ``batched``.
+    deterministic and independent of the arbiter class.
     """
     rng = np.random.default_rng(SEED)
     nprocs = rng.choice([4, 8, 16, 32], size=napps)
@@ -62,8 +63,9 @@ def _drive(batched: bool, napps: int):
 
     perf = PerfCounters()
     sim = Simulator()
-    arb = Arbiter(sim, "dynamic", grant_latency=1e-4, batched=batched,
-                  perf=perf)
+    arb = arbiter_cls(sim, "dynamic", grant_latency=1e-4, perf=perf)
+    # The oracle keeps the historical synchronous exchanges.
+    batched = arbiter_cls is Arbiter
     done = np.zeros((napps, PHASES))
 
     def inform(descriptor):
@@ -127,8 +129,8 @@ def test_scale_arbiter_speedup_and_equivalence(report):
              "dynamic strategy)"]
     full_scale = max(SCALES) >= 500
     for napps in SCALES:
-        perf_new, log_new, done_new = _drive(batched=True, napps=napps)
-        perf_old, log_old, done_old = _drive(batched=False, napps=napps)
+        perf_new, log_new, done_new = _drive(Arbiter, napps=napps)
+        perf_old, log_old, done_old = _drive(UnbatchedArbiter, napps=napps)
 
         # Batching/indexing must be invisible to the policy: decision logs
         # bit-identical, every completion at the identical instant.
@@ -182,8 +184,8 @@ def _run_scenario_both_modes(name, **kwargs):
     engine = ExperimentEngine()
     spec, = build_scenario(name, **kwargs)
     batched = engine.run(spec)
-    unbatched = engine.run(spec.with_(
-        arbiter={**spec.arbiter, "batched": False}))
+    with unbatched_arbiters():
+        unbatched = engine.run(spec)
     return batched, unbatched
 
 

@@ -49,11 +49,6 @@ class CalciomRuntime:
         Override for the cross-application message latency (defaults to
         twice the platform's link latency: coordinator -> peer coordinator
         crosses the fabric once, through the switch).
-    batched:
-        Passed to :class:`~repro.core.arbiter.Arbiter`: True (default)
-        uses the indexed state and same-timestamp coordination rounds;
-        False retains the historical per-inform decision loop (the
-        equivalence oracle).
     decision_log_limit:
         Ring-buffer bound on the arbiter's decision log (None = unbounded,
         the figure-reproduction default; scale scenarios cap it).
@@ -69,18 +64,13 @@ class CalciomRuntime:
         :class:`~repro.core.sharding.ShardRouter`.  Process mode runs
         each shard in its own worker process; call :meth:`close` (or let
         the experiment engine do it) after the run.
-    span_delay:
-        ``"requeue"`` (default) or ``"hold"`` — cross-shard DELAY
-        negotiation, forwarded to the router.
     """
 
     def __init__(self, platform: Platform, strategy="dynamic",
                  coordination_latency: Optional[float] = None,
-                 batched: bool = True,
                  decision_log_limit: Optional[int] = None,
                  shards: Optional[int] = None,
-                 workers: Optional[str] = None,
-                 span_delay: Optional[str] = None):
+                 workers: str = "inline"):
         self.platform = platform
         self.sim = platform.sim
         latency = (2 * platform.config.latency
@@ -92,18 +82,12 @@ class CalciomRuntime:
             raise SimulationError(
                 f"shards must be 1 or the platform's partition count "
                 f"({npartitions}), got {nshards}")
-        router_kwargs = {}
-        if workers is not None:
-            router_kwargs["workers"] = workers
-        if span_delay is not None:
-            router_kwargs["span_delay"] = span_delay
         self.coordinator = ShardRouter(
             self.sim, nshards, strategy,
             grant_latency=self.coordination_latency,
-            batched=batched,
             decision_log_limit=decision_log_limit,
             perf=getattr(platform, "perf", None),
-            **router_kwargs)
+            workers=workers)
         # A system-provided arbiter knows its machine: give a dynamic
         # strategy the file-system bandwidth its decisions govern — the
         # whole machine for a single arbiter, the owned partition per

@@ -21,7 +21,7 @@ ADIO placement) and resumes with priority once the interrupter completes.
 
 Scaling (the indexed/batched coordination layer)
 ------------------------------------------------
-The default arbiter keeps **maintained indexes** — an O(1)-membership
+The arbiter keeps **maintained indexes** — an O(1)-membership
 active set iterated in first-decision order, FIFO waiting/preempted queues
 with O(1) removal and O(log n) pop-first — instead of rebuilding lists by
 scanning every application ever seen, and **coalesces same-timestamp
@@ -29,9 +29,9 @@ Inform/Release exchanges** from sessions into one :class:`CoordinationRound`
 flushed through a single :meth:`~repro.core.strategies.Strategy.decide_batch`
 invocation.  Arrival order is preserved exactly, so decision logs and
 simulated timing are bit-identical to the historical per-inform path, which
-is retained behind ``Arbiter(..., batched=False)`` as a cross-checked
-oracle (mirroring the incremental-kernel/global-allocator pattern) and as
-the baseline for ``benchmarks/test_scale_arbiter.py``.
+survives as the test-support oracle :class:`repro.oracles.UnbatchedArbiter`
+(the equivalence suites' reference and the baseline for
+``benchmarks/test_scale_arbiter.py``).
 """
 
 from __future__ import annotations
@@ -170,11 +170,6 @@ class Arbiter:
     grant_latency:
         Seconds between a grant decision and the granted application
         observing it (the authorization message crossing the fabric).
-    batched:
-        True (default): indexed state + :class:`CoordinationRound`
-        message coalescing.  False: the historical per-inform decision
-        loop over scanned lists — kept as the equivalence oracle and the
-        "old cost" baseline for the scale benchmark.
     decision_log_limit:
         ``None`` (default) keeps every :class:`DecisionRecord` — required
         for figure reproduction.  An integer bounds the log to the most
@@ -188,13 +183,11 @@ class Arbiter:
     """
 
     def __init__(self, sim: Simulator, strategy, grant_latency: float = 0.0,
-                 batched: bool = True,
                  decision_log_limit: Optional[int] = None,
                  perf=None):
         self.sim = sim
         self.strategy: Strategy = make_strategy(strategy)
         self.grant_latency = float(grant_latency)
-        self.batched = bool(batched)
         self.perf = perf
         self._state: Dict[str, AccessState] = {}
         self._desc: Dict[str, AccessDescriptor] = {}
@@ -223,34 +216,28 @@ class Arbiter:
         self.decision_log_limit = decision_log_limit
         self.decision_log = ([] if decision_log_limit is None
                              else deque(maxlen=int(decision_log_limit)))
-        #: Whether the strategy's decide/decide_batch ask for the
-        #: preempted-queue view (an optional keyword, see Strategy docs).
+        #: Whether the strategy's decide_batch asks for the preempted-queue
+        #: view (an optional keyword, see Strategy docs).
         self._batch_preempted = _accepts_preempted(self.strategy.decide_batch)
-        self._decide_preempted = _accepts_preempted(self.strategy.decide)
-        if self.batched:
-            #: First-decision order (never reset) — the iteration order the
-            #: old ``_state``-scanning ``active_descriptors()`` produced.
-            self._order: Dict[str, int] = {}
-            self._order_seq = count()
-            self._active: Dict[str, None] = {}
-            self._waiting = _FifoIndex()
-            self._preempted = _FifoIndex()
-            self._round: Optional[CoordinationRound] = None
-            self._active_view = DescriptorSetView(
-                self._active, self._desc, sort_key=self._order.__getitem__)
-            # track_totals: the waiting view maintains the backlog
-            # aggregates (Σ t_alone, Σ nprocs·t_alone, ...) deep-queue
-            # strategies read in O(1); every mutation of the waiting index
-            # below reports through note_append/note_remove.
-            self._waiting_view = DescriptorSetView(self._waiting, self._desc,
-                                                   track_totals=True)
-            #: Read-only preempted queue (preemption order) for strategies
-            #: whose cost models price deep preemption stacks.
-            self._preempted_view = DescriptorSetView(self._preempted,
-                                                     self._desc)
-        else:
-            self._waiting: List[str] = []     # FIFO arrival order
-            self._preempted: List[str] = []   # FIFO preemption order
+        #: First-decision order (never reset) — the iteration order the
+        #: old ``_state``-scanning ``active_descriptors()`` produced.
+        self._order: Dict[str, int] = {}
+        self._order_seq = count()
+        self._active: Dict[str, None] = {}
+        self._waiting = _FifoIndex()
+        self._preempted = _FifoIndex()
+        self._round: Optional[CoordinationRound] = None
+        self._active_view = DescriptorSetView(
+            self._active, self._desc, sort_key=self._order.__getitem__)
+        # track_totals: the waiting view maintains the backlog aggregates
+        # (Σ t_alone, Σ nprocs·t_alone, ...) deep-queue strategies read in
+        # O(1); every mutation of the waiting index below reports through
+        # note_append/note_remove.
+        self._waiting_view = DescriptorSetView(self._waiting, self._desc,
+                                               track_totals=True)
+        #: Read-only preempted queue (preemption order) for strategies
+        #: whose cost models price deep preemption stacks.
+        self._preempted_view = DescriptorSetView(self._preempted, self._desc)
 
     # -- queries -----------------------------------------------------------
     def state_of(self, app: str) -> AccessState:
@@ -264,21 +251,14 @@ class Arbiter:
         return self._desc.get(app)
 
     def active_descriptors(self) -> List[AccessDescriptor]:
-        if self.batched:
-            return list(self._active_view)
-        return [self._desc[a] for a, s in self._state.items()
-                if s is AccessState.ACTIVE]
+        return list(self._active_view)
 
     def waiting_descriptors(self) -> List[AccessDescriptor]:
-        if self.batched:
-            return list(self._waiting_view)
-        return [self._desc[a] for a in self._waiting]
+        return list(self._waiting_view)
 
     def preempted_descriptors(self) -> List[AccessDescriptor]:
         """Preempted accesses, in preemption (FIFO re-grant) order."""
-        if self.batched:
-            return list(self._preempted_view)
-        return [self._desc[a] for a in self._preempted]
+        return list(self._preempted_view)
 
     def grant_in_flight(self, app: str) -> bool:
         """Whether ``app``'s grant notification is still crossing the fabric.
@@ -286,7 +266,7 @@ class Arbiter:
         True between a grant decision and the granted application observing
         it (``grant_latency`` later).  Sessions consult this so a batched
         round's deferred continuation still pays the authorization-message
-        latency the unbatched path charged.
+        latency.
         """
         ev = self._inflight.get(app)
         return ev is not None and not ev.processed
@@ -333,8 +313,6 @@ class Arbiter:
         Synchronous: any pending coordination round is flushed first so the
         decision observes every exchange submitted before this call.
         """
-        if not self.batched:
-            return self._on_inform_unbatched(descriptor)
         self._flush_pending()
         t0 = time.perf_counter() if self.perf is not None else 0.0
         app = descriptor.app
@@ -352,13 +330,9 @@ class Arbiter:
         """Queue an Inform into the current round; fires with the result.
 
         The returned event succeeds (at the same timestamp) with the value
-        :meth:`on_inform` would have returned.  Sessions use this in
-        batched mode; unbatched arbiters resolve it immediately.
+        :meth:`on_inform` would have returned.
         """
         ev = self.sim.event()
-        if not self.batched:
-            ev.succeed(self.on_inform(descriptor))
-            return ev
         t0 = time.perf_counter() if self.perf is not None else 0.0
         app = descriptor.app
         if self._round is None and self.state_of(app) is not AccessState.IDLE:
@@ -380,8 +354,7 @@ class Arbiter:
 
     def on_release(self, app: str, remaining_bytes: Optional[float] = None) -> None:
         """End of one guarded step: refresh remaining-work knowledge."""
-        if self.batched:
-            self._flush_pending()
+        self._flush_pending()
         t0 = time.perf_counter() if self.perf is not None else 0.0
         desc = self._desc.get(app)
         if desc is not None and remaining_bytes is not None:
@@ -391,15 +364,12 @@ class Arbiter:
 
     def submit_release(self, app: str,
                        remaining_bytes: Optional[float] = None) -> None:
-        """Queue a Release into the current round (batched mode).
+        """Queue a Release into the current round.
 
         With no round pending there is nothing to order against, so the
         refresh applies immediately (same fast path as continuation
         informs).
         """
-        if not self.batched:
-            self.on_release(app, remaining_bytes)
-            return
         t0 = time.perf_counter() if self.perf is not None else 0.0
         if self._round is None:
             desc = self._desc.get(app)
@@ -415,17 +385,13 @@ class Arbiter:
 
     def on_complete(self, app: str) -> None:
         """The whole access finished: free the slot, grant successors."""
-        if not self.batched:
-            self._on_complete_unbatched(app)
-            return
         self._flush_pending()
         state = self.state_of(app)
         if state is AccessState.IDLE:
             return
         t0 = time.perf_counter() if self.perf is not None else 0.0
         if app in self._waiting:
-            self._waiting.discard(app)
-            self._waiting_view.note_remove()
+            self._leave_waiting(app)
         self._preempted.discard(app)
         self._active.pop(app, None)
         self._state[app] = AccessState.IDLE
@@ -445,7 +411,7 @@ class Arbiter:
         """Remove an application entirely (job end, error paths)."""
         self.on_complete(app)
 
-    # -- coordination rounds (batched mode) --------------------------------
+    # -- coordination rounds ------------------------------------------------
     def _open_round(self) -> CoordinationRound:
         rnd = self._round
         if rnd is None:
@@ -487,7 +453,7 @@ class Arbiter:
             # Maximal run of fresh informs (distinct apps) -> one batched
             # strategy invocation.  A repeated app or an interleaved
             # release breaks the run: later entries must observe the
-            # earlier ones' effects exactly as the unbatched path would.
+            # earlier ones' effects exactly as the per-inform path would.
             batch = [e]
             seen = {e.app}
             j = i + 1
@@ -581,13 +547,17 @@ class Arbiter:
         # session's continuation has not resumed yet.
         self._register_auth_event(app)
 
+    def _leave_waiting(self, app: str) -> None:
+        """Take a WAITING ``app`` off the waiting queue."""
+        self._waiting.discard(app)
+        self._waiting_view.note_remove()
+
     def _schedule_hold(self, app: str, delay: float) -> None:
         epoch = self._epoch.get(app, 0)
 
         def _hold_expired() -> None:
             self._hold_timers.pop(app, None)
-            if self.batched:
-                self._flush_pending()
+            self._flush_pending()
             # Guard on the access generation: a stale timer is cancelled at
             # the epoch bump, so a fire from a previous access would mean
             # the cancellation contract broke — never activate from one.
@@ -595,11 +565,7 @@ class Arbiter:
                 return
             if self.state_of(app) is not AccessState.WAITING:
                 return
-            if self.batched:
-                self._waiting.discard(app)
-                self._waiting_view.note_remove()
-            elif app in self._waiting:
-                self._waiting.remove(app)
+            self._leave_waiting(app)
             self._activate(app)
 
         self._cancel_hold(app)
@@ -635,8 +601,7 @@ class Arbiter:
         # a still-pending hold timer for this access is now moot.
         self._cancel_hold(app)
         self._state[app] = AccessState.ACTIVE
-        if self.batched:
-            self._active[app] = None
+        self._active[app] = None
         self._note_transition(app, AccessState.ACTIVE)
         desc = self._desc.get(app)
         if desc is not None and desc.access_started is None:
@@ -659,110 +624,17 @@ class Arbiter:
 
     def _grant_next(self) -> None:
         """Grant priority to preempted apps, then the FIFO waiter queue."""
-        if self.batched:
-            if self._active:
-                return  # someone is still running; nothing to grant
-            if self._preempted:
-                self._activate(self._preempted.pop_first())
-                return
-            if self._waiting:
-                app = self._waiting.pop_first()
-                self._waiting_view.note_remove()
-                self._activate(app)
-            return
-        if self.active_descriptors():
-            return
+        if self._active:
+            return  # someone is still running; nothing to grant
         if self._preempted:
-            self._activate(self._preempted.pop(0))
+            self._activate(self._preempted.pop_first())
             return
         if self._waiting:
-            self._activate(self._waiting.pop(0))
-
-    # -- the historical per-inform path (the oracle) ------------------------
-    def _on_inform_unbatched(self, descriptor: AccessDescriptor) -> bool:
-        """The pre-index decision loop: list rebuilds, O(n) scans."""
-        t0 = time.perf_counter() if self.perf is not None else 0.0
-        try:
-            app = descriptor.app
-            state = self.state_of(app)
-            if state in (AccessState.ACTIVE, AccessState.WAITING,
-                         AccessState.PREEMPTED):
-                self._merge_descriptor(app, descriptor)
-                return state is AccessState.ACTIVE
-
-            if self._decide_preempted:
-                decision = self.strategy.decide(
-                    self.sim.now,
-                    self.active_descriptors(),
-                    self.waiting_descriptors(),
-                    descriptor,
-                    preempted=self.preempted_descriptors(),
-                )
-            else:
-                decision = self.strategy.decide(
-                    self.sim.now,
-                    self.active_descriptors(),
-                    self.waiting_descriptors(),
-                    descriptor,
-                )
-            self._log_decision(
-                app, decision,
-                active=[d.app for d in self.active_descriptors()],
-                waiting=list(self._waiting))
-            self._desc[app] = descriptor
-            if decision.action is Action.GO:
-                self._activate(app)
-                return True
-            if decision.action is Action.WAIT:
-                self._state[app] = AccessState.WAITING
-                self._note_transition(app, AccessState.WAITING)
-                self._waiting.append(app)
-                self._register_auth_event(app)
-                return False
-            if decision.action is Action.DELAY:
-                self._state[app] = AccessState.WAITING
-                self._note_transition(app, AccessState.WAITING)
-                self._waiting.append(app)
-                self._register_auth_event(app)
-                self._schedule_hold(app, decision.delay)
-                return False
-            targets = decision.preempt
-            if targets is None:
-                targets = [d.app for d in self.active_descriptors()]
-            for victim in targets:
-                if self.state_of(victim) is AccessState.ACTIVE:
-                    self._state[victim] = AccessState.PREEMPTED
-                    self._note_transition(victim, AccessState.PREEMPTED)
-                    self._preempted.append(victim)
-                    if self.perf is not None:
-                        self.perf.bump("coord_preemptions")
+            app = self._waiting.pop_first()
+            self._waiting_view.note_remove()
             self._activate(app)
-            return True
-        finally:
-            if self.perf is not None:
-                self._bump_seconds(time.perf_counter() - t0)
 
     def _register_auth_event(self, app: str) -> None:
         ev = self._auth_events.get(app)
         if ev is None or ev.triggered:
             self._auth_events[app] = self.sim.event()
-
-    def _on_complete_unbatched(self, app: str) -> None:
-        state = self.state_of(app)
-        if state is AccessState.IDLE:
-            return
-        t0 = time.perf_counter() if self.perf is not None else 0.0
-        if app in self._waiting:
-            self._waiting.remove(app)
-        if app in self._preempted:
-            self._preempted.remove(app)
-        self._state[app] = AccessState.IDLE
-        self._note_transition(app, AccessState.IDLE)
-        self._last_decision.pop(app, None)
-        self._epoch[app] = self._epoch.get(app, 0) + 1
-        self._cancel_hold(app)
-        self._inflight.pop(app, None)
-        self._desc.pop(app, None)
-        self._grant_next()
-        if self.perf is not None:
-            self._bump_seconds(time.perf_counter() - t0)

@@ -108,11 +108,9 @@ class CalciomSession(IOGuard):
         if self.perf is not None:
             self.perf.bump("coord_messages")
         yield self.sim.timeout(cost)
-        if self.arbiter.batched:
-            # Join the same-timestamp coordination round; the result event
-            # fires (still at this timestamp) when the round is flushed.
-            return (yield self.arbiter.submit_inform(self._descriptor))
-        return self.arbiter.on_inform(self._descriptor)
+        # Join the same-timestamp coordination round; the result event
+        # fires (still at this timestamp) when the round is flushed.
+        return (yield self.arbiter.submit_inform(self._descriptor))
 
     def check(self) -> bool:
         """``Check(int*)`` — non-blocking: are we allowed to access?"""
@@ -134,10 +132,7 @@ class CalciomSession(IOGuard):
         yield self.sim.timeout(self.coordination_latency)
         remaining = (self._descriptor.remaining_bytes
                      if self._descriptor is not None else None)
-        if self.arbiter.batched:
-            self.arbiter.submit_release(self.app, remaining)
-        else:
-            self.arbiter.on_release(self.app, remaining)
+        self.arbiter.submit_release(self.app, remaining)
 
     # ------------------------------------------------------------------
     # IOGuard protocol (what the ADIO layer calls)

@@ -134,7 +134,7 @@ class ShardRouter:
         instance is used as-is with one shard and shallow-copied per
         shard otherwise, so per-shard configuration (e.g. the capacity a
         runtime injects) never aliases across shards.
-    grant_latency, batched, decision_log_limit:
+    grant_latency, decision_log_limit:
         Forwarded to every shard's :class:`Arbiter`.
     perf:
         Optional :class:`~repro.perf.PerfCounters`; with several shards
@@ -147,15 +147,6 @@ class ShardRouter:
         capacity ships with the worker).  Inline mode is the
         cross-checked oracle: process mode produces bit-identical merged
         decision logs on the committed scenarios.
-    span_delay:
-        Cross-shard DELAY negotiation.  ``"requeue"`` (default) releases
-        every already-held shard when a later shard in the engagement
-        order answers with a DELAY hold, waits out the hold, and
-        re-acquires the full chain in ascending order (no capacity is
-        pinned idle; the ordered-resource deadlock argument is
-        re-entered from scratch each attempt).  ``"hold"`` keeps the
-        historical behavior of sitting on the granted prefix.  The two
-        are decision-log-equivalent whenever strategies never DELAY.
     codec:
         Wire codec for the worker-process data plane (``"json"`` or
         ``"binary"``); ``None`` defers to ``REPRO_WIRE_CODEC`` (JSON when
@@ -163,24 +154,18 @@ class ShardRouter:
     """
 
     def __init__(self, sim: Simulator, nshards: int, strategy,
-                 grant_latency: float = 0.0, batched: bool = True,
+                 grant_latency: float = 0.0,
                  decision_log_limit: Optional[int] = None, perf=None,
-                 workers: str = "inline", span_delay: str = "requeue",
-                 codec: Optional[str] = None):
+                 workers: str = "inline", codec: Optional[str] = None):
         if nshards < 1:
             raise ValueError(f"nshards must be >= 1, got {nshards}")
         if workers not in ("inline", "process"):
             raise ValueError(f"workers must be 'inline' or 'process', "
                              f"got {workers!r}")
-        if span_delay not in ("requeue", "hold"):
-            raise ValueError(f"span_delay must be 'requeue' or 'hold', "
-                             f"got {span_delay!r}")
         self.sim = sim
         self.nshards = int(nshards)
-        self.batched = bool(batched)
         self.perf = perf
         self.workers = workers
-        self.span_delay = span_delay
         is_instance = isinstance(strategy, Strategy)
 
         def _strat() -> Strategy:
@@ -198,11 +183,10 @@ class ShardRouter:
             from .shardproc import ShardProcessPool, WorkerShardProxy
             self._pool = ShardProcessPool(
                 sim, self.nshards, grant_latency=grant_latency,
-                batched=batched, decision_log_limit=decision_log_limit,
-                perf=perf, codec=codec)
+                decision_log_limit=decision_log_limit, perf=perf,
+                codec=codec)
             for i in range(self.nshards):
-                proxy = WorkerShardProxy(self._pool, i, _strat(),
-                                         batched=batched)
+                proxy = WorkerShardProxy(self._pool, i, _strat())
                 self.shards.append(ArbiterShard(i, proxy))
         else:
             for i in range(self.nshards):
@@ -210,7 +194,7 @@ class ShardRouter:
                               else _ShardPerf(perf, i))
                 self.shards.append(ArbiterShard(i, Arbiter(
                     sim, _strat(), grant_latency=grant_latency,
-                    batched=batched, decision_log_limit=decision_log_limit,
+                    decision_log_limit=decision_log_limit,
                     perf=shard_perf)))
         #: Pure pass-through target when unsharded (bit-identical runs).
         #: A single-shard worker proxy passes through the same way — its
@@ -426,15 +410,14 @@ class ShardRouter:
         on the span's authorization event, which fires when the full
         chain is held).
 
-        DELAY negotiation (``span_delay="requeue"``): when a *later*
-        shard in the chain answers with a DELAY hold while earlier
-        shards are already granted, holding that prefix would pin their
-        capacity idle for the whole hold.  Instead the chain retreats —
-        withdraws from every engaged shard — waits out the hold, and
-        re-acquires the full chain in ascending order.  Each attempt
-        acquires in the same global order, so deadlock-freedom is
-        preserved; a DELAY on the *first* shard holds nothing and simply
-        waits, as does ``span_delay="hold"`` mode.
+        DELAY negotiation: when a *later* shard in the chain answers with
+        a DELAY hold while earlier shards are already granted, holding
+        that prefix would pin their capacity idle for the whole hold.
+        Instead the chain retreats — withdraws from every engaged shard —
+        waits out the hold, and re-acquires the full chain in ascending
+        order.  Each attempt acquires in the same global order, so
+        deadlock-freedom is preserved; a DELAY on the *first* shard holds
+        nothing and simply waits.
         """
         app = span.app
         while True:
@@ -444,16 +427,13 @@ class ShardRouter:
                     break
                 arb = self._arb(s)
                 span.engaged.append(s)
-                if self.batched:
-                    ok = yield arb.submit_inform(descriptor.copy())
-                else:
-                    ok = arb.on_inform(descriptor.copy())
+                ok = yield arb.submit_inform(descriptor.copy())
                 if span.cancelled:
                     break
                 if not ok:
                     if not result.triggered:
                         result.succeed(False)
-                    if self.span_delay == "requeue" and len(span.engaged) > 1:
+                    if len(span.engaged) > 1:
                         dec = arb.last_decision_for(app)
                         if (dec is not None and dec[0] is Action.DELAY
                                 and dec[1] > 0.0):
@@ -501,4 +481,4 @@ class ShardRouter:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ShardRouter nshards={self.nshards} batched={self.batched}>"
+        return f"<ShardRouter nshards={self.nshards} workers={self.workers}>"

@@ -114,7 +114,7 @@ def _queue_reply(out: bytearray, encoder: WireEncoder, sim: Simulator,
     del transitions[:]
 
 
-def _shard_worker_main(sock, index: int, strategy, batched: bool,
+def _shard_worker_main(sock, index: int, strategy,
                        decision_log_limit: Optional[int],
                        codec: str = "json") -> None:
     """One shard's worker loop: read op, catch up clock, apply, reply.
@@ -130,7 +130,7 @@ def _shard_worker_main(sock, index: int, strategy, batched: bool,
         encoder = WireEncoder(codec, perf=perf)
         reader = FrameReader(sock, WireDecoder(perf=perf))
         out = bytearray()
-        arb = Arbiter(sim, strategy, grant_latency=0.0, batched=batched,
+        arb = Arbiter(sim, strategy, grant_latency=0.0,
                       decision_log_limit=decision_log_limit, perf=perf)
         transitions: List = []
         arb.transition_observer = (
@@ -278,13 +278,12 @@ class ShardProcessPool:
     """
 
     def __init__(self, sim: Simulator, nshards: int,
-                 grant_latency: float = 0.0, batched: bool = True,
+                 grant_latency: float = 0.0,
                  decision_log_limit: Optional[int] = None, perf=None,
                  codec: Optional[str] = None):
         self.sim = sim
         self.nshards = int(nshards)
         self.grant_latency = float(grant_latency)
-        self.batched = bool(batched)
         self.decision_log_limit = decision_log_limit
         self.perf = perf
         #: Wire codec for both directions; None = the process default
@@ -338,7 +337,7 @@ class ShardProcessPool:
                 parent, child = socket.socketpair()
                 proc = ctx.Process(
                     target=_shard_worker_main,
-                    args=(child, proxy.index, proxy.strategy, self.batched,
+                    args=(child, proxy.index, proxy.strategy,
                           self.decision_log_limit, self.codec),
                     daemon=True, name=f"arbiter-shard-{proxy.index}")
                 proc.start()
@@ -641,13 +640,11 @@ class WorkerShardProxy:
     to the worker.
     """
 
-    def __init__(self, pool: ShardProcessPool, index: int, strategy,
-                 batched: bool = True):
+    def __init__(self, pool: ShardProcessPool, index: int, strategy):
         self._pool = pool
         self.index = index
         self.sim = pool.sim
         self.strategy = strategy
-        self.batched = bool(batched)
         self.grant_latency = pool.grant_latency
         self._state: Dict[str, AccessState] = {}
         self._auth_events: Dict[str, Event] = {}

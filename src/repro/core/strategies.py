@@ -89,10 +89,7 @@ class Strategy(ABC):
     Contract: ``active`` and ``waiting`` are *read-only views* over the
     arbiter's live indexes (:class:`~repro.core.metrics.DescriptorSetView`)
     — iterable, sized, truth-testable, but not lists and never to be
-    mutated.  Views are the only contract; the one-release
-    ``supports_views = False`` list-materialization escape hatch has been
-    removed (declaring it is now a loud ``TypeError`` at class definition,
-    so stragglers fail at import instead of silently changing behavior).
+    mutated.
 
     Strategies that price deep preemption stacks can additionally declare
     a ``preempted`` keyword on :meth:`decide` (or :meth:`decide_batch`) to
@@ -102,16 +99,6 @@ class Strategy(ABC):
     """
 
     name: str = "strategy"
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if cls.__dict__.get("supports_views") is False:
-            raise TypeError(
-                f"{cls.__name__} sets supports_views = False, but the "
-                "list-materialization shim has been removed (it was "
-                "deprecated for one release). Treat the active/waiting "
-                "arguments as read-only iterables and drop the attribute."
-            )
 
     @abstractmethod
     def decide(self, now: float, active: Sequence[AccessDescriptor],

@@ -47,7 +47,6 @@ from .spec import (
 __all__ = [
     "BaselineCache", "Executor", "SerialExecutor", "ParallelExecutor",
     "ExperimentResult", "ResultSet", "ExperimentEngine", "default_engine",
-    "clear_baseline_cache",
 ]
 
 Workload = Union[WorkloadSpec, IORConfig]
@@ -523,20 +522,15 @@ class ExperimentEngine:
 
 
 # ---------------------------------------------------------------------------
-# Default engine (backs the legacy free-function API)
+# Default engine (backs the replay helpers)
 # ---------------------------------------------------------------------------
 
 _default_engine: Optional[ExperimentEngine] = None
 
 
 def default_engine() -> ExperimentEngine:
-    """The process-wide engine behind ``run_pair``/``run_many``/etc. shims."""
+    """The process-wide engine behind ``replay_result``/``replay_trace``."""
     global _default_engine
     if _default_engine is None:
         _default_engine = ExperimentEngine()
     return _default_engine
-
-
-def clear_baseline_cache() -> None:
-    """Drop every memoized standalone baseline of the default engine."""
-    default_engine().cache.clear()

@@ -1,22 +1,13 @@
-"""Legacy experiment entry points: standalone and pairwise application runs.
+"""Per-application records and the single-application run primitive.
 
-.. deprecated::
-    The free functions here (``run_pair``, ``standalone_time``) are thin
-    shims over the declarative API — build an
-    :class:`~repro.experiments.spec.ExperimentSpec` and run it through an
-    :class:`~repro.experiments.engine.ExperimentEngine` instead.  The
-    engine owns an explicit, clearable
-    :class:`~repro.experiments.engine.BaselineCache` (this module's old
-    hidden ``_alone_cache`` global is gone) and can fan campaigns out
-    across processes.
-
-The result shapes (:class:`AppRecord`, :class:`PairResult`) remain the
-canonical per-application records used throughout the system.
+The result shapes (:class:`AppRecord`, :class:`PairResult`) are the
+canonical per-application records used throughout the system; campaigns
+themselves are :class:`~repro.experiments.spec.ExperimentSpec` lists run
+through an :class:`~repro.experiments.engine.ExperimentEngine`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -24,17 +15,7 @@ from ..apps import IORApp, IORConfig
 from ..core import CalciomRuntime, DecisionRecord
 from ..platforms import Platform, PlatformConfig
 
-__all__ = ["AppRecord", "PairResult", "run_single", "run_pair",
-           "standalone_time"]
-
-
-def _deprecated(old: str, new: str) -> None:
-    """Emit the legacy-shim deprecation warning (PR-1 migration)."""
-    warnings.warn(
-        f"{old} is deprecated; build an ExperimentSpec and use {new} "
-        "(see repro.experiments.spec / repro.experiments.engine)",
-        DeprecationWarning, stacklevel=3,
-    )
+__all__ = ["AppRecord", "PairResult", "run_single"]
 
 
 @dataclass
@@ -122,40 +103,3 @@ def run_single(platform_cfg: PlatformConfig, cfg: IORConfig,
     app.start()
     platform.sim.run()
     return app
-
-
-def standalone_time(platform_cfg: PlatformConfig, cfg: IORConfig,
-                    use_cache: bool = True) -> float:
-    """Measured single-phase duration of ``cfg`` running alone.
-
-    .. deprecated:: use ``ExperimentEngine.baseline``.  This shim hits the
-        default engine's :class:`~repro.experiments.engine.BaselineCache`
-        (clear it with :func:`repro.experiments.engine.clear_baseline_cache`);
-        ``use_cache=False`` bypasses the cache entirely, as before.
-    """
-    from .engine import default_engine
-    _deprecated("standalone_time()", "ExperimentEngine.baseline()")
-    return default_engine().baseline(platform_cfg, cfg, use_cache=use_cache)
-
-
-def run_pair(platform_cfg: PlatformConfig, cfg_a: IORConfig, cfg_b: IORConfig,
-             dt: float = 0.0, strategy: Optional[str] = None,
-             measure_alone: bool = True) -> PairResult:
-    """Run two applications with B offset by ``dt`` (negative: B first).
-
-    .. deprecated:: build ``ExperimentSpec.pair(...)`` and run it through
-        an :class:`~repro.experiments.engine.ExperimentEngine`.
-
-    ``strategy=None`` runs the uncoordinated baseline (no CALCioM layer at
-    all); otherwise both applications get CALCioM sessions under the named
-    strategy ('interfere' exercises the layer with GO-always decisions,
-    isolating pure coordination overhead).
-    """
-    from .engine import default_engine
-    from .spec import ExperimentSpec
-    _deprecated("run_pair()",
-                "ExperimentEngine.run(ExperimentSpec.pair(...)).as_pair()")
-    spec = ExperimentSpec.pair(platform_cfg, cfg_a, cfg_b, dt=dt,
-                               strategy=strategy,
-                               measure_alone=measure_alone)
-    return default_engine().run(spec).as_pair()

@@ -263,7 +263,7 @@ def many_writers(napps: int = 200, nservers: int = 32,
     (4-32 processes), staggered starts over ``spread`` seconds, ``phases``
     periodic I/O phases each.  Runs under any coordination strategy;
     ``arbiter`` overrides the coordination-layer options (e.g.
-    ``{"batched": False}`` for the oracle path)."""
+    ``{"shards": 1}``)."""
     if napps < 1:
         raise ValueError(f"napps must be >= 1, got {napps}")
     rng = ensure_rng(seed)

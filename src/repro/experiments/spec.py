@@ -21,12 +21,14 @@ instances are accepted at runtime but rejected by ``to_dict``.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..apps import IORConfig
+from ..core import CalciomRuntime
 from ..mpisim import AccessPattern, Contiguous, Strided
 from ..platforms import PlatformConfig
 
@@ -37,6 +39,12 @@ __all__ = [
 ]
 
 BASELINE_NAME = "_alone"  #: canonical workload name for standalone runs
+
+#: Keys accepted in ``ExperimentSpec.arbiter``: the keyword options of
+#: :class:`~repro.core.CalciomRuntime` (everything but platform/strategy).
+_ARBITER_OPTIONS = tuple(
+    name for name in inspect.signature(CalciomRuntime).parameters
+    if name not in ("platform", "strategy"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +209,13 @@ class ExperimentSpec:
     :class:`~repro.experiments.engine.ResultSet` regroup fan-out results.
 
     ``arbiter`` carries coordination-layer options forwarded to
-    :class:`~repro.core.CalciomRuntime` (``{"batched": False}`` selects
-    the unbatched oracle path, ``{"decision_log_limit": 10000}`` caps the
-    decision log for scale scenarios, ``{"shards": 8, "workers":
-    "process"}`` runs each arbiter shard in its own worker process —
-    the engine closes the worker pool on both the clean and the error
-    path — and ``{"span_delay": "hold"}`` retains the historical
-    pin-the-prefix cross-shard DELAY behavior).  Ignored when
-    ``strategy`` is None.
+    :class:`~repro.core.CalciomRuntime`: ``{"decision_log_limit": 10000}``
+    caps the decision log for scale scenarios, ``{"shards": 8, "workers":
+    "process"}`` runs each arbiter shard in its own worker process (the
+    engine closes the worker pool on both the clean and the error path),
+    and ``coordination_latency`` overrides the message latency.  Unknown
+    keys raise ``ValueError`` when the spec is built; the options are
+    unused when ``strategy`` is None.
     """
 
     platform: PlatformConfig
@@ -227,6 +234,11 @@ class ExperimentSpec:
         names = [w.name for w in workloads]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate application names in {names}")
+        unknown = set(self.arbiter) - set(_ARBITER_OPTIONS)
+        if unknown:
+            raise ValueError(
+                f"unknown arbiter options: {sorted(unknown)}; accepted: "
+                f"{list(_ARBITER_OPTIONS)}")
 
     # -- constructors ------------------------------------------------------
     @classmethod

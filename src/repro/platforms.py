@@ -98,12 +98,6 @@ class PlatformConfig:
     #: Partitions are what arbiter shards own — see
     #: :mod:`repro.core.sharding`.
     npartitions: int = 1
-    #: Simulator queue backend: ``None`` (default) defers to the
-    #: ``REPRO_SIM_QUEUE`` environment variable (itself defaulting to
-    #: ``"heap"``); ``"heap"``, ``"calendar"`` or ``"oracle"`` pin one.
-    #: All backends dispatch in the same (time, insertion id) order, so
-    #: results are bit-identical — this is purely a performance knob.
-    sim_queue: Optional[str] = None
     description: str = ""
 
     @property
@@ -166,7 +160,7 @@ class Platform:
                 f"nservers ({config.nservers})")
         self.config = config
         self.perf = PerfCounters()
-        self.sim = Simulator(perf=self.perf, queue=config.sim_queue)
+        self.sim = Simulator(perf=self.perf)
         self.net = FlowNetwork(
             self.sim,
             incremental=(config.allocator != "global"),

@@ -4,7 +4,8 @@ Companion to ``tests/test_core_arbiter.py`` (which exercises the state
 machine through the synchronous API and keeps passing unchanged): this file
 covers what the scalable-coordination refactor added — coordination-round
 batching, decision views, the ring-buffer decision log, the DELAY-hold
-race fix, and randomized batched-vs-unbatched equivalence.
+race fix, and randomized equivalence against the per-inform oracle
+(:class:`repro.oracles.UnbatchedArbiter`).
 """
 
 import warnings
@@ -17,9 +18,15 @@ from repro.core import (
     DescriptorSetView, Strategy,
 )
 from repro.experiments import ExperimentEngine, ExperimentSpec, build_scenario
+from repro.oracles import UnbatchedArbiter
 from repro.perf import PerfCounters
 from repro.platforms import Platform, PlatformConfig
 from repro.simcore import Simulator
+
+#: The production arbiter and the per-inform oracle.  The ids keep the
+#: case names from when the oracle was spelled ``Arbiter(batched=False)``.
+ARBITERS = [pytest.param(Arbiter, id="True"),
+            pytest.param(UnbatchedArbiter, id="False")]
 
 
 def desc(app, nprocs=10, t_alone=5.0, total=1e6):
@@ -173,29 +180,6 @@ def test_views_are_the_default_contract():
     assert isinstance(captured["active"], DescriptorSetView)
 
 
-def test_legacy_escape_hatch_is_gone():
-    """supports_views = False (the one-release shim) now fails loudly at
-    class definition instead of silently materializing lists."""
-    with pytest.raises(TypeError, match="supports_views"):
-        class Legacy(Strategy):
-            name = "legacy"
-            supports_views = False
-
-            def decide(self, now, active, waiting, incoming):
-                return Decision(Action.GO)
-
-    # Declaring it True (the old default) stays harmless.
-    class Fine(Strategy):
-        name = "fine"
-        supports_views = True
-
-        def decide(self, now, active, waiting, incoming):
-            return Decision(Action.GO)
-
-    arb = Arbiter(Simulator(), Fine())
-    assert arb.on_inform(desc("a"))
-
-
 def test_active_view_order_is_first_decision_order():
     """Re-activation after completion must not reorder the active view."""
     arb = Arbiter(Simulator(), "interfere")
@@ -254,8 +238,8 @@ class AlwaysDelay(Strategy):
         return Decision(Action.GO)
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_stale_hold_does_not_activate_new_access(batched):
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_stale_hold_does_not_activate_new_access(arbiter_cls):
     """withdraw() + re-inform between hold scheduling and firing.
 
     b's first access is held for 5 s, withdrawn at t=1; its *second*
@@ -263,7 +247,7 @@ def test_stale_hold_does_not_activate_new_access(batched):
     stale t=5 timer.
     """
     sim = Simulator()
-    arb = Arbiter(sim, AlwaysDelay(5.0), batched=batched)
+    arb = arbiter_cls(sim, AlwaysDelay(5.0))
     arb.on_inform(desc("a"))
     assert arb.on_inform(desc("b")) is False   # hold scheduled for t=5
 
@@ -282,10 +266,10 @@ def test_stale_hold_does_not_activate_new_access(batched):
     assert arb.is_authorized("b")              # granted by its own hold
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_hold_for_withdrawn_app_is_noop(batched):
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_hold_for_withdrawn_app_is_noop(arbiter_cls):
     sim = Simulator()
-    arb = Arbiter(sim, AlwaysDelay(5.0), batched=batched)
+    arb = arbiter_cls(sim, AlwaysDelay(5.0))
     arb.on_inform(desc("a"))
     arb.on_inform(desc("b"))
     arb.withdraw("b")
@@ -295,10 +279,10 @@ def test_hold_for_withdrawn_app_is_noop(batched):
 
 # -- arbiter edge cases -------------------------------------------------------
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_preempted_app_completing_while_waiters_queue(batched):
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_preempted_app_completing_while_waiters_queue(arbiter_cls):
     sim = Simulator()
-    arb = Arbiter(sim, "interrupt", batched=batched)
+    arb = arbiter_cls(sim, "interrupt")
     arb.on_inform(desc("a"))
     arb.on_inform(desc("b"))                   # b interrupts a
     assert arb.state_of("a") is AccessState.PREEMPTED
@@ -319,8 +303,8 @@ def test_preempted_app_completing_while_waiters_queue(batched):
     assert arb.is_authorized("c")
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_interrupt_targeting_explicit_subset(batched):
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_interrupt_targeting_explicit_subset(arbiter_cls):
     class InterruptOnlyA(Strategy):
         supports_views = True
 
@@ -330,7 +314,7 @@ def test_interrupt_targeting_explicit_subset(batched):
             return Decision(Action.GO)
 
     sim = Simulator()
-    arb = Arbiter(sim, InterruptOnlyA(), batched=batched)
+    arb = arbiter_cls(sim, InterruptOnlyA())
     arb.on_inform(desc("a"))
     arb.on_inform(desc("b"))                   # preempts only a
     assert arb.state_of("a") is AccessState.PREEMPTED
@@ -343,15 +327,15 @@ def test_interrupt_targeting_explicit_subset(batched):
     assert arb.is_authorized("a")              # resumes once machine frees
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_grant_latency_orders_sequential_grants(batched):
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_grant_latency_orders_sequential_grants(arbiter_cls):
     sim = Simulator()
-    arb = Arbiter(sim, "fcfs", grant_latency=0.5, batched=batched)
+    arb = arbiter_cls(sim, "fcfs", grant_latency=0.5)
     grants = []
 
     def app(name, at, hold):
         yield sim.timeout(at)
-        if batched:
+        if arbiter_cls is Arbiter:
             authorized = yield arb.submit_inform(desc(name))
         else:
             authorized = arb.on_inform(desc(name))
@@ -372,8 +356,8 @@ def test_grant_latency_orders_sequential_grants(batched):
     assert times["c"] == pytest.approx(5.0)    # b done at 4.5 + 0.5 latency
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_withdraw_clears_in_flight_grant(batched):
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_withdraw_clears_in_flight_grant(arbiter_cls):
     """A dead access's in-flight grant must not leak to the next access.
 
     b is granted at t=2 (notification in flight until t=2.5), withdraws
@@ -382,7 +366,7 @@ def test_withdraw_clears_in_flight_grant(batched):
     pending one — not the stale triggered grant of the withdrawn access.
     """
     sim = Simulator()
-    arb = Arbiter(sim, "fcfs", grant_latency=0.5, batched=batched)
+    arb = arbiter_cls(sim, "fcfs", grant_latency=0.5)
     arb.on_inform(desc("a"))
     arb.on_inform(desc("b"))
     resumed = []
@@ -432,14 +416,15 @@ def test_regrant_during_flight_keeps_successor_inflight_entry():
 
 def test_randomized_traces_batched_equals_unbatched():
     """Random inform/release/complete schedules: logs must be identical."""
-    def drive(batched, seed):
+    def drive(arbiter_cls, seed):
+        batched = arbiter_cls is Arbiter
         rng = np.random.default_rng(seed)
         napps = 24
         starts = rng.uniform(0.0, 3.0, size=napps)
         holds = rng.uniform(0.1, 1.0, size=napps)
         phases = rng.integers(1, 4, size=napps)
         sim = Simulator()
-        arb = Arbiter(sim, "dynamic", grant_latency=1e-3, batched=batched)
+        arb = arbiter_cls(sim, "dynamic", grant_latency=1e-3)
 
         def app(i):
             name = f"app{i:02d}"
@@ -467,8 +452,8 @@ def test_randomized_traces_batched_equals_unbatched():
         return arb.decision_log, sim.now
 
     for seed in (1, 7, 2014):
-        log_b, end_b = drive(True, seed)
-        log_u, end_u = drive(False, seed)
+        log_b, end_b = drive(Arbiter, seed)
+        log_u, end_u = drive(UnbatchedArbiter, seed)
         assert log_b == log_u, f"seed {seed}: decision logs diverged"
         assert end_b == end_u, f"seed {seed}: end times diverged"
 
@@ -477,8 +462,8 @@ def test_randomized_traces_batched_equals_unbatched():
 
 def test_spec_arbiter_options_round_trip():
     spec, = build_scenario("many-writers", napps=3, nservers=2,
-                           strategy="fcfs", arbiter={"batched": False})
-    assert spec.arbiter == {"decision_log_limit": 10_000, "batched": False}
+                           strategy="fcfs", arbiter={"shards": 1})
+    assert spec.arbiter == {"decision_log_limit": 10_000, "shards": 1}
     clone = ExperimentSpec.from_json(spec.to_json())
     assert clone == spec
     assert clone.arbiter == spec.arbiter

@@ -78,12 +78,15 @@ def test_every_third_party_import_is_declared():
 
 
 def test_import_does_not_load_networkx():
+    """A plain import loads no networkx, no test-support oracle and no
+    calendar queue: production modules never import them."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys, repro, repro.experiments, repro.service; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'networkx'))")
+            "'networkx' or m == 'repro.oracles' or m.startswith('repro.') "
+            "and ('calendar' in m or 'calqueue' in m)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Tests for the declarative experiment API: spec, engine, executors, cache."""
 
+import dataclasses
 import json
 import os
 
@@ -10,7 +11,7 @@ from repro.apps import IORConfig
 from repro.experiments import (
     BaselineCache, ExperimentEngine, ExperimentSpec, ParallelExecutor,
     SerialExecutor, WorkloadSpec, build_scenario, get_scenario,
-    list_scenarios, result_set_csv, result_set_json, run_many, run_pair,
+    list_scenarios, result_set_csv, result_set_json,
 )
 from repro.experiments.export import MISSING, multi_result_csv
 from repro.experiments.spec import (
@@ -101,6 +102,24 @@ def test_experiment_spec_validates_workloads():
                        workloads=(w("x", 1), w("x", 2)))
 
 
+def test_experiment_spec_rejects_unknown_arbiter_options():
+    spec = ExperimentSpec(platform=PLATFORM, workloads=(w("x", 1),),
+                          strategy="fcfs", arbiter={"decision_log_limit": 8})
+    # A typo, and the removed batched/span_delay options, fail when the
+    # spec is built, naming the accepted keys -- with or without a strategy.
+    for bad in ({"batchd": False}, {"batched": False},
+                {"span_delay": "hold"}):
+        with pytest.raises(ValueError, match="decision_log_limit"):
+            dataclasses.replace(spec, arbiter=bad)
+        with pytest.raises(ValueError, match=sorted(bad)[0]):
+            spec.with_(strategy=None, arbiter=bad)
+    data = spec.to_dict()
+    data["arbiter"] = {"decision_log_limit": 8, "batched": False}
+    with pytest.raises(ValueError, match="batched"):
+        ExperimentSpec.from_dict(data)
+    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+
 def test_experiment_spec_accepts_raw_ior_configs():
     cfg = IORConfig(name="A", nprocs=5, pattern=Contiguous(block_size=100))
     spec = ExperimentSpec(platform=PLATFORM, workloads=(cfg,))
@@ -141,27 +160,6 @@ def test_parallel_delta_graph_matches_serial():
     assert np.array_equal(g_serial.t_a, g_parallel.t_a)
     assert np.array_equal(g_serial.t_b, g_parallel.t_b)
     assert g_serial.t_alone_a == g_parallel.t_alone_a
-
-
-def test_engine_run_matches_legacy_run_pair():
-    engine = ExperimentEngine()
-    spec = ExperimentSpec.pair(PLATFORM, w("A", 200), w("B", 100), dt=10.0)
-    ours = engine.run(spec).as_pair()
-    legacy = run_pair(PLATFORM, w("A", 200).to_ior(), w("B", 100).to_ior(),
-                      dt=10.0)
-    assert ours.a == legacy.a
-    assert ours.b == legacy.b
-    assert ours.dt == legacy.dt
-
-
-def test_engine_run_matches_legacy_run_many():
-    engine = ExperimentEngine()
-    configs = [w("a", 100).to_ior(), w("b", 100, start_time=5.0).to_ior()]
-    ours = engine.run(ExperimentSpec(platform=PLATFORM,
-                                     workloads=tuple(configs))).as_multi()
-    legacy = run_many(PLATFORM, configs)
-    assert ours.records == legacy.records
-    assert ours.makespan == legacy.makespan
 
 
 def test_result_set_grouping_and_errors():
@@ -210,17 +208,15 @@ def test_baseline_cache_key_normalizes_name_and_offset():
     assert len(engine.cache) == 1
 
 
-def test_standalone_time_shim_and_clear():
-    from repro.experiments import clear_baseline_cache, default_engine
-    from repro.experiments.runner import standalone_time
-    clear_baseline_cache()
-    t1 = standalone_time(PLATFORM, w("shim", 50).to_ior())
-    assert len(default_engine().cache) == 1
-    t2 = standalone_time(PLATFORM, w("shim", 50).to_ior(), use_cache=False)
+def test_baseline_bypass_and_clear():
+    engine = ExperimentEngine()
+    t1 = engine.baseline(PLATFORM, w("solo", 50).to_ior())
+    assert len(engine.cache) == 1
+    t2 = engine.baseline(PLATFORM, w("solo", 50).to_ior(), use_cache=False)
     assert t1 == t2
-    assert len(default_engine().cache) == 1  # bypass neither read nor wrote
-    clear_baseline_cache()
-    assert len(default_engine().cache) == 0
+    assert len(engine.cache) == 1  # bypass neither read nor wrote
+    engine.cache.clear()
+    assert len(engine.cache) == 0
 
 
 def test_injected_caches_are_isolated():

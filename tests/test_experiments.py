@@ -5,10 +5,9 @@ import pytest
 
 from repro.apps import IORConfig
 from repro.experiments import (
-    TwoFlowModel, cpu_seconds_wasted, efficiency_summary,
-    expected_pair_times, format_series, format_table, interference_factor,
-    run_delta_graph, run_pair, run_single, size_split_sweep, sparkline,
-    split_pairs, standalone_time, strategy_comparison,
+    ExperimentEngine, ExperimentSpec, TwoFlowModel, cpu_seconds_wasted,
+    efficiency_summary, expected_pair_times, format_series, format_table,
+    interference_factor, run_single, sparkline, split_pairs,
     sum_interference_factors,
 )
 from repro.mpisim import Contiguous
@@ -19,6 +18,9 @@ PLATFORM = PlatformConfig(
     per_core_bandwidth=10.0, stripe_size=1000, latency=0.0,
 )
 # 4 servers x 250 = 1000 B/s aggregate; 100 procs saturate.
+
+#: One engine for the module, so baselines are shared across tests.
+ENGINE = ExperimentEngine()
 
 
 def cfg(name, nprocs, block=1000, **kw):
@@ -91,13 +93,14 @@ def test_run_single_matches_analytic():
 
 
 def test_standalone_time_cache_consistency():
-    t1 = standalone_time(PLATFORM, cfg("x", 50))
-    t2 = standalone_time(PLATFORM, cfg("y", 50, start_time=17.0))
+    t1 = ENGINE.baseline(PLATFORM, cfg("x", 50))
+    t2 = ENGINE.baseline(PLATFORM, cfg("y", 50, start_time=17.0))
     assert t1 == t2  # name and start_time are normalized away
 
 
 def test_run_pair_interference_factors():
-    res = run_pair(PLATFORM, cfg("A", 200), cfg("B", 200), dt=0.0)
+    res = ENGINE.run(ExperimentSpec.pair(
+        PLATFORM, cfg("A", 200), cfg("B", 200), dt=0.0)).as_pair()
     assert res.a.interference_factor > 1.5
     assert res.b.interference_factor > 1.5
     assert res.cpu_seconds_wasted() > 0
@@ -105,7 +108,8 @@ def test_run_pair_interference_factors():
 
 
 def test_run_pair_negative_dt_shifts_a():
-    res = run_pair(PLATFORM, cfg("A", 200), cfg("B", 200), dt=-1e5)
+    res = ENGINE.run(ExperimentSpec.pair(
+        PLATFORM, cfg("A", 200), cfg("B", 200), dt=-1e5)).as_pair()
     # B ran long before A: no interference either way.
     assert res.a.interference_factor == pytest.approx(1.0, abs=0.01)
     assert res.b.interference_factor == pytest.approx(1.0, abs=0.01)
@@ -113,8 +117,8 @@ def test_run_pair_negative_dt_shifts_a():
 
 def test_delta_graph_shape_matches_expected():
     dts = [-300.0, -100.0, 0.0, 100.0, 300.0]
-    g = run_delta_graph(PLATFORM, cfg("A", 200), cfg("B", 200), dts,
-                        with_expected=True)
+    g = ENGINE.delta_graph(PLATFORM, cfg("A", 200), cfg("B", 200), dts,
+                           with_expected=True)
     # Peak interference at dt=0, falling off on both sides.
     i_b = g.interference_b
     assert i_b[2] == max(i_b)
@@ -125,7 +129,7 @@ def test_delta_graph_shape_matches_expected():
 
 
 def test_delta_graph_rows():
-    g = run_delta_graph(PLATFORM, cfg("A", 100), cfg("B", 100), [0.0])
+    g = ENGINE.delta_graph(PLATFORM, cfg("A", 100), cfg("B", 100), [0.0])
     rows = g.rows()
     assert len(rows) == 1
     dt, ta, tb, ia, ib = rows[0]
@@ -141,18 +145,18 @@ def test_split_pairs():
 def test_size_split_sweep_returns_graph_per_split():
     # total=400 puts B=50 below the ~100-proc saturation knee (I ~ cT/S = 4)
     # and B=200 above it (I ~ T/N = 2).
-    graphs = size_split_sweep(PLATFORM, cfg("A", 1), cfg("B", 1),
-                              total_cores=400, sizes_b=[50, 200],
-                              dts=[0.0])
+    graphs = ENGINE.size_split_sweep(PLATFORM, cfg("A", 1), cfg("B", 1),
+                                     total_cores=400, sizes_b=[50, 200],
+                                     dts=[0.0])
     assert set(graphs) == {50, 200}
     # The smaller B suffers more at dt=0.
     assert graphs[50].max_interference_b() > graphs[200].max_interference_b()
 
 
 def test_strategy_comparison_covers_strategies():
-    results = strategy_comparison(PLATFORM, cfg("A", 150), cfg("B", 50),
-                                  dt=10.0,
-                                  strategies=(None, "fcfs", "interrupt"))
+    results = ENGINE.strategy_comparison(
+        PLATFORM, cfg("A", 150), cfg("B", 50), dt=10.0,
+        strategies=(None, "fcfs", "interrupt"))
     assert set(results) == {None, "fcfs", "interrupt"}
     # Interrupt saves the small app relative to FCFS.
     assert (results["interrupt"].b.interference_factor

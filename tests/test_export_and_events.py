@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import IORConfig
-from repro.experiments import run_delta_graph, run_many
+from repro.experiments import ExperimentEngine, ExperimentSpec
 from repro.experiments.export import delta_graph_csv, multi_result_csv
 from repro.mpisim import Contiguous
 from repro.platforms import PlatformConfig
@@ -22,8 +22,8 @@ def cfg(name, nprocs=10):
 # -- CSV export ----------------------------------------------------------------
 
 def test_delta_graph_csv_roundtrip():
-    g = run_delta_graph(PLATFORM, cfg("A"), cfg("B"), [0.0, 5.0],
-                        with_expected=True)
+    g = ExperimentEngine().delta_graph(PLATFORM, cfg("A"), cfg("B"),
+                                       [0.0, 5.0], with_expected=True)
     csv_text = delta_graph_csv(g)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "dt,t_a,t_b,i_a,i_b,expected_a,expected_b"
@@ -34,13 +34,15 @@ def test_delta_graph_csv_roundtrip():
 
 
 def test_delta_graph_csv_without_expected():
-    g = run_delta_graph(PLATFORM, cfg("A"), cfg("B"), [0.0])
+    g = ExperimentEngine().delta_graph(PLATFORM, cfg("A"), cfg("B"), [0.0])
     lines = delta_graph_csv(g).strip().splitlines()
     assert lines[0] == "dt,t_a,t_b,i_a,i_b"
 
 
 def test_multi_result_csv():
-    res = run_many(PLATFORM, [cfg("a"), cfg("b", 20)])
+    spec = ExperimentSpec(platform=PLATFORM,
+                          workloads=(cfg("a"), cfg("b", 20)))
+    res = ExperimentEngine().run(spec).as_multi()
     lines = multi_result_csv(res).strip().splitlines()
     assert lines[0].startswith("app,nprocs,write_time")
     assert len(lines) == 3

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.apps import IORConfig
-from repro.experiments import plan_replay, replay_trace, run_many
+from repro.experiments import (
+    ExperimentEngine, ExperimentSpec, plan_replay, replay_trace,
+)
 from repro.mpisim import Contiguous
 from repro.platforms import PlatformConfig
 from repro.traces import SWFJob, SWFTrace
@@ -12,6 +14,13 @@ PLATFORM = PlatformConfig(
     name="multi", nservers=2, disk_bandwidth=500.0,
     per_core_bandwidth=10.0, stripe_size=1000, latency=1e-6,
 )
+
+
+def run_many(platform, configs, strategy=None, measure_alone=True):
+    """Run ``configs`` together on a fresh platform (an N-app spec)."""
+    spec = ExperimentSpec(platform=platform, workloads=tuple(configs),
+                          strategy=strategy, measure_alone=measure_alone)
+    return ExperimentEngine().run(spec).as_multi()
 
 
 def cfg(name, nprocs, start=0.0, block=1000):

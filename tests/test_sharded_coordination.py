@@ -22,6 +22,7 @@ from repro.experiments import (
     ExperimentEngine, ExperimentSpec, WorkloadSpec, build_scenario,
 )
 from repro.mpisim import Contiguous
+from repro.oracles import unbatched_arbiters
 from repro.perf import PerfCounters
 from repro.platforms import Platform, PlatformConfig
 from repro.simcore import SimulationError, Simulator
@@ -432,7 +433,7 @@ def test_sharding_works_with_unbatched_oracle_arbiters():
     spec, = build_scenario("sharded-writers", napps=12, npartitions=4,
                            nservers=8, phases=2, strategy="fcfs")
     batched = engine.run(spec)
-    unbatched = engine.run(spec.with_(
-        arbiter={**spec.arbiter, "batched": False}))
+    with unbatched_arbiters():
+        unbatched = engine.run(spec)
     assert batched.decisions == unbatched.decisions
     assert batched.makespan == unbatched.makespan

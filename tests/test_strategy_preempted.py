@@ -15,7 +15,13 @@ from repro.core.metrics import AccessDescriptor, DescriptorSetView
 from repro.core.strategies import (
     Action, Decision, FCFSStrategy, InterruptStrategy, Strategy,
 )
+from repro.oracles import UnbatchedArbiter
 from repro.simcore import Simulator
+
+#: The production arbiter and the per-inform oracle.  The ids keep the
+#: case names from when the oracle was spelled ``Arbiter(batched=False)``.
+ARBITERS = [pytest.param(Arbiter, id="True"),
+            pytest.param(UnbatchedArbiter, id="False")]
 
 
 def desc(app, nprocs=8, total=1e6, t_alone=2.0):
@@ -38,10 +44,10 @@ class Spy(Strategy):
         return Decision(Action.GO)
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_preempted_view_lists_stack_in_preemption_order(batched):
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_preempted_view_lists_stack_in_preemption_order(arbiter_cls):
     spy = Spy()
-    arb = Arbiter(Simulator(), spy, batched=batched)
+    arb = arbiter_cls(Simulator(), spy)
     arb.on_inform(desc("a"))          # GO; nothing preempted yet
     arb.on_inform(desc("b"))          # interrupts a (a still active here)
     arb.on_inform(desc("c"))          # interrupts b; sees the [a] stack
@@ -54,7 +60,7 @@ def test_preempted_view_lists_stack_in_preemption_order(batched):
 
 def test_batched_view_is_live_and_read_only_shaped():
     spy = Spy()
-    arb = Arbiter(Simulator(), spy, batched=True)
+    arb = Arbiter(Simulator(), spy)
     arb.on_inform(desc("a"))
     arb.on_inform(desc("b"))
     view = arb._preempted_view
@@ -81,18 +87,18 @@ class LegacySignature(Strategy):
             yield self.decide(now, active, waiting, incoming)
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_legacy_signatures_keep_working(batched):
-    arb = Arbiter(Simulator(), LegacySignature(), batched=batched)
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_legacy_signatures_keep_working(arbiter_cls):
+    arb = arbiter_cls(Simulator(), LegacySignature())
     assert arb.on_inform(desc("a")) is True
     assert arb.on_inform(desc("b")) is False
     assert arb.state_of("b") is AccessState.WAITING
 
 
-def _drive(strategy, batched):
+def _drive(strategy, arbiter_cls):
     """A workload with real preemption stacks; returns the decision log."""
     sim = Simulator()
-    arb = Arbiter(sim, strategy, batched=batched)
+    arb = arbiter_cls(sim, strategy)
     names = [f"app{i}" for i in range(6)]
     for i, name in enumerate(names):
         arb.on_inform(desc(name, nprocs=4 + i, t_alone=1.0 + 0.5 * i))
@@ -104,8 +110,8 @@ def _drive(strategy, batched):
 
 
 @pytest.mark.parametrize("builtin", [FCFSStrategy, InterruptStrategy])
-@pytest.mark.parametrize("batched", [True, False])
-def test_builtins_unchanged_when_view_is_ignored(builtin, batched):
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_builtins_unchanged_when_view_is_ignored(builtin, arbiter_cls):
     """Regression: built-ins (which ignore ``preempted``) must decide
     exactly as a wrapper that explicitly receives and discards the view."""
 
@@ -116,4 +122,5 @@ def test_builtins_unchanged_when_view_is_ignored(builtin, batched):
             assert preempted is not None  # the view arrives...
             return super().decide(now, active, waiting, incoming)  # ...unused
 
-    assert _drive(builtin(), batched) == _drive(Wrapped(), batched)
+    assert (_drive(builtin(), arbiter_cls)
+            == _drive(Wrapped(), arbiter_cls))

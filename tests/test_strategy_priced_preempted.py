@@ -13,7 +13,13 @@ import pytest
 from repro.core.arbiter import AccessState, Arbiter
 from repro.core.metrics import AccessDescriptor
 from repro.core.strategies import Action, DynamicStrategy
+from repro.oracles import UnbatchedArbiter
 from repro.simcore import Simulator
+
+#: The production arbiter and the per-inform oracle.  The ids keep the
+#: case names from when the oracle was spelled ``Arbiter(batched=False)``.
+ARBITERS = [pytest.param(Arbiter, id="True"),
+            pytest.param(UnbatchedArbiter, id="False")]
 
 
 def desc(app, nprocs, t_alone, total=1e6):
@@ -105,19 +111,20 @@ def test_priced_interference_and_delay_options_cover_the_stack():
 # Through the arbiter: decision logs
 # ---------------------------------------------------------------------------
 
-def _drive_stacked(strategy, batched):
+def _drive_stacked(strategy, arbiter_cls):
     """big P runs; big A interrupts it; small S arrives over the stack."""
-    arb = Arbiter(Simulator(), strategy, batched=batched)
+    arb = arbiter_cls(Simulator(), strategy)
     arb.on_inform(desc("p", 2, 100.0))   # GO
     arb.on_inform(desc("a", 64, 50.0))   # INTERRUPT (p -> preempted)
     arb.on_inform(desc("s", 4, 1.0))     # the priced/unpriced divergence
     return arb
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_decision_log_diverges_only_on_stacked_decision(batched):
-    unpriced = _drive_stacked(DynamicStrategy(), batched)
-    priced = _drive_stacked(DynamicStrategy(price_preempted=True), batched)
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_decision_log_diverges_only_on_stacked_decision(arbiter_cls):
+    unpriced = _drive_stacked(DynamicStrategy(), arbiter_cls)
+    priced = _drive_stacked(DynamicStrategy(price_preempted=True),
+                            arbiter_cls)
     assert _log(unpriced)[:2] == _log(priced)[:2] == [
         ("p", Action.GO), ("a", Action.INTERRUPT)]
     assert _log(unpriced)[2] == ("s", Action.INTERRUPT)
@@ -127,13 +134,13 @@ def test_decision_log_diverges_only_on_stacked_decision(batched):
     assert unpriced.state_of("a") is AccessState.PREEMPTED
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_decision_log_identical_without_preemptions(batched):
+@pytest.mark.parametrize("arbiter_cls", ARBITERS)
+def test_decision_log_identical_without_preemptions(arbiter_cls):
     """While the preempted queue stays empty, priced and unpriced runs
     must produce bit-identical logs — costs included."""
 
     def drive(strategy):
-        arb = Arbiter(Simulator(), strategy, batched=batched)
+        arb = arbiter_cls(Simulator(), strategy)
         # Pairwise overlap of equals: ties resolve to FCFS, so nothing is
         # ever preempted and the stack stays empty for every decision.
         arb.on_inform(desc("app0", 8, 2.0))
