@@ -16,7 +16,8 @@ state + coordination rounds) and :class:`repro.oracles.UnbatchedArbiter`
 * measures the decision-loop speedup via the ``coord_seconds`` perf
   counter (>= 5x asserted at 500 applications), and
 * persists a machine-readable record to
-  ``benchmarks/results/BENCH_arbiter.json`` (gated against regressions by
+  ``benchmarks/results/BENCH_arbiter.json`` under ``pytest --record``,
+  to a temporary directory otherwise (gated against regressions by
   ``benchmarks/check_perf_regression.py`` in CI).
 
 Reduced configurations for CI smoke runs come from the environment:
@@ -27,7 +28,6 @@ The >= 5x assertion only applies at full scale (>= 500 applications).
 import json
 import math
 import os
-import pathlib
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from repro.oracles import UnbatchedArbiter, unbatched_arbiters
 from repro.perf import PerfCounters
 from repro.simcore import Simulator
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 SCALES = tuple(int(s) for s in
                os.environ.get("SCALE_ARBITER_APPS", "100,500,1000").split(","))
@@ -121,7 +120,7 @@ def _perf_record(perf: dict) -> dict:
             for k in keys if k in perf}
 
 
-def test_scale_arbiter_speedup_and_equivalence(report):
+def test_scale_arbiter_speedup_and_equivalence(bench_dir, report):
     """Indexed/batched arbiter >= 5x cheaper at 500 apps, same decisions."""
     scales = {}
     lines = ["scale arbiter benchmark "
@@ -163,8 +162,7 @@ def test_scale_arbiter_speedup_and_equivalence(report):
                    "full_scale": full_scale},
         "scales": scales,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_arbiter.json"
+    path = bench_dir / "BENCH_arbiter.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     floor = "5x at >= 500 apps" if full_scale else "none — reduced config"

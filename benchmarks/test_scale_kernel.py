@@ -12,7 +12,8 @@ under both allocators; the benchmark
 * measures the wall-clock speedup (expected well above the 5x floor at
   full scale), and
 * persists a machine-readable perf record to
-  ``benchmarks/results/BENCH_kernel.json`` (see the README's "Performance
+  ``benchmarks/results/BENCH_kernel.json`` under ``pytest --record``,
+  to a temporary directory otherwise (see the README's "Performance
   instrumentation" section for how to read it).
 
 A second, **high-churn** benchmark measures the PR-5 bottleneck-incremental
@@ -43,7 +44,6 @@ import numpy as np
 from repro.perf import PerfCounters
 from repro.simcore import FluidLink, FlowNetwork, Simulator
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 NAPPS = int(os.environ.get("SCALE_KERNEL_APPS", "200"))
 NSERVERS = int(os.environ.get("SCALE_KERNEL_SERVERS", "40"))
@@ -54,10 +54,9 @@ CHURN_APPS = tuple(
 SEED = 20140519  # the paper's conference date; any fixed seed works
 
 
-def _merge_bench_kernel(update: dict) -> None:
+def _merge_bench_kernel(bench_dir: pathlib.Path, update: dict) -> None:
     """Merge ``update`` into BENCH_kernel.json (tests run in any order)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_kernel.json"
+    path = bench_dir / "BENCH_kernel.json"
     record = {}
     if path.exists():
         try:
@@ -113,7 +112,7 @@ def _run_kernel(incremental: bool, napps: int = NAPPS, nservers: int = NSERVERS,
     return wall, finish_times, perf.as_dict()
 
 
-def test_scale_kernel_speedup_and_equivalence(report):
+def test_scale_kernel_speedup_and_equivalence(bench_dir, report):
     """200-app trace-shaped workload: incremental >= 5x faster, same physics."""
     wall_inc, times_inc, perf_inc = _run_kernel(incremental=True)
     wall_glob, times_glob, perf_glob = _run_kernel(incremental=False)
@@ -144,7 +143,7 @@ def test_scale_kernel_speedup_and_equivalence(report):
         },
         "identical_completion_times": True,
     }
-    _merge_bench_kernel(record)
+    _merge_bench_kernel(bench_dir, record)
 
     report("BENCH_kernel", "\n".join([
         "scale kernel benchmark "
@@ -238,7 +237,7 @@ def _run_churn_kernel(cached: bool, napps: int, seed: int = SEED):
     return wall, finish_times, perf.as_dict()
 
 
-def test_scale_kernel_churn_speedup_and_equivalence(report):
+def test_scale_kernel_churn_speedup_and_equivalence(bench_dir, report):
     """High-churn components: cached bottleneck order >= 2x the PR-2
     baseline at full scale, with exactly identical completion times."""
     scales = {}
@@ -283,7 +282,7 @@ def test_scale_kernel_churn_speedup_and_equivalence(report):
         "scales": scales,
         "identical_completion_times": True,
     }
-    _merge_bench_kernel({"churn": record})
+    _merge_bench_kernel(bench_dir, {"churn": record})
     report("BENCH_kernel_churn", "\n".join(lines))
     if full_scale:
         for napps, entry in scales.items():
@@ -361,7 +360,7 @@ def _run_hyper_kernel(vectorized: bool, nflows: int):
     return wall, np.array([f.finish_time for f in flows]), perf.as_dict()
 
 
-def test_scale_kernel_hyperscale_speedup_and_equivalence(report):
+def test_scale_kernel_hyperscale_speedup_and_equivalence(bench_dir, report):
     """Vectorized SoA kernel >= 5x the incremental oracle at 10^6 flows,
     with bit-identical completion times (single-link, no caps: the scan
     order is deterministic, so the equivalence contract promises
@@ -408,7 +407,7 @@ def test_scale_kernel_hyperscale_speedup_and_equivalence(report):
         "scales": scales,
         "identical_completion_times": True,
     }
-    _merge_bench_kernel({"hyperscale": record})
+    _merge_bench_kernel(bench_dir, {"hyperscale": record})
     report("BENCH_kernel_hyperscale", "\n".join(lines))
     largest = str(max(VEC_SCALES))
     if full_scale:

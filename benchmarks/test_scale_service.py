@@ -15,7 +15,8 @@ per client count:
   every scale.
 
 Persists a machine-readable record to
-``benchmarks/results/BENCH_service.json`` (gated against regressions by
+``benchmarks/results/BENCH_service.json`` under ``pytest --record``, to a
+temporary directory otherwise (gated against regressions by
 ``benchmarks/check_perf_regression.py --kind service`` in CI).
 
 On top of the per-scale sweep the benchmark records a **codec-comparison
@@ -37,14 +38,12 @@ Reduced configurations for CI smoke runs come from the environment:
 import asyncio
 import json
 import os
-import pathlib
 
 from repro.experiments import build_scenario
 from repro.service.loadgen import run_service_benchmark
 from repro.service.protocol import decisions_to_json
 from repro.service.trace import record_trace
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 CLIENTS = tuple(int(s) for s in
                 os.environ.get("SCALE_SERVICE_CLIENTS", "1,4,8").split(","))
@@ -61,7 +60,7 @@ CODEC_PIPELINE = 64
 CODEC_REPEATS = 3
 
 
-def test_scale_service_throughput_and_equivalence(report):
+def test_scale_service_throughput_and_equivalence(bench_dir, report):
     """Over-the-wire replay: bit-identical logs, sustained decision rate."""
     spec, = build_scenario("service-many-writers", napps=NAPPS,
                            nservers=NSERVERS, phases=PHASES, seed=SEED,
@@ -148,8 +147,7 @@ def test_scale_service_throughput_and_equivalence(report):
         "scales": scales,
         "codec": codec,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_service.json"
+    path = bench_dir / "BENCH_service.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     lines.append("  gate: speedup collapse vs committed record "

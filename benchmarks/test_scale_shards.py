@@ -21,7 +21,8 @@ The benchmark
   workload under 1 / 4 / 8 shards at 500 / 1000 / 2000 applications
   (>= 3x asserted at 1000 applications / 8 shards), and
 * persists a machine-readable record to
-  ``benchmarks/results/BENCH_shard.json`` (gated against regressions by
+  ``benchmarks/results/BENCH_shard.json`` under ``pytest --record``,
+  to a temporary directory otherwise (gated against regressions by
   ``benchmarks/check_perf_regression.py --kind shard`` in CI).
 
 Since the process-parallel backend it also measures the **wall-clock
@@ -52,7 +53,6 @@ import gc
 import json
 import math
 import os
-import pathlib
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from repro.perf import PerfCounters
 from repro.service.protocol import decisions_to_json
 from repro.simcore import Simulator
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 SCALES = tuple(int(s) for s in
                os.environ.get("SCALE_SHARD_APPS", "500,1000,2000").split(","))
@@ -260,7 +259,7 @@ def test_single_shard_router_is_the_arbiter():
     assert perf_one["coord_decisions"] == perf_arb["coord_decisions"]
 
 
-def test_scale_shards_speedup(report):
+def test_scale_shards_speedup(bench_dir, report):
     """Sharded decision loop >= 3x cheaper at 1000 apps / 8 shards."""
     scales = {}
     lines = ["scale shard benchmark "
@@ -355,8 +354,7 @@ def test_scale_shards_speedup(report):
         "process": process,
         "codec": codec,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_shard.json"
+    path = bench_dir / "BENCH_shard.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     floor = ("3x at >= 1000 apps / 8 shards" if full_scale

@@ -26,7 +26,8 @@ and on :class:`repro.oracles.OracleSimulator`; the benchmark
 * measures the dispatch-loop speedup of the production simulator over
   the oracle (expected >= 3x combined at the full 10^6-event scale), and
 * persists a machine-readable record to
-  ``benchmarks/results/BENCH_sim.json`` (gated in CI by
+  ``benchmarks/results/BENCH_sim.json`` under ``pytest --record``,
+  to a temporary directory otherwise (gated in CI by
   ``check_perf_regression --kind sim``).
 
 Reduced configurations for CI smoke runs come from the environment:
@@ -49,7 +50,6 @@ from repro.oracles import OracleSimulator
 from repro.perf import PerfCounters
 from repro.simcore import Simulator
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 SCALES = tuple(
     int(s) for s in
@@ -63,10 +63,9 @@ WAVE_WIDTH = 512   # coincident timers per wave timestamp
 WAVE_DEPTH = 4     # delay-0 chain depth under each completion
 
 
-def _merge_bench_sim(update: dict) -> None:
+def _merge_bench_sim(bench_dir: pathlib.Path, update: dict) -> None:
     """Merge ``update`` into BENCH_sim.json (tests run in any order)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_sim.json"
+    path = bench_dir / "BENCH_sim.json"
     record = {}
     if path.exists():
         try:
@@ -228,7 +227,7 @@ def test_scale_sim_backends_dispatch_identically():
             f"{workload}: production diverged from the oracle")
 
 
-def test_scale_sim_dispatch_speedup(report):
+def test_scale_sim_dispatch_speedup(bench_dir, report):
     """Batch dispatcher >= 3x the heap oracle at 10^6 events (combined
     over both workloads)."""
     scales = {}
@@ -295,7 +294,7 @@ def test_scale_sim_dispatch_speedup(report):
         "scales": scales,
         "identical_decision_logs": True,
     }
-    _merge_bench_sim({"dispatch": record})
+    _merge_bench_sim(bench_dir, {"dispatch": record})
     report("BENCH_sim_dispatch", "\n".join(lines))
     largest = str(max(SCALES))
     if full_scale:

@@ -200,6 +200,13 @@ class Fabric:
         ``extra_links`` appends resources beyond the fabric (e.g. a storage
         server's cache-modulated ingest pipe) to the flow's path.  The flow
         starts after one propagation latency.
+
+        The returned event is the flow's own completion event: it is made
+        here, handed to the flow when it launches, and succeeds with the
+        :class:`~repro.simcore.FluidFlow` when the last byte lands (with
+        ``None`` if the flow is cancelled).  A transfer therefore dispatches
+        one completion event, plus one launch timer when the latency is
+        positive.
         """
         links = list(self.path_links(src, dst))
         if extra_links:
@@ -207,15 +214,8 @@ class Fabric:
         done = self.sim.event()
 
         def _launch() -> None:
-            flow = self.net.start_flow(nbytes, links, weight=weight, cap=cap,
-                                       label=label)
-            ev = flow.done
-            if ev.processed:
-                # Zero-byte transfer: the flow completed inside start_flow
-                # and its lazily-materialized event is already processed.
-                done.trigger(ev)
-            else:
-                ev.callbacks.append(done.trigger)
+            self.net.start_flow(nbytes, links, weight=weight, cap=cap,
+                                label=label, done=done)
 
         if self.latency > 0:
             # The Timer handle is dropped deliberately: a launched transfer

@@ -89,6 +89,15 @@ counter                    meaning
 ``wall_seconds``           host wall-clock of the run (attached by the engine)
 =========================  ====================================================
 
+The simulator's dispatch counters (``events_*``, ``timer_fastpath_hits``,
+``timers_cancelled``) and the flow network's per-flow, per-refill and
+per-wake ones (``flow_*``, ``reallocations``, ``rate_recomputations``,
+``flows_touched``, ``components_refilled``, ``wakes``, ``wake_*``) are
+plain integer attributes of their owner, folded into the bag whenever it
+is read (:meth:`PerfCounters.attach`), so every reader, the service's
+live ``/metrics`` included, sees the same numbers as if each had been
+bumped.
+
 The coordination service daemon (:mod:`repro.service`) bumps its own
 family into the same bag: ``service_connections`` / ``service_sessions``
 (admitted connections and the app sessions they carry),
@@ -156,7 +165,7 @@ platform's counters (plus wall-clock) into every
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = ["PerfCounters", "WallTimer", "check_perf_regression",
            "merge_counts"]
@@ -169,12 +178,37 @@ class PerfCounters:
     there is no per-counter object, no locking, no timestamps — just a dict
     of numbers.  All values are plain ints/floats and therefore
     JSON-serializable as-is.
+
+    The hottest sites (the event core per dispatch batch, the flow network
+    per flow, refill and wake) skip even ``bump``: they increment plain
+    integer attributes registered with :meth:`attach`, which every read
+    folds into the bag first, so ``get``/``as_dict`` see the same numbers
+    as if each increment had been a bump.
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_counts", "_sources")
 
     def __init__(self) -> None:
         self._counts: Dict[str, float] = {}
+        self._sources: List[Tuple[Any, Tuple[Tuple[str, str], ...]]] = []
+
+    def attach(self, source: Any, names: Iterable[str]) -> None:
+        """Fold ``source._n_<name>`` into counter ``name`` on every read.
+
+        Each attribute is an integer the source increments; a read adds
+        every non-zero one to its counter and resets it to zero.
+        """
+        self._sources.append(
+            (source, tuple((name, "_n_" + name) for name in names)))
+
+    def _fold(self) -> None:
+        counts = self._counts
+        for source, fields in self._sources:
+            for name, attr in fields:
+                n = getattr(source, attr)
+                if n:
+                    setattr(source, attr, 0)
+                    counts[name] = counts.get(name, 0) + n
 
     def bump(self, name: str, n: float = 1) -> None:
         """Add ``n`` to counter ``name`` (creating it at zero)."""
@@ -183,13 +217,16 @@ class PerfCounters:
 
     def get(self, name: str) -> float:
         """Current value of ``name`` (0 if never bumped)."""
+        self._fold()
         return self._counts.get(name, 0)
 
     def as_dict(self) -> Dict[str, float]:
         """Sorted snapshot of all counters."""
+        self._fold()
         return dict(sorted(self._counts.items()))
 
     def clear(self) -> None:
+        self._fold()
         self._counts.clear()
 
     def merge(self, other: Mapping[str, float]) -> None:
@@ -198,10 +235,11 @@ class PerfCounters:
             self.bump(name, value)
 
     def __len__(self) -> int:
+        self._fold()
         return len(self._counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counts.items()))
+        inner = ", ".join(f"{k}={v:g}" for k, v in self.as_dict().items())
         return f"<PerfCounters {inner}>"
 
 

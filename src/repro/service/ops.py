@@ -13,8 +13,9 @@ because the repo takes no dependencies:
 ``GET /metrics``
     Prometheus text exposition of the daemon's
     :class:`~repro.perf.PerfCounters` (coordination counters, simulator
-    counters, ``service_*`` accounting) plus live gauges.  Counter names
-    pass through unchanged — they are already ``snake_case``.
+    counters, ``service_*`` accounting), typed ``counter``, plus live
+    values typed ``gauge``.  Names pass through unchanged — they are
+    already ``snake_case`` — and values are exact (no rounding).
 
 ``POST /drain``
     Triggers a graceful drain (idempotent); responds immediately with
@@ -38,14 +39,28 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 503: "Service Unavailable"}
 
 
+def _sample(value: numbers.Real) -> str:
+    """A sample value, exactly: integers in full, floats round-tripping."""
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    return repr(float(value))
+
+
 def render_metrics(service: "CoordinationService") -> str:
-    """The daemon's counters in Prometheus text exposition format."""
+    """The daemon's metrics in Prometheus text exposition format.
+
+    Every perf counter only ever grows and is typed ``counter``; the live
+    values of :meth:`~repro.service.server.CoordinationService.live_gauges`
+    are typed ``gauge``.
+    """
+    gauges = service.live_gauges()
     lines = []
     for name, value in sorted(service.metrics_snapshot().items()):
         if not isinstance(value, numbers.Real):  # pragma: no cover - guard
             continue
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name} {float(value):g}")
+        kind = "gauge" if name in gauges else "counter"
+        lines.append(f"# TYPE {name} {kind}")
+        lines.append(f"{name} {_sample(value)}")
     return "\n".join(lines) + "\n"
 
 

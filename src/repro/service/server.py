@@ -221,13 +221,19 @@ class CoordinationService:
             "decisions": len(self.decision_log),
         }
 
+    def live_gauges(self) -> Dict[str, int]:
+        """Current values that go up and down, unlike the perf counters."""
+        return {
+            "service_sessions_active": len(self._sessions),
+            "service_connections_active": len(self._connections),
+            "service_pending_entries": len(self._pending),
+            "service_draining": int(self.draining),
+        }
+
     def metrics_snapshot(self) -> Dict[str, float]:
         """Perf counters plus live gauges, one flat namespace."""
         snap = dict(self.perf.as_dict())
-        snap["service_sessions_active"] = len(self._sessions)
-        snap["service_connections_active"] = len(self._connections)
-        snap["service_pending_entries"] = len(self._pending)
-        snap["service_draining"] = 1.0 if self.draining else 0.0
+        snap.update(self.live_gauges())
         return snap
 
     # ------------------------------------------------------------------

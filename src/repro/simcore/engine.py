@@ -19,7 +19,7 @@ code:
   for timeout events.  Dead entries are skipped lazily on pop and swept in
   bulk once they outnumber the live population.
 * **Same-timestamp batch dispatch.** :meth:`step` drains *every* event at
-  the head timestamp in one pass: one clock write, one perf bump of ``n``,
+  the head timestamp in one pass: one clock write, one counter update of ``n``,
   and a FIFO "lane" for events scheduled at the current timestamp *during*
   the batch (delay-0 completions, coordination rounds) so coincident waves
   never re-enter the heap.
@@ -52,6 +52,11 @@ __all__ = ["Simulator", "Timer"]
 #: bounded by the floor itself.
 _COMPACT_MIN_DEAD = 1024
 
+
+#: Dispatch counters the simulator keeps as ``_n_<name>`` integers instead
+#: of bumping its :class:`~repro.perf.PerfCounters` once per batch.
+_FOLDED_COUNTERS = ("events_processed", "events_coincident",
+                    "timer_fastpath_hits", "timers_cancelled")
 
 #: Timer._eid sentinels; non-negative values are the insertion id of the
 #: timer's live queue entry.
@@ -103,7 +108,7 @@ class Timer:
         Returns True if the timer was still pending, False if it already
         fired or was already cancelled.  The queue entry is skipped lazily
         on pop (or swept by compaction) — cancellation itself is O(1) and
-        call-free on the hot path: the ``timers_cancelled`` perf bump
+        call-free on the hot path: the ``timers_cancelled`` count
         happens when the dead entry is retired, not here.
         """
         if self._eid < 0:
@@ -114,8 +119,7 @@ class Timer:
             # The push was still deferred — no queue entry exists to
             # deadmark, so the retirement is counted on the spot.
             self._pending = False
-            if sim.perf is not None:
-                sim.perf.bump("timers_cancelled")
+            sim._n_timers_cancelled += 1
             return True
         sim._dead += 1
         if sim._dead >= _COMPACT_MIN_DEAD:
@@ -151,8 +155,7 @@ class Timer:
             if self._pending:
                 # Superseded before its deferred push ever reached the
                 # queue: retired on the spot.
-                if sim.perf is not None:
-                    sim.perf.bump("timers_cancelled")
+                sim._n_timers_cancelled += 1
             else:
                 sim._dead += 1
                 if sim._dead >= _COMPACT_MIN_DEAD:
@@ -186,7 +189,7 @@ class Simulator:
         Initial clock value.
     perf:
         Optional :class:`~repro.perf.PerfCounters`; when set, dispatch
-        bumps ``events_processed`` (plus ``events_coincident``,
+        counts ``events_processed`` (plus ``events_coincident``,
         ``timer_fastpath_hits`` and ``timers_cancelled``).
 
     Examples
@@ -224,6 +227,14 @@ class Simulator:
         self._active_process: Optional[Process] = None
         #: Optional :class:`~repro.perf.PerfCounters`; see class docstring.
         self.perf = perf
+        # Per-batch dispatch counters are plain integers, folded into
+        # ``perf`` whenever it is read (PerfCounters.attach).
+        self._n_events_processed = 0
+        self._n_events_coincident = 0
+        self._n_timer_fastpath_hits = 0
+        self._n_timers_cancelled = 0
+        if perf is not None:
+            perf.attach(self, _FOLDED_COUNTERS)
 
     # -- clock ---------------------------------------------------------------
     @property
@@ -338,8 +349,7 @@ class Simulator:
         queue[:] = live
         heapq.heapify(queue)
         self._dead -= removed
-        if removed and self.perf is not None:
-            self.perf.bump("timers_cancelled", removed)
+        self._n_timers_cancelled += removed
 
     def _flush_deferred(self) -> None:
         """Push batch-deferred timer entries into the queue.
@@ -390,14 +400,13 @@ class Simulator:
         finally:
             if dead:
                 self._dead -= dead
-                if self.perf is not None:
-                    self.perf.bump("timers_cancelled", dead)
+                self._n_timers_cancelled += dead
 
     def step(self) -> None:
         """Dispatch the whole batch of events at the head timestamp.
 
         All events carrying the earliest scheduled time are drained in one
-        pass — one clock write, one ``events_processed`` bump of ``n`` —
+        pass — one clock write, one ``events_processed`` update of ``n`` —
         in ``(time, insertion id)`` order.  Events scheduled *at the batch
         timestamp* from inside a callback (delay-0 completions) join the
         same batch through a FIFO lane without re-entering the queue.
@@ -418,8 +427,7 @@ class Simulator:
             if not queue:
                 if dead:
                     self._dead -= dead
-                    if self.perf is not None:
-                        self.perf.bump("timers_cancelled", dead)
+                    self._n_timers_cancelled += dead
                 return
             when, eid, obj = pop(queue)
             if type(obj) is Timer:
@@ -490,16 +498,11 @@ class Simulator:
                 for leid, lobj in lane:
                     heapq.heappush(queue, (when, leid, lobj))
                 del lane[:]
-            perf = self.perf
-            if perf is not None:
-                if dead:
-                    perf.bump("timers_cancelled", dead)
-                if n:
-                    perf.bump("events_processed", n)
-                    if n > 1:
-                        perf.bump("events_coincident", n - 1)
-                    if fast:
-                        perf.bump("timer_fastpath_hits", fast)
+            self._n_timers_cancelled += dead
+            self._n_events_processed += n
+            if n:
+                self._n_events_coincident += n - 1
+                self._n_timer_fastpath_hits += fast
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.

@@ -41,6 +41,20 @@ writes state of another.  The network exploits that:
   the flow's own sync point), so an event in one component costs nothing in
   another.
 
+Lone flows
+----------
+The paper's campaigns are a few large applications, each one weighted flow
+per collective-buffering round, so most dirty components hold a single
+flow.  Such a component skips progressive filling: its flow's rate is the
+smallest of ``capacity / weight`` over its finite links and ``cap /
+weight``, times ``weight`` — the very float expressions the generic fill
+evaluates for one flow, with the same strict ``<`` (a link wins a tie
+against the cap), so the rate is bit-identical.  A path that crosses one
+link twice keeps the generic fill, which counts such a flow once per
+crossing.  The global oracle and the vectorized backend always fill
+generically, so the equivalence suites compare the closed form against
+progressive filling.
+
 Bottleneck-incremental filling
 ------------------------------
 Within one dirty component the filling itself is incremental too.  Each
@@ -127,6 +141,14 @@ _UNFINISHED = object()
 #: bottleneck conservatively invalidates the step instead of risking a
 #: different choice than the fresh scan would make).
 _REPLAY_MARGIN = 1.0 + 1e-9
+
+#: Counters the network keeps as ``_n_<name>`` integers instead of bumping
+#: its :class:`~repro.perf.PerfCounters` on every flow, refill and wake.
+_FOLDED_COUNTERS = (
+    "flow_starts", "flow_completions", "reallocations",
+    "rate_recomputations", "flows_touched", "components_refilled", "wakes",
+    "wake_stale_pops", "wake_compactions", "wake_comp_rebuilds",
+)
 
 #: Cached-step kinds (see ``_Component.fill_slots``).
 _STEP_LINK = 0   #: payload: the saturating FluidLink
@@ -224,7 +246,8 @@ class FluidFlow:
     done:
         Event that triggers (with this flow as value) when the last byte is
         delivered, or with ``None`` if the flow is cancelled without an
-        exception (see :meth:`FlowNetwork.cancel_flow`).  Created lazily on
+        exception (see :meth:`FlowNetwork.cancel_flow`).  Either supplied
+        by the starter (``start_flow(done=...)``) or created lazily on
         first access: flows nobody waits on never allocate (or dispatch) a
         completion event, which is what keeps 10^6-flow bursts affordable.
         Accessing ``done`` after the flow already completed returns an
@@ -297,6 +320,13 @@ class FluidFlow:
         )
 
 
+def _by_registration(flows: Dict[FluidFlow, None]) -> List[FluidFlow]:
+    """A component's flows in registration order."""
+    if len(flows) == 1:
+        return list(flows)
+    return sorted(flows, key=lambda f: f._seq)
+
+
 class _Component:
     """Registry entry for one connected component of the link/flow graph.
 
@@ -364,10 +394,12 @@ class FlowNetwork:
         per-flow integration and wake machinery with the incremental path.
     perf:
         Optional :class:`~repro.perf.PerfCounters`; when given the network
-        bumps the ``flow_*`` / ``reallocations`` / ``rate_recomputations``
+        counts the ``flow_*`` / ``reallocations`` / ``rate_recomputations``
         / ``flows_touched`` / ``components_refilled`` / ``wakes`` family
         plus the ``fill_*`` (bottleneck-cache) and ``wake_*`` (heap-pool)
-        counters documented in :mod:`repro.perf`.
+        counters documented in :mod:`repro.perf`.  The per-flow, per-refill
+        and per-wake ones are plain integers the bag folds in when read
+        (:meth:`~repro.perf.PerfCounters.attach`).
     fill_cache:
         Cache each component's bottleneck order and replay the verified
         prefix on the next refill (incremental mode only; default on).
@@ -431,11 +463,26 @@ class FlowNetwork:
         self._ncomps = 0
         self._wake_at: Optional[float] = None
         self._wake_timer = None  #: pending engine Timer for the next wake
+        # Per-flow, per-refill and per-wake counters are plain integers,
+        # folded into ``perf`` whenever it is read (PerfCounters.attach).
+        self._n_flow_starts = 0
+        self._n_flow_completions = 0
+        self._n_reallocations = 0
+        self._n_rate_recomputations = 0
+        self._n_flows_touched = 0
+        self._n_components_refilled = 0
+        self._n_wakes = 0
+        self._n_wake_stale_pops = 0
+        self._n_wake_compactions = 0
+        self._n_wake_comp_rebuilds = 0
+        if perf is not None:
+            perf.attach(self, _FOLDED_COUNTERS)
 
     # -- public API ----------------------------------------------------------
     def _register_flow(self, size: float, path: Iterable[FluidLink],
                        weight: float = 1.0, cap: Optional[float] = None,
-                       label: str = "flow") -> FluidFlow:
+                       label: str = "flow",
+                       done: Optional[Event] = None) -> FluidFlow:
         """Validate, create and register one flow — no reallocation.
 
         Zero-byte flows complete immediately and are *not* registered;
@@ -457,15 +504,16 @@ class FlowNetwork:
         flow.start_time = self.sim.now
         flow._synced = self.sim.now
         flow._seq = next(self._seq)
-        if self.perf is not None:
-            self.perf.bump("flow_starts")
+        self._n_flow_starts += 1
         if size <= _EPS_BYTES:
             flow.remaining = 0.0
             flow.finish_time = self.sim.now
-            if self.perf is not None:
-                self.perf.bump("flow_completions")
+            self._n_flow_completions += 1
             flow._outcome = flow
+            if done is not None:
+                done.succeed(flow)
             return flow
+        flow._done = done
         self._flows[flow] = None
         for link in flow.path:
             link._active[flow] = None
@@ -476,14 +524,18 @@ class FlowNetwork:
 
     def start_flow(self, size: float, path: Iterable[FluidLink],
                    weight: float = 1.0, cap: Optional[float] = None,
-                   label: str = "flow") -> FluidFlow:
+                   label: str = "flow",
+                   done: Optional[Event] = None) -> FluidFlow:
         """Begin transferring ``size`` bytes across ``path``.
 
         Returns the flow; its ``done`` event triggers on completion.  A
         zero-byte flow completes immediately (at the current time).
+        ``done``, when given, is an untriggered event the flow adopts as
+        its completion event, so a caller that already handed an event to
+        its waiters needs no second event to relay the outcome.
         """
         flow = self._register_flow(size, path, weight=weight, cap=cap,
-                                   label=label)
+                                   label=label, done=done)
         if flow in self._flows:
             self._reallocate()
         return flow
@@ -655,11 +707,40 @@ class FlowNetwork:
         ``record`` (when given) captures the bottleneck order for the
         component's fill cache.
         """
-        if self.perf is not None:
-            self.perf.bump("rate_recomputations")
-            self.perf.bump("flows_touched", len(flows))
+        self._n_rate_recomputations += 1
+        self._n_flows_touched += len(flows)
         residual, link_flows = self._fill_setup(flows)
         self._fill_loop(flows, residual, link_flows, set(flows), record)
+
+    def _fill_lone(self, f: FluidFlow) -> bool:
+        """Price a component's only flow in closed form.
+
+        Evaluates exactly the float expressions :meth:`_fill_loop` would
+        for one flow — ``capacity / weight`` per finite link, ``cap /
+        weight`` for a cap that is strictly below every link share, rate
+        ``weight * share`` — so the rate is bit-identical to the generic
+        fill.  Returns False, pricing nothing, when the path crosses a link
+        twice: the generic fill then counts the flow twice on that link.
+        """
+        path = f.path
+        if len(path) > 1 and len(set(path)) != len(path):
+            return False
+        self._n_rate_recomputations += 1
+        self._n_flows_touched += 1
+        w = f.weight
+        best = math.inf
+        for link in path:
+            capacity = link._capacity
+            if capacity != math.inf:
+                share = capacity / w
+                if share < best:
+                    best = share
+        if f.cap is not None:
+            share = f.cap / w
+            if share < best:
+                best = share
+        f.rate = math.inf if best == math.inf else w * best
+        return True
 
     def _fill_loop(self, flows: List[FluidFlow],
                    residual: Dict[FluidLink, float],
@@ -736,9 +817,8 @@ class FlowNetwork:
         slot whose inputs still match.
         """
         perf = self.perf
-        if perf is not None:
-            perf.bump("rate_recomputations")
-            perf.bump("flows_touched", len(flows))
+        self._n_rate_recomputations += 1
+        self._n_flows_touched += len(flows)
         residual, link_flows = self._fill_setup(flows)
         # MRU-first slot selection.  A link in the current residual but
         # absent from a slot's recorded capacities is crossed only by flows
@@ -941,8 +1021,7 @@ class FlowNetwork:
             keep.fill_slots = list(best.fill_slots)
         for link in links:
             link._comp = keep
-        if self.perf is not None:
-            self.perf.bump("wake_comp_rebuilds")
+        self._n_wake_comp_rebuilds += 1
         return keep
 
     # -- reallocation ---------------------------------------------------------
@@ -985,7 +1064,7 @@ class FlowNetwork:
                             links.add(other)
                             stack.append(other)
             if flows:
-                out.append((sorted(flows, key=lambda f: f._seq), links))
+                out.append((_by_registration(flows), links))
         return out
 
     def _components_lean(self, seeds: List[FluidLink]):
@@ -1009,7 +1088,7 @@ class FlowNetwork:
                             visited.add(other)
                             stack.append(other)
             if flows:
-                out.append((sorted(flows, key=lambda f: f._seq), None))
+                out.append((_by_registration(flows), None))
         return out
 
     def _finish_flow(self, f: FluidFlow, now: float) -> None:
@@ -1022,8 +1101,7 @@ class FlowNetwork:
         f.remaining = 0.0
         f.rate = 0.0
         f.finish_time = now
-        if self.perf is not None:
-            self.perf.bump("flow_completions")
+        self._n_flow_completions += 1
         f._outcome = f
         ev = f._done
         if ev is not None and not ev.triggered:
@@ -1032,8 +1110,7 @@ class FlowNetwork:
     def _refill_component(self, flows: List[FluidFlow], links: Set[FluidLink],
                           now: float) -> None:
         """Sync, complete, and re-price one dirty component."""
-        if self.perf is not None:
-            self.perf.bump("components_refilled")
+        self._n_components_refilled += 1
         live: List[FluidFlow] = []
         for f in flows:
             self._sync_flow(f, now)
@@ -1053,6 +1130,8 @@ class FlowNetwork:
                      and self._cache_wants(comp, len(live)))
         if use_cache and comp.fill_slots:
             self._fill_rates_cached(comp, live)
+        elif not use_cache and len(live) == 1 and self._fill_lone(live[0]):
+            pass  # priced in closed form
         else:
             record: Optional[List[Tuple[int, object]]] = \
                 [] if use_cache else None
@@ -1101,8 +1180,7 @@ class FlowNetwork:
 
     def _refill_global(self, now: float) -> None:
         """The oracle: sync and re-price every flow, fresh."""
-        if self.perf is not None:
-            self.perf.bump("components_refilled")
+        self._n_components_refilled += 1
         live: List[FluidFlow] = []
         for f in list(self._flows):
             self._sync_flow(f, now)
@@ -1136,8 +1214,7 @@ class FlowNetwork:
         if self._in_reallocate:
             return
         self._in_reallocate = True
-        if self.perf is not None:
-            self.perf.bump("reallocations")
+        self._n_reallocations += 1
         try:
             while True:
                 while self._dirty:
@@ -1175,19 +1252,16 @@ class FlowNetwork:
         top under a fresh wake generation.
         """
         heap = comp.heap
-        perf = self.perf
         while heap and (heap[0][2] != heap[0][3]._gen
                         or heap[0][3]._comp is not comp):
             heapq.heappop(heap)
-            if perf is not None:
-                perf.bump("wake_stale_pops")
+            self._n_wake_stale_pops += 1
         if len(heap) > 64 and len(heap) > 4 * comp.nflows:
             live = [e for e in heap
                     if e[2] == e[3]._gen and e[3]._comp is comp]
             heap[:] = live
             heapq.heapify(heap)
-            if perf is not None:
-                perf.bump("wake_compactions")
+            self._n_wake_compactions += 1
         comp.wake_gen += 1
         if heap:
             heapq.heappush(self._comp_index,
@@ -1196,19 +1270,16 @@ class FlowNetwork:
     def _pool_next_horizon(self) -> Optional[float]:
         """Earliest live completion horizon across the component pool."""
         index = self._comp_index
-        perf = self.perf
         if len(index) > 64 and len(index) > 4 * max(1, self._ncomps):
             live = [e for e in index if e[3].alive and e[2] == e[3].wake_gen]
             index[:] = live
             heapq.heapify(index)
-            if perf is not None:
-                perf.bump("wake_compactions")
+            self._n_wake_compactions += 1
         while index:
             when, _, gen, comp = index[0]
             if not comp.alive or gen != comp.wake_gen:
                 heapq.heappop(index)
-                if perf is not None:
-                    perf.bump("wake_stale_pops")
+                self._n_wake_stale_pops += 1
                 continue
             heap = comp.heap
             if heap and heap[0][0] == when and heap[0][2] == heap[0][3]._gen \
@@ -1223,19 +1294,16 @@ class FlowNetwork:
     def _flat_next_horizon(self) -> Optional[float]:
         """Earliest live completion horizon in the machine-wide heap."""
         heap = self._heap
-        perf = self.perf
         # Drop stale entries (flow re-priced, finished, paused or cancelled
         # since the push) and compact the heap if garbage dominates.
         while heap and heap[0][2] != heap[0][3]._gen:
             heapq.heappop(heap)
-            if perf is not None:
-                perf.bump("wake_stale_pops")
+            self._n_wake_stale_pops += 1
         if len(heap) > 64 and len(heap) > 4 * len(self._flows):
             live = [e for e in heap if e[2] == e[3]._gen]
             heap[:] = live
             heapq.heapify(heap)
-            if perf is not None:
-                perf.bump("wake_compactions")
+            self._n_wake_compactions += 1
         if not heap:
             return None
         return heap[0][0]
@@ -1274,9 +1342,7 @@ class FlowNetwork:
     def _on_wake(self) -> None:
         """Handle the earliest completion horizon(s) reaching the clock."""
         now = self.sim.now
-        perf = self.perf
-        if perf is not None:
-            perf.bump("wakes")
+        self._n_wakes += 1
         if self._vec is not None:
             # Array mode: the engine pops due states, finishes (or marks
             # dirty) their due flows in the scalar pool's global
@@ -1293,8 +1359,7 @@ class FlowNetwork:
             while index and index[0][0] <= now:
                 _, _, gen, comp = heapq.heappop(index)
                 if not comp.alive or gen != comp.wake_gen:
-                    if perf is not None:
-                        perf.bump("wake_stale_pops")
+                    self._n_wake_stale_pops += 1
                     continue
                 touched.append(comp)
                 heap = comp.heap
@@ -1302,8 +1367,8 @@ class FlowNetwork:
                     when, seq, fgen, f = heapq.heappop(heap)
                     if fgen == f._gen and f._comp is comp:
                         due.append((when, seq, f))
-                    elif perf is not None:
-                        perf.bump("wake_stale_pops")
+                    else:
+                        self._n_wake_stale_pops += 1
             # Re-arm drained components before anything reschedules: a
             # shrunk component's untouched remainder keeps its future
             # completions indexed even though this wake consumed its entry.
@@ -1317,8 +1382,8 @@ class FlowNetwork:
                 when, seq, fgen, f = heapq.heappop(heap)
                 if fgen == f._gen:
                     due.append((when, seq, f))
-                elif perf is not None:
-                    perf.bump("wake_stale_pops")
+                else:
+                    self._n_wake_stale_pops += 1
         for _, _, f in due:
             self._sync_flow(f, now)
             self._mark_dirty(f.path)

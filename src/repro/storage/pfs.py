@@ -108,6 +108,12 @@ class ParallelFileSystem:
         ``client`` is the fabric endpoint sourcing the data; ``weight`` is
         the process count behind this operation (max-min share at each
         server); ``cap`` optionally rate-limits each per-server request.
+
+        A range on one server returns that server's request event itself
+        (its value is the request's flow, or ``None`` if cancelled); a
+        range over several servers returns an :class:`~repro.simcore.AllOf`
+        of their events, whose value maps each to its outcome.  A zero-byte
+        write returns an event that already succeeded with ``None``.
         """
         meta = self.open(path)
         meta.extend(offset, nbytes)
@@ -139,6 +145,8 @@ class ParallelFileSystem:
                 size=server_bytes, kind=kind, weight=weight, cap=cap,
             )
             events.append(self.servers[server_idx].submit(req))
+        if len(events) == 1:
+            return events[0]
         if not events:  # zero-byte op completes immediately
             ev = self.sim.event()
             ev.succeed(None)

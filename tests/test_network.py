@@ -47,6 +47,37 @@ def test_full_duplex_directions_independent():
     assert d2.value.finish_time == pytest.approx(1.0)
 
 
+def test_zero_byte_transfer_completes():
+    for latency in (0.0, 0.5):
+        sim, net, fab = star_fabric(latency=latency)
+        done = fab.transfer("a", "srv", 0.0)
+        sim.run()
+        assert done.processed and done.ok
+        flow = done.value
+        assert flow.size == 0.0
+        assert flow.finish_time == latency
+        assert sim.now == latency
+
+
+def test_transfer_event_is_the_flows_completion_event():
+    sim, net, fab = star_fabric(latency=0.5)
+    done = fab.transfer("a", "srv", 100.0)
+    sim.run(until=0.75)
+    (flow,) = net.active_flows
+    assert flow.done is done
+
+
+def test_cancelled_transfer_succeeds_with_none():
+    sim, net, fab = star_fabric(latency=0.5)
+    done = fab.transfer("a", "srv", 100.0)  # 100 B/s -> would end at 1.5
+    sim.run(until=1.0)
+    (flow,) = net.active_flows
+    net.cancel_flow(flow)
+    assert sim.run(until=done) is None
+    assert done.ok
+    assert sim.now == 1.0
+
+
 def test_shared_uplink_contention():
     sim, net, fab = star_fabric()
     d1 = fab.transfer("a", "srv", 100.0)

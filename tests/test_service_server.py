@@ -344,6 +344,64 @@ def test_ops_healthz_metrics_and_drain():
     _run(go())
 
 
+def _parse_exposition(text):
+    """Parse Prometheus text line by line into ``{name: (kind, value)}``.
+
+    Every sample must directly follow its own ``# TYPE`` line, and every
+    name must appear exactly once.
+    """
+    samples = {}
+    lines = text.split("\n")
+    assert lines[-1] == ""  # the exposition ends with a newline
+    lines = lines[:-1]
+    assert len(lines) % 2 == 0
+    for type_line, sample_line in zip(lines[::2], lines[1::2]):
+        marker, keyword, name, kind = type_line.split(" ")
+        assert (marker, keyword) == ("#", "TYPE")
+        assert kind in ("counter", "gauge")
+        sample_name, value = sample_line.split(" ")
+        assert sample_name == name
+        assert name not in samples
+        samples[name] = (kind, value)
+    return samples
+
+
+def test_ops_metrics_exact_values_and_types():
+    async def go():
+        service = await _start(ops_port=0)
+        host, port = service.ops_address
+        coord_host, coord_port = service.address
+        client = await ServiceClient.connect(coord_host, coord_port, ["a"])
+        # A count past six significant digits, and a float counter.
+        service.perf.bump("probe_count", 1_234_567)
+        service.perf.bump("probe_seconds", 0.1)
+        service.perf.bump("probe_seconds", 0.2)
+        try:
+            status, body = await _http(host, port, "GET", "/metrics")
+            assert status == 200
+            samples = _parse_exposition(body.decode("utf-8"))
+            snapshot = service.metrics_snapshot()
+            gauges = service.live_gauges()
+        finally:
+            await client.close()
+            await service.close()
+
+        assert set(samples) == set(snapshot)
+        assert samples["probe_count"] == ("counter", "1234567")
+        assert samples["probe_seconds"] == ("counter", repr(0.1 + 0.2))
+        assert samples["service_sessions_active"] == ("gauge", "1")
+        assert samples["service_draining"] == ("gauge", "0")
+        for name, (kind, value) in samples.items():
+            assert kind == ("gauge" if name in gauges else "counter")
+            expected = snapshot[name]
+            if isinstance(expected, int):
+                assert int(value) == expected
+            else:
+                assert float(value) == expected
+
+    _run(go())
+
+
 def test_drain_times_out_on_stuck_connection():
     async def go():
         service = await _start()

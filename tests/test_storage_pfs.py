@@ -99,6 +99,39 @@ def test_zero_byte_write_completes_instantly():
     assert done.triggered
 
 
+def test_single_server_write_dispatches_one_completion_event():
+    """A range on one server costs its flow's completion event, plus the
+    fabric's launch timer when latency > 0 and the kernel's wake timer.
+
+    The server's event is returned as is (no AllOf wrapper) and the flow
+    completes the fabric's event directly (no relay through a second
+    event), which is two dispatched events fewer per request.
+    """
+    for latency, events in ((0.0, 2), (20e-6, 3)):
+        p = tiny_platform(latency=latency)  # pooled: one logical server
+        p.add_client("appA", nprocs=4)
+        done = p.pfs.write("appA", "appA", "/f", 0, 10, weight=4)
+        p.sim.run()
+        assert done.processed
+        assert done.value.size == 10  # the server's flow, not an AllOf dict
+        assert p.perf.get("events_processed") == events
+
+
+def test_multi_server_write_completes_with_its_last_server():
+    p = tiny_platform(pool_servers=False)  # 2 servers, 100 B/s each
+    p.add_client("appA", nprocs=100)  # uplink 1000 B/s never binds
+    # 30 bytes in 10-byte stripes: 20 on one server (0.2 s), 10 on the
+    # other (0.1 s).
+    done = p.pfs.write("appA", "appA", "/f", 0, 30, weight=100)
+    p.sim.run(until=0.15)
+    assert not done.triggered
+    p.sim.run(until=done)
+    assert p.sim.now == pytest.approx(0.2)
+    flows = list(done.value.values())
+    assert sorted(f.size for f in flows) == [10, 20]
+    assert max(f.finish_time for f in flows) == p.sim.now
+
+
 def test_duplicate_client_rejected():
     p = tiny_platform()
     p.add_client("appA", 1)
