@@ -14,7 +14,8 @@ state + coordination rounds) and :class:`repro.oracles.UnbatchedArbiter`
   the synthetic driver and on the ``many-writers`` / ``swf-replay``
   scenarios through the full experiment engine,
 * measures the decision-loop speedup via the ``coord_seconds`` perf
-  counter (>= 5x asserted at 500 applications), and
+  counter, best of ``REPEATS`` runs per side (>= 5x asserted at 500
+  applications), and
 * persists a machine-readable record to
   ``benchmarks/results/BENCH_arbiter.json`` under ``pytest --record``,
   to a temporary directory otherwise (gated against regressions by
@@ -45,6 +46,7 @@ ROUNDS = 3          #: continuation Inform/Release exchanges per access
 T_ROUND = 0.05      #: simulated seconds per guarded round
 DT_ARRIVAL = 0.2    #: inter-arrival spacing (keeps the wait queue short)
 SEED = 20140519
+REPEATS = 3         #: timed runs per arbiter and scale; the fastest counts
 
 
 def _drive(arbiter_cls, napps: int):
@@ -128,18 +130,27 @@ def test_scale_arbiter_speedup_and_equivalence(bench_dir, report):
              "dynamic strategy)"]
     full_scale = max(SCALES) >= 500
     for napps in SCALES:
-        perf_new, log_new, done_new = _drive(Arbiter, napps=napps)
-        perf_old, log_old, done_old = _drive(UnbatchedArbiter, napps=napps)
+        runs_new, runs_old = [], []
+        for _ in range(REPEATS):
+            perf_new, log_new, done_new = _drive(Arbiter, napps=napps)
+            perf_old, log_old, done_old = _drive(UnbatchedArbiter,
+                                                 napps=napps)
 
-        # Batching/indexing must be invisible to the policy: decision logs
-        # bit-identical, every completion at the identical instant.
-        assert log_new == log_old, (
-            f"decision logs diverged at {napps} apps "
-            f"({len(log_new)} vs {len(log_old)} records)")
-        assert np.array_equal(done_new, done_old), (
-            f"completion times diverged at {napps} apps: max |dt| = "
-            f"{np.abs(done_new - done_old).max()}")
+            # Batching/indexing must be invisible to the policy: decision
+            # logs bit-identical, every completion at the identical instant.
+            assert log_new == log_old, (
+                f"decision logs diverged at {napps} apps "
+                f"({len(log_new)} vs {len(log_old)} records)")
+            assert np.array_equal(done_new, done_old), (
+                f"completion times diverged at {napps} apps: max |dt| = "
+                f"{np.abs(done_new - done_old).max()}")
+            runs_new.append(perf_new)
+            runs_old.append(perf_old)
 
+        # Best of the repeats on each side: a host hiccup (GC pause, a
+        # noisy neighbour) only ever adds time to one run.
+        perf_new = min(runs_new, key=lambda p: p["coord_seconds"])
+        perf_old = min(runs_old, key=lambda p: p["coord_seconds"])
         cost_new = perf_new["coord_seconds"]
         cost_old = perf_old["coord_seconds"]
         speedup = cost_old / cost_new if cost_new > 0 else math.inf

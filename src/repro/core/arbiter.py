@@ -46,9 +46,7 @@ from typing import Dict, List, Optional
 
 from ..simcore import Event, SimulationError, Simulator
 from .metrics import AccessDescriptor, DescriptorSetView
-from .strategies import (
-    Action, Decision, Strategy, _accepts_preempted, make_strategy,
-)
+from .strategies import Action, Decision, Strategy, make_strategy
 
 __all__ = ["AccessState", "Arbiter", "CoordinationRound", "DecisionRecord"]
 
@@ -216,9 +214,6 @@ class Arbiter:
         self.decision_log_limit = decision_log_limit
         self.decision_log = ([] if decision_log_limit is None
                              else deque(maxlen=int(decision_log_limit)))
-        #: Whether the strategy's decide_batch asks for the preempted-queue
-        #: view (an optional keyword, see Strategy docs).
-        self._batch_preempted = _accepts_preempted(self.strategy.decide_batch)
         #: First-decision order (never reset) — the iteration order the
         #: old ``_state``-scanning ``active_descriptors()`` produced.
         self._order: Dict[str, int] = {}
@@ -479,14 +474,9 @@ class Arbiter:
         strategy observing the live views sees each earlier decision's
         effect — bit-identical to N independent unbatched calls.
         """
-        if self._batch_preempted:
-            decisions = iter(self.strategy.decide_batch(
-                self.sim.now, self._active_view, self._waiting_view,
-                descriptors, preempted=self._preempted_view))
-        else:
-            decisions = iter(self.strategy.decide_batch(
-                self.sim.now, self._active_view, self._waiting_view,
-                descriptors))
+        decisions = iter(self.strategy.decide_batch(
+            self.sim.now, self._active_view, self._waiting_view,
+            descriptors, preempted=self._preempted_view))
         results: List[bool] = []
         for k, descriptor in enumerate(descriptors):
             try:

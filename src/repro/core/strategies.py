@@ -15,7 +15,6 @@ with equal core counts and B arriving dt after A, interrupting A wins iff
 
 from __future__ import annotations
 
-import inspect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,28 +35,6 @@ def _capture_totals(waiting) -> WaitingTotals:
     """Waiting-queue aggregates: O(1) from a tracking view, else a fold."""
     totals = getattr(waiting, "totals", None)
     return totals() if totals is not None else WaitingTotals.fold(waiting)
-
-
-def _accepts_preempted(fn) -> bool:
-    """Whether a decide/decide_batch signature takes the preempted view.
-
-    The preempted queue is newer than the strategy contract, so it rides
-    in as an *optional* keyword: strategies that declare ``preempted``
-    (or ``**kwargs``) receive the live view, everyone else keeps the
-    historical four-argument call.
-    """
-    try:
-        sig = inspect.signature(fn)
-    except (TypeError, ValueError):  # pragma: no cover - builtins/oddities
-        return False
-    for p in sig.parameters.values():
-        if p.name == "preempted" or p.kind is p.VAR_KEYWORD:
-            return True
-    return False
-
-
-#: Per-class cache of whether ``decide`` accepts the preempted view.
-_DECIDE_PREEMPTED: Dict[type, bool] = {}
 
 
 class Action(Enum):
@@ -91,11 +68,11 @@ class Strategy(ABC):
     — iterable, sized, truth-testable, but not lists and never to be
     mutated.
 
-    Strategies that price deep preemption stacks can additionally declare
-    a ``preempted`` keyword on :meth:`decide` (or :meth:`decide_batch`) to
-    receive a read-only view of the preempted queue, in preemption order.
-    Built-ins ignore it — their decisions are unchanged — but §IV-D-style
-    cost models can use it to see the work an INTERRUPT would stack on.
+    Both :meth:`decide` and :meth:`decide_batch` also take a
+    ``preempted=()`` keyword: a read-only view of the preempted queue, in
+    preemption order.  The arbiter always passes it.  Most built-ins
+    ignore it, but §IV-D-style cost models can use it to see the work an
+    INTERRUPT would stack on.
     """
 
     name: str = "strategy"
@@ -103,7 +80,8 @@ class Strategy(ABC):
     @abstractmethod
     def decide(self, now: float, active: Sequence[AccessDescriptor],
                waiting: Sequence[AccessDescriptor],
-               incoming: AccessDescriptor) -> Decision:
+               incoming: AccessDescriptor,
+               preempted: Sequence[AccessDescriptor] = ()) -> Decision:
         """Decide what to do with ``incoming`` at time ``now``."""
 
     def decide_batch(self, now: float, active: Sequence[AccessDescriptor],
@@ -121,20 +99,11 @@ class Strategy(ABC):
         incoming) bit-identical to N independent unbatched calls.
         Override to share work across the batch; yield exactly one
         :class:`Decision` per incoming, in order.  ``preempted`` is the
-        read-only preempted-queue view, forwarded to :meth:`decide` only
-        when its signature asks for it.
+        read-only preempted-queue view, forwarded to :meth:`decide`.
         """
-        cls = type(self)
-        wants = _DECIDE_PREEMPTED.get(cls)
-        if wants is None:
-            wants = _DECIDE_PREEMPTED[cls] = _accepts_preempted(self.decide)
-        if wants:
-            for incoming in incomings:
-                yield self.decide(now, active, waiting, incoming,
-                                  preempted=preempted)
-        else:
-            for incoming in incomings:
-                yield self.decide(now, active, waiting, incoming)
+        for incoming in incomings:
+            yield self.decide(now, active, waiting, incoming,
+                              preempted=preempted)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -145,7 +114,8 @@ class InterfereStrategy(Strategy):
 
     name = "interfere"
 
-    def decide(self, now, active, waiting, incoming) -> Decision:
+    def decide(self, now, active, waiting, incoming,
+               preempted=()) -> Decision:
         return Decision(Action.GO)
 
 
@@ -159,7 +129,8 @@ class FCFSStrategy(Strategy):
 
     name = "fcfs"
 
-    def decide(self, now, active, waiting, incoming) -> Decision:
+    def decide(self, now, active, waiting, incoming,
+               preempted=()) -> Decision:
         if active or waiting:
             return Decision(Action.WAIT)
         return Decision(Action.GO)
@@ -194,7 +165,8 @@ class InterruptStrategy(Strategy):
 
     name = "interrupt"
 
-    def decide(self, now, active, waiting, incoming) -> Decision:
+    def decide(self, now, active, waiting, incoming,
+               preempted=()) -> Decision:
         if active:
             return Decision(Action.INTERRUPT)
         if waiting:

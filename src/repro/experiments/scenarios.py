@@ -213,14 +213,13 @@ def three_way_contention(nprocs: int = 100,
 # ---------------------------------------------------------------------------
 
 def many_writers_platform(nservers: int = 32,
-                          allocator: str = "incremental",
                           npartitions: int = 1) -> PlatformConfig:
     """A wide machine for many-application runs: per-server components.
 
     ``pool_servers=False`` keeps every data server a distinct endpoint, and
     the huge stripe unit places each file wholly on one (path-hashed)
     server — so applications writing different files form *disjoint*
-    link/flow components, the regime the incremental allocator exploits.
+    link/flow components, the regime the incremental kernel exploits.
     ``npartitions > 1`` splits the servers into that many independent file
     systems (the sharded-coordination scenarios' machines).
     """
@@ -234,7 +233,6 @@ def many_writers_platform(nservers: int = 32,
         stripe_size=1 << 30,
         latency=1e-5,
         pool_servers=False,
-        allocator=allocator,
         npartitions=npartitions,
         description=f"{nservers} independent servers, one file per server",
     )
@@ -256,7 +254,6 @@ def many_writers(napps: int = 200, nservers: int = 32,
                  bytes_per_process: int = 4_000_000,
                  spread: float = 60.0, period: float = 30.0,
                  seed: int = 7, measure_alone: bool = False,
-                 allocator: str = "incremental",
                  arbiter: Optional[Dict[str, Any]] = None
                  ) -> List[ExperimentSpec]:
     """Synthetic trace-flavoured mix: ``napps`` writers with random sizes
@@ -267,7 +264,7 @@ def many_writers(napps: int = 200, nservers: int = 32,
     if napps < 1:
         raise ValueError(f"napps must be >= 1, got {napps}")
     rng = ensure_rng(seed)
-    platform = many_writers_platform(nservers, allocator=allocator)
+    platform = many_writers_platform(nservers)
     workloads = []
     for i in range(napps):
         nprocs = int(rng.choice([4, 8, 16, 32]))
@@ -382,25 +379,23 @@ def checkpoint_waves(napps: int = 120, nservers: int = 16,
                      phases: int = 3, bytes_per_process: int = 2_000_000,
                      period: float = 30.0, jitter: float = 0.5,
                      bridge_every: int = 5, seed: int = 13,
-                     allocator: str = "incremental",
                      arbiter: Optional[Dict[str, Any]] = None
                      ) -> List[ExperimentSpec]:
-    """Synchronized bursty cohorts — the bottleneck-incremental kernel's
-    stress case.  Application ``i`` belongs to cohort ``i % ncohorts``;
-    every cohort checkpoints together (same period, wave-staggered starts
-    plus a small jitter), so each wave floods its servers with near-
+    """Synchronized bursty cohorts — the incremental kernel's stress
+    case.  Application ``i`` belongs to cohort ``i % ncohorts``; every
+    cohort checkpoints together (same period, wave-staggered starts plus
+    a small jitter), so each wave floods its servers with near-
     simultaneous arrivals and drains them with near-simultaneous
-    completions — exactly the churn the cached bottleneck orders absorb.
-    Every ``bridge_every``-th application writes two files (hashing onto
-    two servers), bridging otherwise disjoint per-server components so
-    the component registry exercises union on the wave's rise and split
-    on its fall."""
+    completions, each one a dirty-component refill.  Every
+    ``bridge_every``-th application writes two files (hashing onto two
+    servers), bridging otherwise disjoint per-server components so the
+    components merge on the wave's rise and split on its fall."""
     if napps < 1:
         raise ValueError(f"napps must be >= 1, got {napps}")
     if ncohorts < 1:
         raise ValueError(f"ncohorts must be >= 1, got {ncohorts}")
     rng = ensure_rng(seed)
-    platform = many_writers_platform(nservers, allocator=allocator)
+    platform = many_writers_platform(nservers)
     workloads = []
     nbridges = 0
     wave_gap = period / ncohorts
@@ -442,7 +437,6 @@ def read_write_mix(napps: int = 80, nservers: int = 16,
                    bytes_per_process: int = 2_000_000,
                    spread: float = 30.0, period: float = 20.0,
                    read_every: int = 2, seed: int = 17,
-                   allocator: str = "incremental",
                    arbiter: Optional[Dict[str, Any]] = None
                    ) -> List[ExperimentSpec]:
     """Every ``read_every``-th application runs ``operation='readwrite'``
@@ -453,7 +447,7 @@ def read_write_mix(napps: int = 80, nservers: int = 16,
     if napps < 1:
         raise ValueError(f"napps must be >= 1, got {napps}")
     rng = ensure_rng(seed)
-    platform = many_writers_platform(nservers, allocator=allocator)
+    platform = many_writers_platform(nservers)
     workloads = []
     nreaders = 0
     for i in range(napps):

@@ -20,6 +20,15 @@ replaced live here, where tests and benchmarks import them.  Nothing under
   :class:`~repro.core.CalciomRuntime` and ``ExperimentSpec`` run) is an
   :class:`UnbatchedArbiter`.  Process-shard workers build their own
   arbiters and are not affected.
+* :class:`GlobalFlowNetwork` — the whole-network bandwidth allocator:
+  every change re-prices every flow with a fresh progressive filling.
+  For the same active flows its rates equal
+  :class:`~repro.simcore.FlowNetwork`'s bit for bit; integrated
+  completion times agree to ~1e-14 relative, because it banks every
+  flow's progress at every change.
+* :func:`global_allocator` — runs whole experiments under the oracle
+  allocator: while active, every :class:`~repro.platforms.Platform`
+  builds a :class:`GlobalFlowNetwork`.
 """
 
 from __future__ import annotations
@@ -30,13 +39,18 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, List
 
+from . import platforms
 from .core import sharding
 from .core.arbiter import AccessState, Arbiter
 from .core.metrics import AccessDescriptor
-from .core.strategies import Action, _accepts_preempted
-from .simcore import Event, SimulationError, Simulator
+from .core.strategies import Action
+from .simcore import (
+    Event, FlowNetwork, FluidFlow, FluidLink, SimulationError, Simulator,
+)
+from .simcore.fairshare import _EPS_BYTES
 
-__all__ = ["OracleSimulator", "UnbatchedArbiter", "unbatched_arbiters"]
+__all__ = ["OracleSimulator", "UnbatchedArbiter", "unbatched_arbiters",
+           "GlobalFlowNetwork", "global_allocator"]
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +161,6 @@ class UnbatchedArbiter(Arbiter):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: Whether the strategy's decide asks for the preempted list.
-        self._decide_preempted = _accepts_preempted(self.strategy.decide)
         self._waiting: List[str] = []     # FIFO arrival order
         self._preempted: List[str] = []   # FIFO preemption order
 
@@ -175,21 +187,13 @@ class UnbatchedArbiter(Arbiter):
                 self._merge_descriptor(app, descriptor)
                 return state is AccessState.ACTIVE
 
-            if self._decide_preempted:
-                decision = self.strategy.decide(
-                    self.sim.now,
-                    self.active_descriptors(),
-                    self.waiting_descriptors(),
-                    descriptor,
-                    preempted=self.preempted_descriptors(),
-                )
-            else:
-                decision = self.strategy.decide(
-                    self.sim.now,
-                    self.active_descriptors(),
-                    self.waiting_descriptors(),
-                    descriptor,
-                )
+            decision = self.strategy.decide(
+                self.sim.now,
+                self.active_descriptors(),
+                self.waiting_descriptors(),
+                descriptor,
+                preempted=self.preempted_descriptors(),
+            )
             self._log_decision(
                 app, decision,
                 active=[d.app for d in self.active_descriptors()],
@@ -287,3 +291,50 @@ def unbatched_arbiters() -> Iterator[None]:
         yield
     finally:
         sharding.Arbiter = saved
+
+
+# ---------------------------------------------------------------------------
+# Fluid-flow allocator
+# ---------------------------------------------------------------------------
+
+class GlobalFlowNetwork(FlowNetwork):
+    """:class:`~repro.simcore.FlowNetwork` that re-prices every flow, fresh.
+
+    Overrides the one refill hook: instead of walking the dirty
+    components, every change syncs every flow and re-runs progressive
+    filling over all unpaused ones.  Lazy integration, completion
+    horizons and wakes are the production ones.
+    """
+
+    def _refill(self, seeds: List[FluidLink], now: float) -> None:
+        self._n_components_refilled += 1
+        live: List[FluidFlow] = []
+        for f in list(self._flows):
+            self._sync_flow(f, now)
+            if f.remaining <= _EPS_BYTES:
+                self._finish_flow(f, now)
+            elif not f.paused:
+                live.append(f)
+        if live:
+            self._fill_rates(live)
+            self._push_horizons(live, now)
+
+
+@contextmanager
+def global_allocator() -> Iterator[None]:
+    """Build every :class:`~repro.platforms.Platform`'s network as a
+    :class:`GlobalFlowNetwork`.
+
+    Swaps the class :class:`~repro.platforms.Platform` instantiates for the
+    duration of the block, so whole ``ExperimentSpec`` runs go through the
+    oracle without a constructor parameter or a config field::
+
+        with global_allocator():
+            oracle = ExperimentEngine().run(spec)
+    """
+    saved = platforms.FlowNetwork
+    platforms.FlowNetwork = GlobalFlowNetwork
+    try:
+        yield
+    finally:
+        platforms.FlowNetwork = saved

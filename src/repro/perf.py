@@ -32,46 +32,13 @@ counter                    meaning
 ``reallocations``          allocator invocations (any trigger)
 ``rate_recomputations``    progressive-filling runs (per dirty component)
 ``flows_touched``          flows re-priced across all recomputations
-``components_refilled``    dirty components walked (incremental mode only)
+``components_refilled``    dirty components walked
 ``flow_starts``            flows started
 ``flow_completions``       flows that delivered their last byte
 ``wakes``                  completion-horizon wakeups handled
-``fill_cache_hits``        refills served entirely from the cached
-                           bottleneck order (no fresh bottleneck scan)
-``fill_partial_refills``   refills that replayed a prefix of the cached
-                           order, then re-derived the tail fresh
-``fill_cache_misses``      refills with nothing reusable (first fill of a
-                           component, or the first cached step invalidated)
-``fill_steps_reused``      cached bottleneck steps replayed across refills
-``fill_slot_restores``     refills served from a non-most-recent cache slot
-                           (a capacity wiggle returned to a recorded vector)
 ``wake_stale_pops``        invalidated heap entries lazily popped (repriced,
-                           finished, cancelled, or migrated flows; dead
-                           component index entries)
-``wake_compactions``       wake-heap/garbage compaction passes
-``wake_comp_rebuilds``     component-registry rebuilds (merges and splits)
-``vec_refills``            vectorized whole-component refills (fill + horizon
-                           recomputation over the component's arrays)
-``vec_rebuilds``           vectorized state rebuilds — merges, splits, and
-                           membership changes that re-pack a component's
-                           flows into fresh contiguous arrays
-``vec_rebuild_flows``      flows copied across all ``vec_rebuilds`` (the
-                           array-repacking volume; compare with
-                           ``flows_touched`` to see how often the stale-flag
-                           fast path avoided a rebuild)
-``vec_appends``            in-place array appends (arrivals whose links all
-                           live in one current state — no BFS, no repack of
-                           the existing rows)
-``vec_append_flows``       flows materialized across all ``vec_appends``
-``vec_fill_steps``         bottleneck-fixing steps taken by the vectorized
-                           progressive filler (each fixes one link *or* one
-                           batch of caps, whole-array arithmetic per step)
-``vec_cap_batches``        fill steps that fixed a batch of per-flow caps in
-                           one masked vector operation instead of one cap
-                           per scan as the scalar loop does
-``vec_rate_writebacks``    per-flow rate writebacks from component arrays to
-                           flow objects after a refill (only rows whose rate
-                           actually changed are written)
+                           finished or cancelled flows)
+``wake_compactions``       wake-heap garbage compaction passes
 ``io_requests``            requests admitted by storage servers
 ``pfs_writes``/``reads``   file-system level operations
 ``timeseries_samples``     monitor samples recorded
@@ -150,8 +117,9 @@ shard additionally bumps a ``coord_*_shard<i>`` twin so per-shard load
 (balance, hot shards) is visible in the same ``ExperimentResult.perf``.
 
 Derived ratios are what you read: ``flows_touched / rate_recomputations``
-is the mean dirty-component size (≈ total active flows under the global
-allocator, ≈ per-bottleneck flow count under the incremental one), and
+is the mean dirty-component size (≈ per-bottleneck flow count; the
+whole-network oracle in :mod:`repro.oracles` approaches the total active
+flow count), and
 ``rate_recomputations / events_processed`` shows how much of the event
 stream actually re-priced bandwidth.
 
@@ -321,65 +289,14 @@ def check_perf_regression(fresh: Mapping[str, Any],
     eyeballing those.
     """
     if kind == "kernel":
-        # Regime sub-records (per-scale {"speedup": ...} maps under a
-        # regime key): "churn" gates the cached kernel vs the PR-2
-        # incremental baseline, "hyperscale" gates the vectorized kernel
-        # vs the incremental oracle.  Each gates at the largest scale the
-        # two records share, with matching per-scale workload parameters.
-        # A regime present in only one record — the normal state while a
-        # new regime rolls out, or on hosts that skipped it — must skip
-        # with an explicit note rather than KeyError: the committed
-        # record predates the regime, not the other way around.
-        notes = []
-        for regime in ("churn", "hyperscale"):
-            label = f"kernel-{regime}"
-            fresh_sub = fresh.get(regime) or {}
-            committed_sub = committed.get(regime) or {}
-            if bool(fresh_sub) != bool(committed_sub):
-                side = "committed" if fresh_sub else "fresh"
-                notes.append(f"{label}: {side} record lacks the regime — "
-                             "skipping sub-gate")
-                continue
-            if not fresh_sub:
-                continue
-            common = sorted(set(fresh_sub.get("scales", {}))
-                            & set(committed_sub.get("scales", {})),
-                            key=float)
-            if common and (_without(fresh_sub.get("config"),
-                                    ("scales", "full_scale"))
-                           != _without(committed_sub.get("config"),
-                                       ("scales", "full_scale"))):
-                # Workloads differ: that sub-gate is not comparable, but
-                # the base incremental-vs-global gate below still is.
-                notes.append(f"{label}: workload parameters differ — "
-                             "skipping sub-gate")
-                common = []
-            elif not common:
-                notes.append(f"{label}: records share no scale — "
-                             "skipping sub-gate")
-            if common:
-                scale = common[-1]
-                fresh_c = float(fresh_sub["scales"][scale]["speedup"])
-                committed_c = float(committed_sub["scales"][scale]
-                                    ["speedup"])
-                if committed_c > 0:
-                    collapse = committed_c / max(fresh_c, 1e-12)
-                    if collapse > factor:
-                        return False, (
-                            f"{label}@{scale}: fresh speedup "
-                            f"{fresh_c:.2f}x vs committed "
-                            f"{committed_c:.2f}x ({collapse:.2f}x "
-                            f"collapse, limit {factor}x)")
-        suffix = ("" if not notes else " [" + "; ".join(notes) + "]")
         if "speedup" not in fresh or "speedup" not in committed:
             side = "fresh" if "speedup" not in fresh else "committed"
-            return True, (f"kernel: {side} record lacks the base "
-                          "decision-free speedup — skipping base gate"
-                          + suffix)
+            return True, (f"kernel: {side} record lacks the speedup — "
+                          "skipping gate")
         if fresh.get("config") != committed.get("config"):
             return True, ("kernel: configs differ; speedups are not "
                           "comparable — skipping gate (run the committed "
-                          "configuration to gate)" + suffix)
+                          "configuration to gate)")
         fresh_speedup = _kernel_speedup(fresh)
         committed_speedup = _kernel_speedup(committed)
         if committed_speedup <= 0:
@@ -387,7 +304,7 @@ def check_perf_regression(fresh: Mapping[str, Any],
         collapse = committed_speedup / max(fresh_speedup, 1e-12)
         message = (f"kernel: fresh speedup {fresh_speedup:.2f}x vs "
                    f"committed {committed_speedup:.2f}x "
-                   f"({collapse:.2f}x collapse, limit {factor}x)" + suffix)
+                   f"({collapse:.2f}x collapse, limit {factor}x)")
         return collapse <= factor, message
     elif kind in ("arbiter", "service"):
         # Same record shape: per-scale {"speedup": ...} under "scales".

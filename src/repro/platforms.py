@@ -70,26 +70,6 @@ class PlatformConfig:
     #: Disable for experiments that need per-server behaviour (scheduler
     #: ablations, non-uniform access).
     pool_servers: bool = True
-    #: Bandwidth allocator: ``"incremental"`` (default — dirty-component
-    #: reallocation with cached bottleneck orders and the per-component
-    #: wake-heap pool, see :mod:`repro.simcore.fairshare`),
-    #: ``"vectorized"`` (structure-of-arrays components priced with numpy
-    #: array operations, see :mod:`repro.simcore.fairshare_vec` — the
-    #: 10^5-10^6-flow regime; completion ordering identical to
-    #: ``"incremental"``, rates exact where the scan order is
-    #: deterministic and ulp-bounded otherwise),
-    #: ``"incremental-flat"`` (the PR-2 regime: dirty-component refills
-    #: with from-scratch filling and one machine-wide heap — the scale
-    #: benchmark's baseline) or ``"global"`` (the retained reference
-    #: oracle that re-prices every flow on every change; identical rates,
-    #: slower).
-    allocator: str = "incremental"
-    #: Fill-cache cutover for the ``"incremental"`` allocator: ``None``
-    #: (default) learns it per component from observed replay hit rates;
-    #: an ``int`` pins the historical fixed flow-count threshold (``8``
-    #: reproduces the pre-adaptive behaviour).  Rates are bit-identical
-    #: under any setting — the policy only picks how refills compute.
-    fill_cache_min_flows: Optional[int] = None
     #: File-system partitions: the ``nservers`` data servers are split into
     #: this many disjoint groups, each running its own
     #: :class:`~repro.storage.ParallelFileSystem` (sizes as even as
@@ -145,12 +125,6 @@ class Platform:
     """An instantiated machine: simulator + fabric + PFS + client registry."""
 
     def __init__(self, config: PlatformConfig):
-        if config.allocator not in ("incremental", "vectorized",
-                                    "incremental-flat", "global"):
-            raise SimulationError(
-                f"allocator must be 'incremental', 'vectorized', "
-                f"'incremental-flat' or 'global', got {config.allocator!r}"
-            )
         if config.npartitions < 1:
             raise SimulationError(
                 f"npartitions must be >= 1, got {config.npartitions}")
@@ -161,15 +135,7 @@ class Platform:
         self.config = config
         self.perf = PerfCounters()
         self.sim = Simulator(perf=self.perf)
-        self.net = FlowNetwork(
-            self.sim,
-            incremental=(config.allocator != "global"),
-            perf=self.perf,
-            fill_cache=(config.allocator == "incremental"),
-            heap_pool=(config.allocator == "incremental"),
-            vectorized=(config.allocator == "vectorized"),
-            fill_cache_min_flows=config.fill_cache_min_flows,
-        )
+        self.net = FlowNetwork(self.sim, perf=self.perf)
         self.fabric = Fabric(self.sim, self.net, latency=config.latency)
         self.fabric.add_switch("switch")
         self.servers = []

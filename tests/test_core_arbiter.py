@@ -193,7 +193,7 @@ def test_delay_action_grants_after_hold():
     class AlwaysDelay(Strategy):
         name = "always-delay"
 
-        def decide(self, now, active, waiting, incoming):
+        def decide(self, now, active, waiting, incoming, preempted=()):
             if active:
                 return Decision(Action.DELAY, delay=5.0)
             return Decision(Action.GO)
@@ -216,7 +216,7 @@ def test_delay_action_early_grant_wins():
     class AlwaysDelay(Strategy):
         name = "always-delay"
 
-        def decide(self, now, active, waiting, incoming):
+        def decide(self, now, active, waiting, incoming, preempted=()):
             if active:
                 return Decision(Action.DELAY, delay=100.0)
             return Decision(Action.GO)

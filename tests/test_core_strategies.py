@@ -181,7 +181,7 @@ def test_fcfs_decide_batch_matches_per_incoming_decisions():
 def test_fcfs_subclass_custom_decide_survives_batching():
     """The O(1) batch shortcut must not bypass a subclass's decide()."""
     class Audited(FCFSStrategy):
-        def decide(self, now, active, waiting, incoming):
+        def decide(self, now, active, waiting, incoming, preempted=()):
             d = super().decide(now, active, waiting, incoming)
             d.costs["audited"] = 1.0
             return d

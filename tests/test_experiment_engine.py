@@ -52,14 +52,14 @@ def test_platform_roundtrip_handles_infinity():
         platform_from_dict({**platform_to_dict(cfg), "bogus": 1})
 
 
-def test_platform_roundtrip_keeps_kernel_knobs():
-    from dataclasses import replace
-    cfg = replace(grid5000_rennes(), allocator="vectorized",
-                  fill_cache_min_flows=8)
-    data = json.loads(json.dumps(platform_to_dict(cfg)))
-    assert platform_from_dict(data) == cfg
-    assert data["allocator"] == "vectorized"
-    assert data["fill_cache_min_flows"] == 8
+def test_platform_dict_rejects_removed_kernel_knobs():
+    """The allocator mode and fill-cache cutover are gone: a platform dict
+    that still carries them fails like any other unknown field."""
+    data = platform_to_dict(grid5000_rennes())
+    for key, value in (("allocator", "incremental"),
+                       ("fill_cache_min_flows", 8)):
+        with pytest.raises(ValueError, match="unknown platform fields"):
+            platform_from_dict({**data, key: value})
 
 
 def test_workload_spec_mirrors_ior_config():

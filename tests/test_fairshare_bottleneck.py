@@ -1,12 +1,14 @@
-"""Cross-checks of the bottleneck-incremental filling and wake-heap pool.
+"""Component merges, splits and mid-refill mutations against the oracle.
 
-The PR-5 kernel layers — cached bottleneck orders with verified prefix
-replay, and the per-component wake-heap pool behind the component
-registry — must be *pure* optimizations: bit-identical rates and
-completion times against the PR-2 incremental baseline
-(``FlowNetwork(sim, fill_cache=False, heap_pool=False)``) on any topology
-and any event sequence.  Equality here is exact (``==``), not approximate:
-a replayed step recomputes the same floats the fresh scan would.
+Regression scripts for the dirty-component kernel: bridge flows that merge
+and split components, cancels and pauses issued from inside a
+reallocation, a split remainder whose completion must still fire, and
+capacity wiggles layered over random churn.  Each script runs on the
+production :class:`~repro.simcore.FlowNetwork` and on
+:class:`repro.oracles.GlobalFlowNetwork`, which re-prices every flow on
+every change.  Rates match exactly; completion times match to ``REL``
+(the oracle banks every flow's progress at every change, so the
+integrated times differ in the last bits).
 """
 
 import math
@@ -15,16 +17,30 @@ import numpy as np
 import pytest
 
 from repro.experiments import ExperimentEngine, build_scenario
+from repro.oracles import GlobalFlowNetwork, global_allocator
 from repro.simcore import FluidLink, FlowNetwork, Simulator
-from repro.perf import PerfCounters
 
 HORIZON = 400.0
+
+#: Relative tolerance on integrated completion times vs the oracle.
+REL = 1e-12
+
+
+def _same_times(a, b):
+    """Completion times equal to ``REL``; nan (never finished) only
+    matches nan."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if math.isnan(x) or math.isnan(y):
+            assert math.isnan(x) and math.isnan(y), (x, y)
+        else:
+            assert x == pytest.approx(y, rel=REL), (x, y)
 
 
 def _random_script(seed: int, nlinks: int = 5, nflows: int = 48,
                    nevents: int = 24):
-    """Randomized starts plus mid-flight mutations, with components large
-    enough (few links, many flows) to engage the fill cache."""
+    """Randomized starts plus mid-flight mutations over large components
+    (few links, many flows)."""
     rng = np.random.default_rng(seed)
     capacities = rng.uniform(100.0, 1000.0, size=nlinks)
     starts = []
@@ -52,10 +68,10 @@ def _random_script(seed: int, nlinks: int = 5, nflows: int = 48,
     return capacities, starts, events
 
 
-def _run_script(capacities, starts, events, **net_kwargs):
+def _run_script(network, capacities, starts, events):
     """Execute one script; returns per-flow (finish, remaining, rate)."""
     sim = Simulator()
-    net = FlowNetwork(sim, **net_kwargs)
+    net = network(sim)
     links = [FluidLink(float(c), f"l{j}") for j, c in enumerate(capacities)]
     flows = {}
 
@@ -88,79 +104,40 @@ def _run_script(capacities, starts, events, **net_kwargs):
             for idx in range(len(starts))}
 
 
-@pytest.mark.parametrize("seed", range(14))
-def test_cached_fill_matches_baseline_exactly(seed):
-    """Same script, cache+pool vs the PR-2 baseline: bit-identical state."""
-    script = _random_script(seed)
-    cached = _run_script(*script, fill_cache=True, heap_pool=True)
-    baseline = _run_script(*script, fill_cache=False, heap_pool=False)
-    assert cached.keys() == baseline.keys()
-    for idx in cached:
-        a, b = cached[idx], baseline[idx]
+def _same_state(state, oracle):
+    """Per-flow script results against the oracle's: rates exactly,
+    completion times and leftover bytes to ``REL``."""
+    assert state.keys() == oracle.keys()
+    for idx in state:
+        a, b = state[idx], oracle[idx]
         if a is None or b is None:
             assert a == b
             continue
-        for x, y, what in zip(a, b, ("finish_time", "remaining", "rate")):
-            if math.isnan(x) or math.isnan(y):
-                assert math.isnan(x) and math.isnan(y), (idx, what, x, y)
-            else:
-                assert x == y, f"flow {idx} {what}: cached={x!r} baseline={y!r}"
+        _same_times([a[0]], [b[0]])
+        assert a[1] == pytest.approx(b[1], rel=REL, abs=1e-9), idx
+        assert a[2] == b[2], idx
 
 
-@pytest.mark.parametrize("seed", [3, 9])
-@pytest.mark.parametrize("feature",
-                         [{"fill_cache": True, "heap_pool": False},
-                          {"fill_cache": False, "heap_pool": True}])
-def test_each_layer_is_independently_exact(seed, feature):
-    """Cache-only and pool-only must each match the baseline bit for bit."""
+@pytest.mark.parametrize("seed", range(14))
+def test_cached_fill_matches_baseline_exactly(seed):
+    """Random starts, pauses, resumes, cancels and capacity changes over
+    large components: the production fill matches the global baseline."""
     script = _random_script(seed)
-    solo = _run_script(*script, **feature)
-    baseline = _run_script(*script, fill_cache=False, heap_pool=False)
-    assert solo == baseline or all(
-        (a == b or (a is not None and b is not None
-                    and all((x == y or (math.isnan(x) and math.isnan(y)))
-                            for x, y in zip(a, b))))
-        for a, b in zip(solo.values(), baseline.values()))
-
-
-def test_cache_counters_report_hits_and_partial_refills():
-    """A churny many-flow component must actually hit the cache."""
-    perf = PerfCounters()
-    sim = Simulator(perf=perf)
-    net = FlowNetwork(sim, perf=perf)
-    server = FluidLink(1e9, "server")
-    # A stable cohort (low caps, long flows) plus cycling bursts.
-    for j in range(20):
-        net.start_flow(2e4 * (1 + 0.01 * j), [server], cap=100.0 + j,
-                       label=f"stable{j}")
-
-    def burst(i):
-        yield sim.timeout(0.1 * i)
-        for k in range(4):
-            flow = net.start_flow(500.0, [server], cap=900.0 + i + k)
-            yield flow.done
-            yield sim.timeout(0.2)
-
-    for i in range(8):
-        sim.process(burst(i))
-    sim.run()
-    assert perf.get("fill_cache_hits") > 0
-    assert perf.get("fill_partial_refills") > 0
-    assert perf.get("fill_steps_reused") > 20
-    assert perf.get("wake_stale_pops") > 0
+    _same_state(_run_script(FlowNetwork, *script),
+                _run_script(GlobalFlowNetwork, *script))
 
 
 def test_component_registry_survives_merge_and_split():
     """A bridge flow unions two components; its end splits them again —
-    with every completion firing exactly once at the baseline time."""
-    def run(**net_kwargs):
+    with every completion firing exactly once at the oracle's time."""
+    def run(network):
         sim = Simulator()
-        net = FlowNetwork(sim, **net_kwargs)
+        net = network(sim)
         left = FluidLink(100.0, "left")
         right = FluidLink(100.0, "right")
         fires = []
         flows = []
-        # Enough flows per side to exceed the cache threshold.
+        # Several capped flows per side.
         for i in range(6):
             flows.append(net.start_flow(1000.0 + 10 * i, [left],
                                         cap=30.0 + i, label=f"L{i}"))
@@ -182,21 +159,21 @@ def test_component_registry_survives_merge_and_split():
         sim.run()
         return [f.finish_time for f in flows], fires
 
-    times_cached, fires_cached = run(fill_cache=True, heap_pool=True)
-    times_base, fires_base = run(fill_cache=False, heap_pool=False)
-    assert times_cached == times_base
-    assert sorted(fires_cached) == sorted(fires_base)
-    assert len(fires_cached) == len(set(fires_cached))  # exactly once each
+    times, fires = run(FlowNetwork)
+    times_oracle, fires_oracle = run(GlobalFlowNetwork)
+    _same_times(times, times_oracle)
+    assert sorted(fires) == sorted(fires_oracle)
+    assert len(fires) == len(set(fires))  # exactly once each
 
 
 def test_cancel_mid_refill_leaves_no_stale_wake_for_detached_component():
-    """Satellite regression: cancelling (or pausing) a flow while its
-    component is mid-refill — from an observer running inside the
-    reallocation loop — must not leave a heap entry that fires for a
-    detached component or double-completes a migrated flow."""
-    def run(**net_kwargs):
+    """Cancelling (or pausing) a flow while its component is mid-refill —
+    from an observer running inside the reallocation loop — must not
+    leave a heap entry that fires for the detached flow or completes it
+    twice."""
+    def run(network):
         sim = Simulator()
-        net = FlowNetwork(sim, **net_kwargs)
+        net = network(sim)
         left = FluidLink(100.0, "left")
         right = FluidLink(100.0, "right")
         flows = [net.start_flow(500.0 + 5 * i, [left], cap=20.0 + i)
@@ -226,19 +203,19 @@ def test_cancel_mid_refill_leaves_no_stale_wake_for_detached_component():
         sim.run()
         return [f.finish_time for f in flows], state
 
-    times_cached, state_cached = run(fill_cache=True, heap_pool=True)
-    times_base, state_base = run(fill_cache=False, heap_pool=False)
-    assert times_cached == times_base
+    times, state = run(FlowNetwork)
+    times_oracle, state_oracle = run(GlobalFlowNetwork)
+    _same_times(times, times_oracle)
     # The cancelled flow's event fired exactly once (the cancellation),
-    # never again from a stale wake of a dead component.
-    assert state_cached["fired"] == 1 == state_base["fired"]
-    assert all(not math.isnan(t) for t in times_cached)  # all completed
+    # never again from a stale wake.
+    assert state["fired"] == 1 == state_oracle["fired"]
+    assert all(not math.isnan(t) for t in times)  # all completed
 
 
 def test_pause_mid_refill_is_exact_and_resumable():
-    def run(**net_kwargs):
+    def run(network):
         sim = Simulator()
-        net = FlowNetwork(sim, **net_kwargs)
+        net = network(sim)
         link = FluidLink(200.0)
         flows = [net.start_flow(800.0 + 7 * i, [link], cap=15.0 + i)
                  for i in range(10)]
@@ -254,59 +231,22 @@ def test_pause_mid_refill_is_exact_and_resumable():
         sim.run()
         return [f.finish_time for f in flows]
 
-    assert run(fill_cache=True, heap_pool=True) == \
-        run(fill_cache=False, heap_pool=False)
-
-
-def test_cache_survives_a_transient_bridge():
-    """Regression: a short-lived bridge flow merges two regions; once it
-    ends, each region must get its own component back (a stale pointer is
-    a forwarding address, not membership) — otherwise the halves steal one
-    shared component back and forth, wiping each other's fill cache on
-    every refill."""
-    perf = PerfCounters()
-    sim = Simulator(perf=perf)
-    net = FlowNetwork(sim, perf=perf)
-    a, b = FluidLink(1e9, "a"), FluidLink(1e9, "b")
-    for j in range(10):
-        net.start_flow(2e4, [a], cap=100.0 + j)
-        net.start_flow(2e4, [b], cap=100.0 + j)
-    net.start_flow(500.0, [a, b], cap=500.0, label="bridge")  # ends early
-
-    def burst(i, link):
-        yield sim.timeout(0.05 * i)
-        for k in range(6):
-            f = net.start_flow(300.0, [link], cap=900.0 + i + k)
-            yield f.done
-            yield sim.timeout(0.1)
-
-    for i in range(5):
-        sim.process(burst(i, a))
-        sim.process(burst(i, b))
-    sim.run()
-    refills = (perf.get("fill_cache_hits") + perf.get("fill_partial_refills")
-               + perf.get("fill_cache_misses"))
-    assert perf.get("fill_cache_hits") > 0.3 * refills, perf.as_dict()
-    assert perf.get("fill_cache_misses") < 0.1 * refills, perf.as_dict()
-    # ... and the regions are separate components again.
-    assert a._comp is not b._comp
+    _same_times(run(FlowNetwork), run(GlobalFlowNetwork))
 
 
 def test_merge_must_not_drop_a_stale_pointer_remainders_wake():
-    """Regression (found by the scenario equivalence sweep): reshapes leave
-    stale link->component pointers, so a component whose *recorded* links
-    are fully absorbed by a merge can still hold another region's live
-    heap entries.  Retiring it (or keeping it dead when stale pointers
-    bring it back as the keeper) silently drops those completions."""
-    def run(**net_kwargs):
+    """Regression (found by a scenario equivalence sweep): a split leaves
+    each satellite link as the remainder of a former component, and a
+    later merge of the main links must not drop the remainders' scheduled
+    completions."""
+    def run(network):
         sim = Simulator()
-        net = FlowNetwork(sim, **net_kwargs)
+        net = network(sim)
         c_sat, c_main = FluidLink(100.0, "c_sat"), FluidLink(100.0, "c_main")
         d_sat, d_main = FluidLink(100.0, "d_sat"), FluidLink(100.0, "d_main")
         # One component per family via a bridge; cancelling the bridge
-        # splits it with in-place reshapes, leaving each *_sat link as a
-        # stale-pointer remainder whose flow's wake lives in the family
-        # component's heap.
+        # splits it, leaving each *_sat link as a remainder whose flow's
+        # completion was scheduled by the family's last refill.
         ca = net.start_flow(5000.0, [c_sat], label="ca")     # done at t=50
         cb = net.start_flow(4000.0, [c_main], label="cb")
         da = net.start_flow(5000.0, [d_sat], label="da")
@@ -319,9 +259,8 @@ def test_merge_must_not_drop_a_stale_pointer_remainders_wake():
             net.cancel_flow(bc)
             net.cancel_flow(bd)
             yield sim.timeout(1.0)
-            # Merge the two main regions: whichever family component is
-            # not kept has its recorded links fully absorbed here while
-            # its satellite's wake still lives in its heap.
+            # Merge the two main regions while both satellites'
+            # completions are still pending.
             m = net.start_flow(100.0, [c_main, d_main], label="m")
             yield m.done
 
@@ -329,118 +268,26 @@ def test_merge_must_not_drop_a_stale_pointer_remainders_wake():
         sim.run()
         return [f.finish_time for f in (ca, cb, da, db)]
 
-    times_pool = run(fill_cache=True, heap_pool=True)
-    times_flat = run(fill_cache=False, heap_pool=False)
-    assert times_pool == times_flat
-    assert all(not math.isnan(t) for t in times_pool)
-
-
-# ---------------------------------------------------------------------------
-# Per-capacity-vector slots (observer-driven capacity wiggles)
-# ---------------------------------------------------------------------------
-
-def test_capacity_wiggle_restores_matching_slot():
-    """Toggling a saturated link between two operating points must flip
-    between cached slots (one per capacity vector) instead of invalidating
-    the only cache on every toggle — the single-slot design missed every
-    flip, because the changed link gates the whole bottleneck order."""
-    from repro.simcore.fairshare import _CACHE_SLOTS
-
-    def run(**net_kwargs):
-        perf = PerfCounters()
-        sim = Simulator(perf=perf)
-        net = FlowNetwork(sim, perf=perf, **net_kwargs)
-        server = FluidLink(100.0, "server")
-        # Equal, uncapped flows: the link is the only bottleneck, so any
-        # capacity change invalidates the entire cached order — unless a
-        # slot recorded under the returning vector exists.
-        flows = [net.start_flow(1e5, [server]) for _ in range(12)]
-        ramp_misses = []
-
-        def wiggler():
-            yield sim.timeout(1.0)
-            ramp_misses.append(perf.get("fill_cache_misses"))
-            for k in range(20):
-                server.set_capacity(120.0 if k % 2 == 0 else 100.0)
-                yield sim.timeout(1.0)
-
-        sim.process(wiggler())
-        sim.run()
-        return [f.finish_time for f in flows], perf, server, ramp_misses[0]
-
-    times, perf, server, ramp = run(fill_cache=True, heap_pool=True)
-    base_times, _, _, _ = run(fill_cache=False, heap_pool=False)
-    assert times == base_times
+    times = run(FlowNetwork)
+    _same_times(times, run(GlobalFlowNetwork))
     assert all(not math.isnan(t) for t in times)
-    # Past the ramp-up, only the first fill of each vector misses; every
-    # later flip restores the slot recorded for the vector it returns to.
-    assert perf.get("fill_cache_misses") - ramp <= 1, perf.as_dict()
-    assert perf.get("fill_slot_restores") >= 15, perf.as_dict()
-    assert perf.get("fill_cache_hits") >= 15, perf.as_dict()
-    assert len(server._comp.fill_slots) <= _CACHE_SLOTS
 
 
 def test_wiggle_script_with_churn_matches_baseline_exactly():
     """Two-point capacity cycling layered over random starts, pauses,
-    resumes and cancels: the slotted cache must stay bit-identical to the
-    cache-free baseline while actually restoring slots."""
+    resumes and cancels: the oracle's rates exactly, and its completion
+    times to ``REL``."""
     capacities, starts, random_events = _random_script(21)
     events = [ev for ev in random_events if ev["kind"] != "capacity"]
-    # A two-point throttle on one link; the rest of the vector stays put,
-    # so every other toggle returns to an already-recorded vector.
+    # A two-point throttle on one link; the rest of the vector stays put.
     for k in range(30):
         events.append({
             "time": 1.0 + 2.0 * k, "kind": "capacity", "flow": 0,
             "link": 0,
             "capacity": float(capacities[0] * (0.8 if k % 2 == 0 else 1.0)),
         })
-    perf = PerfCounters()
-    cached = _run_script(capacities, starts, events,
-                         fill_cache=True, heap_pool=True, perf=perf)
-    baseline = _run_script(capacities, starts, events,
-                           fill_cache=False, heap_pool=False)
-    for idx in cached:
-        a, b = cached[idx], baseline[idx]
-        if a is None or b is None:
-            assert a == b
-            continue
-        for x, y in zip(a, b):
-            assert x == y or (math.isnan(x) and math.isnan(y)), (idx, x, y)
-    assert perf.get("fill_slot_restores") > 0, perf.as_dict()
-
-
-def test_bypassed_fill_keeps_slots_for_the_cohorts_return():
-    """A component that dips below ``_CACHE_MIN_FLOWS`` (bypassed fresh
-    fills) and then regrows must find its slots intact: slot verification
-    is input-based, so an intervening bypassed fill cannot stale them.
-    The old design dropped the cache on every bypassed fill, charging a
-    full miss when the cohort came back."""
-    perf = PerfCounters()
-    sim = Simulator(perf=perf)
-    net = FlowNetwork(sim, perf=perf)
-    server = FluidLink(1e9, "server")
-    flows = [net.start_flow(1e6, [server], cap=10.0 + i, label=f"f{i}")
-             for i in range(12)]
-
-    def churn():
-        # Churn the largest-cap flows: their steps sit at the end of the
-        # recorded order, so the shrink and regrow refills keep a long
-        # replayable prefix (this isolates the slot-retention behaviour).
-        for f in flows[7:]:
-            yield sim.timeout(1.0)
-            net.pause_flow(f)          # down through 7 live: bypassed fills
-        for f in flows[7:]:
-            yield sim.timeout(1.0)
-            net.resume_flow(f)         # back up: slots must still be there
-
-    sim.process(churn())
-    sim.run()
-    # Only the very first fill misses; the shrink refills replay fully
-    # (removed flows are skipped) and the regrow refills replay partially.
-    assert perf.get("fill_cache_misses") == 1, perf.as_dict()
-    assert perf.get("fill_cache_hits") >= 4, perf.as_dict()
-    assert perf.get("fill_partial_refills") >= 4, perf.as_dict()
-    assert all(not math.isnan(f.finish_time) for f in flows)
+    _same_state(_run_script(FlowNetwork, capacities, starts, events),
+                _run_script(GlobalFlowNetwork, capacities, starts, events))
 
 
 # ---------------------------------------------------------------------------
@@ -453,180 +300,41 @@ def test_bypassed_fill_keeps_slots_for_the_cohorts_return():
     ("read-write-mix", dict(napps=18, nservers=6, phases=4)),
 ])
 def test_scenarios_identical_across_kernel_regimes(scenario, kwargs):
-    """checkpoint-waves / read-write-mix: the cached kernel, the PR-2
-    baseline and the global oracle all tell the same story."""
+    """checkpoint-waves / read-write-mix: the production kernel and the
+    global oracle tell the same story."""
     engine = ExperimentEngine()
-    results = {}
-    for allocator in ("incremental", "incremental-flat", "global"):
-        spec = build_scenario(scenario, allocator=allocator, **kwargs)[0]
-        results[allocator] = engine.run(spec)
-    rec_inc = results["incremental"].records
-    rec_flat = results["incremental-flat"].records
-    rec_glob = results["global"].records
-    assert rec_inc.keys() == rec_flat.keys() == rec_glob.keys()
+    spec = build_scenario(scenario, **kwargs)[0]
+    production = engine.run(spec)
+    with global_allocator():
+        oracle = engine.run(spec)
+    assert ([repr(d) for d in production.decisions]
+            == [repr(d) for d in oracle.decisions])
+    rec_inc = production.records
+    rec_glob = oracle.records
+    assert rec_inc.keys() == rec_glob.keys()
     for name in rec_inc:
-        # Cache + pool vs flat baseline: exact.
-        assert rec_inc[name].write_times == rec_flat[name].write_times, name
-        # vs the eager-free global oracle: float-chunking tolerance.
         assert rec_inc[name].write_times == pytest.approx(
-            rec_glob[name].write_times, rel=1e-9), name
-    assert results["incremental"].makespan == results["incremental-flat"].makespan
-    assert results["incremental"].makespan == pytest.approx(
-        results["global"].makespan, rel=1e-9)
+            rec_glob[name].write_times, rel=REL), name
+    assert production.makespan == pytest.approx(oracle.makespan, rel=REL)
 
 
 def test_scenario_equivalence_is_stable_across_allocation_layouts():
-    """Component-registry identity decisions iterate sets of links (id
-    ordering), so layout-dependent bugs only show up under shifted heap
-    addresses.  Re-run the read-write-mix regime comparison under a few
-    deliberately shifted allocation patterns (this sweep caught the
-    dead-component wake-loss bug the targeted test above pins down)."""
+    """The dirty-component walk iterates sets of links (id ordering), so
+    layout-dependent bugs only show up under shifted heap addresses.
+    Re-run the read-write-mix comparison against the oracle under a few
+    deliberately shifted allocation patterns."""
     import random
     engine = ExperimentEngine()
+    spec = build_scenario("read-write-mix", napps=18, nservers=6,
+                          phases=4)[0]
     rng = random.Random(1234)
     for _ in range(5):
         ballast = [object() for _ in range(rng.randrange(10000))]  # noqa: F841
-        results = {}
-        for allocator in ("incremental", "incremental-flat"):
-            spec = build_scenario("read-write-mix", napps=18, nservers=6,
-                                  phases=4, allocator=allocator)[0]
-            results[allocator] = engine.run(spec)
-        rec_inc = results["incremental"].records
-        rec_flat = results["incremental-flat"].records
-        for name in rec_inc:
-            assert rec_inc[name].write_times == rec_flat[name].write_times, name
-
-
-# ---------------------------------------------------------------------------
-# Adaptive fill-cache cutover (per-component replay-score EWMA)
-# ---------------------------------------------------------------------------
-
-def test_fixed_cutover_override_matches_adaptive_exactly():
-    """``fill_cache_min_flows=8`` (the historical fixed cutover) and the
-    adaptive default must yield bit-identical physics: the policy only
-    picks *how* rates are computed, and replay is verified exact."""
-    for seed in (3, 9, 21):
-        script = _random_script(seed)
-        fixed = _run_script(*script, fill_cache=True, heap_pool=True,
-                            fill_cache_min_flows=8)
-        adaptive = _run_script(*script, fill_cache=True, heap_pool=True,
-                               fill_cache_min_flows=None)
-        baseline = _run_script(*script, fill_cache=False, heap_pool=False)
-        for idx in fixed:
-            for variant in (adaptive, baseline):
-                a, b = fixed[idx], variant[idx]
-                if a is None or b is None:
-                    assert a == b
-                    continue
-                for x, y in zip(a, b):
-                    assert x == y or (math.isnan(x) and math.isnan(y)), (
-                        seed, idx, x, y)
-
-
-def test_fixed_cutover_override_on_committed_scenario():
-    """End-to-end: a committed scenario runs bit-identically with the
-    fixed cutover forced through :class:`PlatformConfig`."""
-    from dataclasses import replace
-
-    engine = ExperimentEngine()
-    results = {}
-    for min_flows in (None, 8):
-        spec = build_scenario("checkpoint-waves", napps=30, nservers=6,
-                              ncohorts=3, phases=2, bridge_every=4)[0]
-        spec = replace(spec, platform=replace(
-            spec.platform, fill_cache_min_flows=min_flows))
-        results[min_flows] = engine.run(spec)
-    rec_none, rec_fixed = results[None].records, results[8].records
-    assert rec_none.keys() == rec_fixed.keys()
-    for name in rec_none:
-        assert rec_none[name].write_times == rec_fixed[name].write_times, name
-    assert results[None].makespan == results[8].makespan
-
-
-def test_int_override_gates_strictly_by_flow_count():
-    """An integer ``fill_cache_min_flows`` reproduces the fixed cutover:
-    below the threshold the cache is never consulted, at or above it the
-    first fill records (one miss) and later fills replay."""
-    def run(nflows, min_flows):
-        perf = PerfCounters()
-        sim = Simulator(perf=perf)
-        net = FlowNetwork(sim, perf=perf, fill_cache=True, heap_pool=True,
-                          fill_cache_min_flows=min_flows)
-        server = FluidLink(1e9, "server")
-        # Capped flows on an unsaturated link: cap steps replay across
-        # membership changes, so the drain produces genuine cache hits.
-        flows = [net.start_flow(1e6, [server], cap=10.0 + i)
-                 for i in range(nflows)]
-        sim.run()
-        assert all(not math.isnan(f.finish_time) for f in flows)
-        return perf
-
-    # 6 flows under a cutover of 100: every fill bypasses the cache.
-    perf = run(6, 100)
-    assert perf.get("fill_cache_misses") == 0, perf.as_dict()
-    assert perf.get("fill_cache_hits") == 0, perf.as_dict()
-    assert perf.get("components_refilled") > 0, perf.as_dict()
-    # The same workload under a cutover of 2: one recording miss, then
-    # the staggered completions replay the recorded order.
-    perf = run(6, 2)
-    assert perf.get("fill_cache_misses") >= 1, perf.as_dict()
-    assert perf.get("fill_cache_hits") >= 1, perf.as_dict()
-
-
-def test_adaptive_backs_off_when_replay_never_pays():
-    """A capacity that never revisits an operating point defeats both
-    replay and slot restore: every consulted fill is a genuine miss, the
-    replay-score EWMA decays below the cutoff, and the component stops
-    paying the recording overhead — misses plateau while refills grow."""
-    from repro.simcore.fairshare import _CACHE_PROBE_PERIOD
-
-    perf = PerfCounters()
-    sim = Simulator(perf=perf)
-    net = FlowNetwork(sim, perf=perf, fill_cache=True, heap_pool=True)
-    server = FluidLink(100.0, "server")
-    flows = [net.start_flow(1e6, [server]) for _ in range(12)]
-    ramp = perf.get("fill_cache_misses")  # cold ramp-up misses, unscored
-    nwiggles = 80
-
-    def thrash():
-        for k in range(nwiggles):
-            # Monotonically drifting capacity: no vector ever returns.
-            server.set_capacity(100.0 + 0.5 * (k + 1))
-            yield sim.timeout(1.0)
-
-    sim.process(thrash())
-    sim.run()
-    assert all(not math.isnan(f.finish_time) for f in flows)
-    misses = perf.get("fill_cache_misses") - ramp
-    refills = perf.get("components_refilled")
-    assert refills >= nwiggles
-    # EWMA 1.0 decays below the 0.2 cutoff after 6 score-0 misses; from
-    # then on only the periodic probe (every _CACHE_PROBE_PERIOD bypassed
-    # fills) consults the cache again.
-    assert misses <= 6 + nwiggles // _CACHE_PROBE_PERIOD + 2, perf.as_dict()
-    # ... and the probe really does fire: backoff is not permanent.
-    assert misses >= 7, perf.as_dict()
-
-
-def test_adaptive_stays_on_for_replayable_workload():
-    """Staggered completions replay the recorded bottleneck order with no
-    input drift: the EWMA must stay above the cutoff and keep the cache
-    engaged for the whole drain."""
-    from repro.simcore.fairshare import _CACHE_EWMA_CUTOFF
-
-    perf = PerfCounters()
-    sim = Simulator(perf=perf)
-    net = FlowNetwork(sim, perf=perf, fill_cache=True, heap_pool=True)
-    server = FluidLink(1e9, "server")
-    # Capped flows on an unsaturated link: cap steps replay across both
-    # the ramp (partials) and the staggered drain (hits) — input drift
-    # never defeats the recorded order.
-    flows = [net.start_flow(1e6, [server], cap=10.0 + i)
-             for i in range(12)]
-    sim.run()
-    assert all(not math.isnan(f.finish_time) for f in flows)
-    assert perf.get("fill_cache_hits") + perf.get("fill_partial_refills") \
-        >= 4, perf.as_dict()
-    assert perf.get("fill_cache_misses") <= 2, perf.as_dict()
-    assert server._comp.fill_ewma >= _CACHE_EWMA_CUTOFF, \
-        server._comp.fill_ewma
+        production = engine.run(spec)
+        with global_allocator():
+            oracle = engine.run(spec)
+        assert ([repr(d) for d in production.decisions]
+                == [repr(d) for d in oracle.decisions])
+        for name, rec in production.records.items():
+            assert rec.write_times == pytest.approx(
+                oracle.records[name].write_times, rel=REL), name

@@ -1,11 +1,13 @@
-"""Cross-checks of the incremental allocator against the global oracle.
+"""Cross-checks of the production kernel against the global oracle.
 
-The incremental (dirty-component) kernel must be a pure optimization:
-identical rates, identical completion times, for any topology and any
-event sequence.  These tests script randomized workloads — random link
-graphs, weights, caps, pauses, cancellations and capacity changes — and
-run the *same* script through both allocators, comparing the full
-observable state within 1e-9.
+The incremental (dirty-component) :class:`~repro.simcore.FlowNetwork`
+must be an optimization of :class:`repro.oracles.GlobalFlowNetwork`, which
+re-prices every flow on every change: the same rates and the same
+completion times, for any topology and any event sequence.  These tests
+script randomized workloads — random link graphs, weights, caps, pauses,
+cancellations and capacity changes — and run the *same* script through
+both networks, comparing the full observable state within 1e-9.  The edge
+cases below run on both networks.
 """
 
 import math
@@ -14,9 +16,16 @@ import numpy as np
 import pytest
 
 from repro.experiments import ExperimentEngine, build_scenario
+from repro.oracles import GlobalFlowNetwork, global_allocator
+from repro.perf import PerfCounters
 from repro.simcore import FluidLink, FlowNetwork, Simulator
 
 HORIZON = 500.0
+
+#: The production kernel and the whole-network oracle.  The ids keep the
+#: case names from when the oracle was spelled ``incremental=False``.
+NETWORKS = [pytest.param(FlowNetwork, id="True"),
+            pytest.param(GlobalFlowNetwork, id="False")]
 
 
 def _random_script(seed: int, nlinks: int = 8, nflows: int = 24,
@@ -49,10 +58,10 @@ def _random_script(seed: int, nlinks: int = 8, nflows: int = 24,
     return capacities, starts, events
 
 
-def _run_script(incremental: bool, capacities, starts, events):
+def _run_script(network, capacities, starts, events):
     """Execute one script; returns per-flow (finish, remaining, rate)."""
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=incremental)
+    net = network(sim)
     links = [FluidLink(float(c), f"l{j}") for j, c in enumerate(capacities)]
     flows = {}
 
@@ -91,10 +100,10 @@ def _run_script(incremental: bool, capacities, starts, events):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_incremental_matches_global_on_random_topologies(seed):
-    """Same script, both allocators: identical state within 1e-9."""
+    """Same script, both networks: identical state within 1e-9."""
     script = _random_script(seed)
-    state_inc = _run_script(True, *script)
-    state_glob = _run_script(False, *script)
+    state_inc = _run_script(FlowNetwork, *script)
+    state_glob = _run_script(GlobalFlowNetwork, *script)
     assert state_inc.keys() == state_glob.keys()
     for idx in state_inc:
         a, b = state_inc[idx], state_glob[idx]
@@ -114,34 +123,46 @@ def test_incremental_matches_global_on_random_topologies(seed):
 @pytest.mark.parametrize("strategy", [None, "fcfs"])
 def test_incremental_matches_global_end_to_end(strategy):
     """Full-stack cross-check: the many-writers scenario under both
-    allocators yields identical per-application records."""
+    networks yields string-equal decision logs and the same per-application
+    times.  Rates are exact; the integrated times differ in the last bits
+    (the oracle banks every flow's progress at every change)."""
     engine = ExperimentEngine()
-    results = {}
-    for allocator in ("incremental", "global"):
-        spec = build_scenario("many-writers", napps=24, nservers=8,
-                              strategy=strategy, allocator=allocator,
-                              seed=11)[0]
-        results[allocator] = engine.run(spec)
-    rec_inc = results["incremental"].records
-    rec_glob = results["global"].records
+    spec = build_scenario("many-writers", napps=24, nservers=8,
+                          strategy=strategy, seed=11)[0]
+    production = engine.run(spec)
+    with global_allocator():
+        oracle = engine.run(spec)
+    assert ([repr(d) for d in production.decisions]
+            == [repr(d) for d in oracle.decisions])
+    rec_inc = production.records
+    rec_glob = oracle.records
     assert rec_inc.keys() == rec_glob.keys()
     for name in rec_inc:
         assert rec_inc[name].write_times == pytest.approx(
-            rec_glob[name].write_times, rel=1e-9), name
-    assert results["incremental"].makespan == pytest.approx(
-        results["global"].makespan, rel=1e-9)
+            rec_glob[name].write_times, rel=1e-12), name
+    assert production.makespan == pytest.approx(oracle.makespan, rel=1e-12)
+
+
+def test_global_allocator_builds_the_oracle_network():
+    """Inside the block every platform prices with the oracle; outside it
+    the production kernel is back."""
+    from repro.platforms import Platform, grid5000_rennes
+
+    with global_allocator():
+        assert type(Platform(grid5000_rennes()).net) is GlobalFlowNetwork
+    assert type(Platform(grid5000_rennes()).net) is FlowNetwork
 
 
 # ---------------------------------------------------------------------------
 # cancel_flow regression (the silently-dropped done event)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_cancel_flow_without_exc_releases_waiters(incremental):
+@pytest.mark.parametrize("network", NETWORKS)
+def test_cancel_flow_without_exc_releases_waiters(network):
     """Regression: cancelling with exc=None succeeds `done` with None so a
     process yielding on it resumes instead of being parked forever."""
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=incremental)
+    net = network(sim)
     link = FluidLink(100.0)
     flow = net.start_flow(1000.0, [link])
 
@@ -177,12 +198,12 @@ def test_cancel_flow_none_value_distinguishes_from_completion():
 # Fairshare edge cases (satellite coverage)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_set_capacity_integrates_before_changing(incremental):
+@pytest.mark.parametrize("network", NETWORKS)
+def test_set_capacity_integrates_before_changing(network):
     """Progress under the old capacity must be banked before the new rates
     apply (integrate-then-change): 2 s at 100 B/s, then the rest at 10."""
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=incremental)
+    net = network(sim)
     link = FluidLink(100.0)
     flow = net.start_flow(1000.0, [link])
 
@@ -197,11 +218,11 @@ def test_set_capacity_integrates_before_changing(incremental):
     assert flow.finish_time == pytest.approx(2.0 + 800.0 / 10.0)
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_pause_resume_accounting_with_sharing(incremental):
+@pytest.mark.parametrize("network", NETWORKS)
+def test_pause_resume_accounting_with_sharing(network):
     """Pause banks progress at the *shared* rate; resume re-splits."""
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=incremental)
+    net = network(sim)
     link = FluidLink(100.0)
     a = net.start_flow(1000.0, [link])
     b = net.start_flow(1000.0, [link])
@@ -225,11 +246,11 @@ def test_pause_resume_accounting_with_sharing(incremental):
     assert a.finish_time == pytest.approx(20.0)
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_cap_exactly_equal_to_fair_share(incremental):
+@pytest.mark.parametrize("network", NETWORKS)
+def test_cap_exactly_equal_to_fair_share(network):
     """A cap equal to the max-min fair share must not perturb anything."""
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=incremental)
+    net = network(sim)
     link = FluidLink(100.0)
     capped = net.start_flow(500.0, [link], cap=50.0)   # fair share == 50
     free = net.start_flow(500.0, [link])
@@ -238,12 +259,12 @@ def test_cap_exactly_equal_to_fair_share(incremental):
     assert free.finish_time == pytest.approx(10.0)
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_sub_ulp_horizon_completes_in_both_modes(incremental):
+@pytest.mark.parametrize("network", NETWORKS)
+def test_sub_ulp_horizon_completes_in_both_modes(network):
     """The math.ulp wake-nudge path: a near-finished flow at a large clock
     value must complete rather than spin at `now` forever."""
     sim = Simulator(start_time=1e9)
-    net = FlowNetwork(sim, incremental=incremental)
+    net = network(sim)
     link = FluidLink(1e9)
     flow = net.start_flow(2e-6, [link])
     sim.run(until=flow.done)
@@ -251,12 +272,12 @@ def test_sub_ulp_horizon_completes_in_both_modes(incremental):
     assert sim.now >= 1e9
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_pause_at_exact_completion_horizon_completes(incremental):
+@pytest.mark.parametrize("network", NETWORKS)
+def test_pause_at_exact_completion_horizon_completes(network):
     """Regression: pausing a flow at the instant its last byte lands must
     complete it (triggering `done`), not park it paused forever."""
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=incremental)
+    net = network(sim)
     link = FluidLink(100.0)
     # Register the pause callback first so it runs before the network's
     # completion wake at the same timestamp.
@@ -274,7 +295,7 @@ def test_sync_respects_per_flow_sync_points():
     """Regression: a whole-network sync() after per-flow syncs must not
     double-integrate progress from a stale shared checkpoint."""
     sim = Simulator()
-    net = FlowNetwork(sim)  # incremental
+    net = FlowNetwork(sim)
 
     def driver():
         yield sim.timeout(40.0)
@@ -288,11 +309,11 @@ def test_sync_respects_per_flow_sync_points():
     sim.run(until=p)
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_untouched_component_keeps_its_schedule(incremental):
+@pytest.mark.parametrize("network", NETWORKS)
+def test_untouched_component_keeps_its_schedule(network):
     """Churn in one component must not disturb another's completions."""
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=incremental)
+    net = network(sim)
     left = FluidLink(100.0, "left")
     right = FluidLink(100.0, "right")
     steady = net.start_flow(1000.0, [left])   # 10 s, alone on its link
@@ -306,3 +327,55 @@ def test_untouched_component_keeps_its_schedule(incremental):
     sim.run()
     assert steady.finish_time == pytest.approx(10.0)
     assert steady.rate == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Batch start
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("network", NETWORKS)
+def test_start_flows_batch_single_reallocation(network):
+    """A batch start computes rates once over the final population."""
+    sim = Simulator()
+    perf = PerfCounters()
+    net = network(sim, perf=perf)
+    link = FluidLink(100.0, "l0")
+
+    def script():
+        yield sim.timeout(1.0)
+        flows = net.start_flows(
+            {"size": 1000.0, "path": [link], "weight": float(1 + i % 3),
+             "label": f"f{i}"}
+            for i in range(20))
+        assert len(flows) == 20
+        assert all(f.rate > 0.0 for f in flows)
+
+    before = perf.as_dict().get("reallocations", 0)
+    sim.process(script())
+    sim.run(until=2.0)
+    after = perf.as_dict().get("reallocations", 0)
+    assert after - before == 1
+
+
+@pytest.mark.parametrize("network", NETWORKS)
+def test_start_flows_zero_size_completes_immediately(network):
+    """Zero-byte flows in a batch complete at the current instant and are
+    never registered with the allocator."""
+    sim = Simulator()
+    net = network(sim)
+    link = FluidLink(100.0, "l0")
+    out = {}
+
+    def script():
+        yield sim.timeout(3.0)
+        flows = net.start_flows([
+            {"size": 0.0, "path": [link], "label": "empty"},
+            {"size": 600.0, "path": [link], "label": "real"},
+        ])
+        out["empty"], out["real"] = flows
+
+    sim.process(script())
+    sim.run(until=100.0)
+    assert out["empty"].finish_time == 3.0
+    assert out["empty"].remaining == 0.0
+    assert out["real"].finish_time == pytest.approx(9.0, rel=1e-12)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.oracles import GlobalFlowNetwork
 from repro.simcore import FluidLink, FlowNetwork, Simulator
 
 
@@ -88,15 +89,16 @@ def test_non_integral_weights():
 
 def test_repeated_link_falls_back_to_the_generic_fill():
     rates = {}
-    for incremental in (True, False):
-        net = FlowNetwork(Simulator(), incremental=incremental)
+    for network in (FlowNetwork, GlobalFlowNetwork):
+        net = network(Simulator())
         twice = FluidLink(100.0, "twice")
         other = FluidLink(1000.0, "other")
         flow = net.start_flow(1e6, [twice, other, twice], weight=1.5)
-        rates[incremental] = flow.rate
+        rates[network] = flow.rate
         assert net._fill_lone(flow) is False
     # Counted once per crossing: the flow gets half of the link.
-    assert rates[True] == rates[False] == 1.5 * (100.0 / 3.0)
+    assert rates[FlowNetwork] == rates[GlobalFlowNetwork] \
+        == 1.5 * (100.0 / 3.0)
 
 
 def test_refill_prices_a_lone_flow_without_the_generic_loop(monkeypatch):
@@ -104,26 +106,26 @@ def test_refill_prices_a_lone_flow_without_the_generic_loop(monkeypatch):
     fill_loop = FlowNetwork._fill_loop
 
     def counted(self, *args):
-        calls.append(self.incremental)
+        calls.append(type(self))
         return fill_loop(self, *args)
 
     monkeypatch.setattr(FlowNetwork, "_fill_loop", counted)
     finish = {}
-    for incremental in (True, False):
+    for network in (FlowNetwork, GlobalFlowNetwork):
         sim = Simulator()
-        net = FlowNetwork(sim, incremental=incremental)
+        net = network(sim)
         link = FluidLink(100.0, "l")
         flow = net.start_flow(250.0, [link], weight=0.6, cap=41.0)
         sim.run()
-        finish[incremental] = flow.finish_time
-    # The oracle keeps the generic fill; the incremental network never
+        finish[network] = flow.finish_time
+    # The oracle keeps the generic fill; the production network never
     # enters it for a component of one flow.
-    assert calls == [False]
-    assert finish[True] == finish[False]
+    assert calls == [GlobalFlowNetwork]
+    assert finish[FlowNetwork] == finish[GlobalFlowNetwork]
 
     calls.clear()
     net = FlowNetwork(Simulator())
     link = FluidLink(100.0, "l")
     net.start_flow(250.0, [link])
     net.start_flow(250.0, [link])
-    assert calls == [True]  # two flows: the generic fill prices them
+    assert calls == [FlowNetwork]  # two flows: the generic fill prices them

@@ -20,7 +20,6 @@ def test_many_writers_builds_requested_population():
     assert len(spec.workloads) == 50
     assert spec.meta["napps"] == 50
     assert spec.platform.pool_servers is False
-    assert spec.platform.allocator == "incremental"
     # Deterministic: the same seed yields the same campaign.
     again, = build_scenario("many-writers", napps=50, nservers=8)
     assert again == spec

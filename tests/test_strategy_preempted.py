@@ -1,11 +1,10 @@
 """The preempted-queue view exposed to strategy decisions.
 
-Strategies see active+waiting by default; cost models that price deep
-preemption stacks (ROADMAP: one reason ``dynamic`` over-interrupts under
-backlogs) can declare a ``preempted`` keyword on ``decide`` /
-``decide_batch`` and receive a read-only view of the preempted queue in
-preemption order.  Built-ins ignore it, and their decisions must be
-bit-identical whether or not the view is plumbed through.
+Every strategy's ``decide`` / ``decide_batch`` takes a ``preempted``
+keyword, and the arbiter always passes a read-only view of the preempted
+queue in preemption order, so cost models can price deep preemption
+stacks.  Built-ins ignore it, and their decisions must be bit-identical
+to a wrapper that receives and discards the view.
 """
 
 import pytest
@@ -71,28 +70,6 @@ def test_batched_view_is_live_and_read_only_shaped():
     arb.on_complete("b")
     assert len(view) == 0
     assert arb.state_of("a") is AccessState.ACTIVE
-
-
-class LegacySignature(Strategy):
-    """A pre-preempted-view strategy: four-argument decide and a
-    four-argument decide_batch override."""
-
-    name = "legacy-signature"
-
-    def decide(self, now, active, waiting, incoming):
-        return Decision(Action.WAIT if active else Action.GO)
-
-    def decide_batch(self, now, active, waiting, incomings):
-        for incoming in incomings:
-            yield self.decide(now, active, waiting, incoming)
-
-
-@pytest.mark.parametrize("arbiter_cls", ARBITERS)
-def test_legacy_signatures_keep_working(arbiter_cls):
-    arb = arbiter_cls(Simulator(), LegacySignature())
-    assert arb.on_inform(desc("a")) is True
-    assert arb.on_inform(desc("b")) is False
-    assert arb.state_of("b") is AccessState.WAITING
 
 
 def _drive(strategy, arbiter_cls):
