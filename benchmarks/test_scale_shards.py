@@ -15,8 +15,8 @@ shard's waiting queue only holds its own partition's applications.
 The benchmark
 
 * verifies the **single-shard router is bit-identical to the plain
-  arbiter** (decision logs and completion times) — sharding is transparent
-  at ``shards=1``,
+  arbiter** (decision logs and completion times) — the router's general
+  path is transparent at ``shards=1``,
 * measures the decision-loop cost (``coord_seconds``) of the same offered
   workload under 1 / 4 / 8 shards at 500 / 1000 / 2000 applications
   (>= 3x asserted at 1000 applications / 8 shards), and
@@ -37,10 +37,8 @@ asserted only when the host actually has a core per shard
 (``len(os.sched_getaffinity(0)) >= 8``) — on fewer cores the workers
 time-slice one CPU and the record still documents the honest number.
 
-A ``codec`` sub-record additionally re-runs the process-worker wave
-under the binary wire codec (vs JSON) — the router's dispatch is batched
-either way, so the pair isolates the codec on the shard data plane, with
-decision logs asserted string-identical across codecs.
+The process-worker decision log is asserted string-identical to the
+inline one.
 
 Reduced configurations for CI smoke runs come from the environment:
 ``SCALE_SHARD_APPS`` (comma-separated scales, default "500,1000,2000")
@@ -198,11 +196,10 @@ def _drive(napps: int, nshards=None):
     return perf.as_dict(), list(coord.decision_log), done
 
 
-def _drive_wave(napps: int, workers: str, codec=None):
+def _drive_wave(napps: int, workers: str):
     """Lockstep wave workload at ``PROC_SHARDS`` shards.
 
-    Returns ``(perf dict, canonical decision-log JSON)``.  ``codec``
-    selects the worker-process wire codec (ignored inline).
+    Returns ``(perf dict, canonical decision-log JSON)``.
 
     Application ``i`` is pinned to partition ``i % PROC_SHARDS`` and
     arrives at ``(i // PROC_SHARDS) * DT_WAVE`` — one application per
@@ -216,7 +213,7 @@ def _drive_wave(napps: int, workers: str, codec=None):
     sim = Simulator()
     coord = ShardRouter(sim, PROC_SHARDS, WaveAuditedFCFS,
                         grant_latency=1e-4, perf=perf, workers=workers,
-                        decision_log_limit=1000, codec=codec)
+                        decision_log_limit=1000)
 
     def app_proc(i):
         name = f"wave{i:04d}"
@@ -298,7 +295,8 @@ def test_scale_shards_speedup(bench_dir, report):
     cores = len(os.sched_getaffinity(0))
     proc_full_scale = PROC_APPS >= 2000
     perf_inline, log_inline = _drive_wave(PROC_APPS, "inline")
-    perf_proc, log_proc = _drive_wave(PROC_APPS, "process", codec="json")
+    perf_proc, log_proc = _drive_wave(PROC_APPS, "process")
+    assert log_proc == log_inline, "process log diverged from inline"
     wall_inline = perf_inline["coord_wall_seconds"]
     wall_proc = perf_proc["coord_wall_seconds"]
     speedup_wall = (wall_inline / wall_proc) if wall_proc > 0 else math.inf
@@ -320,30 +318,6 @@ def test_scale_shards_speedup(bench_dir, report):
         f"{wall_proc:7.3f} s -> {speedup_wall:5.2f}x wall, "
         f"{speedup_cpu:5.2f}x cpu")
 
-    # --- Codec-comparison sub-record: the same process-worker wave run
-    # under the binary wire codec.  The router's dispatch is already
-    # batched on both sides, so this isolates the codec itself on the
-    # shard plane; decision logs must stay string-identical across
-    # codecs (and with the inline oracle).
-    perf_bin, log_bin = _drive_wave(PROC_APPS, "process", codec="binary")
-    assert log_proc == log_inline, "json process log diverged from inline"
-    assert log_bin == log_proc, "binary process log diverged from json"
-    wall_bin = perf_bin["coord_wall_seconds"]
-    codec_speedup = (wall_proc / wall_bin) if wall_bin > 0 else math.inf
-    codec = {
-        "config": {"napps": PROC_APPS, "nshards": PROC_SHARDS,
-                   "dt_wave": DT_WAVE, "phases": PHASES,
-                   "strategy": "fcfs-wave-audit", "cores": cores},
-        "json": _perf_record(perf_proc),
-        "binary": _perf_record(perf_bin),
-        "speedup_wall": round(codec_speedup, 3),
-        "identical_decision_log": True,
-    }
-    lines.append(
-        f"  codec {PROC_APPS:5d} apps x {PROC_SHARDS} shards: json "
-        f"{wall_proc:7.3f} s wall vs binary {wall_bin:7.3f} s -> "
-        f"{codec_speedup:5.2f}x (process workers)")
-
     record = {
         "benchmark": "scale_shards",
         "config": {"scales": list(SCALES), "shard_counts": list(SHARD_COUNTS),
@@ -352,7 +326,6 @@ def test_scale_shards_speedup(bench_dir, report):
                    "seed": SEED, "full_scale": full_scale},
         "scales": scales,
         "process": process,
-        "codec": codec,
     }
     path = bench_dir / "BENCH_shard.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

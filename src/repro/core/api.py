@@ -11,7 +11,7 @@ Typical usage::
     session = runtime.session("appA", client, nprocs=336)
     # hand `session` to an ADIOLayer (guard=session) — done.
 
-The runtime owns the arbiter (strategy enforcement), the application
+The runtime owns the coordinator (strategy enforcement), the application
 registry (job-scheduler integration), and builds per-application sessions
 wired with the platform's coordination latency and standalone-time
 estimator.
@@ -27,7 +27,7 @@ from ..simcore import SimulationError
 from .arbiter import Arbiter
 from .registry import ApplicationRegistry
 from .session import CalciomSession
-from .sharding import ShardRouter
+from .sharding import ShardRouter, make_coordinator
 from .strategies import Strategy
 
 __all__ = ["CalciomRuntime"]
@@ -64,6 +64,10 @@ class CalciomRuntime:
         :class:`~repro.core.sharding.ShardRouter`.  Process mode runs
         each shard in its own worker process; call :meth:`close` (or let
         the experiment engine do it) after the run.
+
+    The decision point is :attr:`coordinator`: a plain
+    :class:`~repro.core.arbiter.Arbiter` for one inline shard, else a
+    :class:`~repro.core.sharding.ShardRouter`.
     """
 
     def __init__(self, platform: Platform, strategy="dynamic",
@@ -82,7 +86,7 @@ class CalciomRuntime:
             raise SimulationError(
                 f"shards must be 1 or the platform's partition count "
                 f"({npartitions}), got {nshards}")
-        self.coordinator = ShardRouter(
+        self.coordinator: Union[Arbiter, ShardRouter] = make_coordinator(
             self.sim, nshards, strategy,
             grant_latency=self.coordination_latency,
             decision_log_limit=decision_log_limit,
@@ -92,22 +96,18 @@ class CalciomRuntime:
         # strategy the file-system bandwidth its decisions govern — the
         # whole machine for a single arbiter, the owned partition per
         # shard — so interference predictions honour client-side caps.
-        for shard in self.coordinator.shards:
-            strat = shard.arbiter.strategy
+        if isinstance(self.coordinator, ShardRouter):
+            strategies = [(shard.index, shard.arbiter.strategy)
+                          for shard in self.coordinator.shards]
+        else:
+            strategies = [(0, self.coordinator.strategy)]
+        for index, strat in strategies:
             if getattr(strat, "capacity", "absent") is None:
                 strat.capacity = (
                     platform.config.aggregate_bandwidth if nshards == 1
-                    else platform.config.partition_bandwidth(shard.index))
+                    else platform.config.partition_bandwidth(index))
         self.registry = ApplicationRegistry()
         self._sessions: Dict[str, CalciomSession] = {}
-
-    @property
-    def arbiter(self) -> Union[Arbiter, ShardRouter]:
-        """The decision point: the single arbiter when unsharded (the
-        historical attribute, bit-compatible), else the shard router."""
-        if self.coordinator.nshards == 1:
-            return self.coordinator.shards[0].arbiter
-        return self.coordinator
 
     @property
     def strategy(self) -> Strategy:

@@ -206,14 +206,14 @@ class WaitingTotals:
 class EfficiencyMetric(ABC):
     """Scalar cost of a predicted outcome; lower is better.
 
-    Decomposition contract (optional, O(1) deep-backlog support)
-    -------------------------------------------------------------
+    Decomposition contract (O(1) deep-backlog support)
+    --------------------------------------------------
     Waiting applications are predicted at their own ``t_alone`` under every
-    option, so metrics whose cost splits as ``combine(cost(rest),
-    waiting_part)`` can answer :meth:`alone_cost` from a queue's
-    :class:`WaitingTotals` instead of folding the whole queue per option.
-    The built-ins all do; custom metrics inherit the ``None`` default and
-    strategies fall back to the full per-app prediction dicts.
+    option, so a metric's cost splits as ``combine(cost(rest),
+    waiting_part)``: :meth:`alone_cost` answers ``waiting_part`` from a
+    queue's :class:`WaitingTotals` instead of folding the whole queue per
+    option.  Every metric implements it; the whole-population evaluation
+    it replaces lives in :mod:`repro.oracles`.
     """
 
     name: str = "metric"
@@ -232,11 +232,10 @@ class EfficiencyMetric(ABC):
             app -> exchanged knowledge (for weights and t_alone baselines).
         """
 
-    def alone_cost(self, totals: WaitingTotals) -> Optional[float]:
+    @abstractmethod
+    def alone_cost(self, totals: WaitingTotals) -> float:
         """Cost contribution of apps predicted at their own ``t_alone``,
-        from queue aggregates alone — or ``None`` if this metric cannot
-        decompose (strategies then fall back to full prediction dicts)."""
-        return None
+        from queue aggregates alone."""
 
     def combine(self, a: float, b: float) -> float:
         """Fold two disjoint cost contributions (sum-like by default)."""

@@ -29,13 +29,13 @@ the application's next guarded step block until that shard re-grants
 a withdraw mid-acquisition releases the already-held shards and abandons
 the rest of the chain.
 
-Single-shard transparency
--------------------------
-With one shard the router is a pure pass-through to its arbiter — same
-objects, same call sequence — so ``shards=1`` runs are decision-log- and
-completion-time-identical to the unsharded coordination layer.  That is
-the correctness anchor ``tests/test_sharded_coordination.py`` and
-``benchmarks/test_scale_shards.py`` assert.
+Who uses the router
+-------------------
+:class:`~repro.core.api.CalciomRuntime` gives an unsharded inline run a
+plain :class:`~repro.core.arbiter.Arbiter` and builds a router only for
+real sharding or for ``workers="process"``.  A one-shard router runs the
+general path below; its decision logs and completion times still equal
+the bare arbiter's, which ``benchmarks/test_scale_shards.py`` asserts.
 """
 
 from __future__ import annotations
@@ -48,7 +48,22 @@ from .arbiter import AccessState, Arbiter, DecisionRecord
 from .metrics import AccessDescriptor
 from .strategies import Action, Strategy, make_strategy
 
-__all__ = ["ArbiterShard", "ShardRouter", "ShardWorkerError"]
+__all__ = ["ArbiterShard", "ShardRouter", "ShardWorkerError",
+           "make_coordinator"]
+
+
+def make_coordinator(sim: Simulator, nshards: int, strategy,
+                     grant_latency: float = 0.0,
+                     decision_log_limit: Optional[int] = None, perf=None,
+                     workers: str = "inline"):
+    """The decision point for ``nshards`` shards: a plain :class:`Arbiter`
+    for one inline shard, else a :class:`ShardRouter`."""
+    if nshards == 1 and workers == "inline":
+        return Arbiter(sim, strategy, grant_latency=grant_latency,
+                       decision_log_limit=decision_log_limit, perf=perf)
+    return ShardRouter(sim, nshards, strategy, grant_latency=grant_latency,
+                       decision_log_limit=decision_log_limit, perf=perf,
+                       workers=workers)
 
 
 class ShardWorkerError(SimulationError):
@@ -144,19 +159,15 @@ class ShardRouter:
         process; ``"process"`` runs each shard in its own worker process
         behind :class:`~repro.core.shardproc.ShardProcessPool` (lazy
         fork/spawn on the first exchange, so runtime-injected strategy
-        capacity ships with the worker).  Inline mode is the
-        cross-checked oracle: process mode produces bit-identical merged
-        decision logs on the committed scenarios.
-    codec:
-        Wire codec for the worker-process data plane (``"json"`` or
-        ``"binary"``); ``None`` defers to ``REPRO_WIRE_CODEC`` (JSON when
-        unset).  Ignored for inline workers, which never serialize.
+        capacity ships with the worker; the worker plane speaks JSON).
+        Inline mode is the cross-checked oracle: process mode produces
+        bit-identical merged decision logs on the committed scenarios.
     """
 
     def __init__(self, sim: Simulator, nshards: int, strategy,
                  grant_latency: float = 0.0,
                  decision_log_limit: Optional[int] = None, perf=None,
-                 workers: str = "inline", codec: Optional[str] = None):
+                 workers: str = "inline"):
         if nshards < 1:
             raise ValueError(f"nshards must be >= 1, got {nshards}")
         if workers not in ("inline", "process"):
@@ -183,8 +194,7 @@ class ShardRouter:
             from .shardproc import ShardProcessPool, WorkerShardProxy
             self._pool = ShardProcessPool(
                 sim, self.nshards, grant_latency=grant_latency,
-                decision_log_limit=decision_log_limit, perf=perf,
-                codec=codec)
+                decision_log_limit=decision_log_limit, perf=perf)
             for i in range(self.nshards):
                 proxy = WorkerShardProxy(self._pool, i, _strat())
                 self.shards.append(ArbiterShard(i, proxy))
@@ -196,10 +206,6 @@ class ShardRouter:
                     sim, _strat(), grant_latency=grant_latency,
                     decision_log_limit=decision_log_limit,
                     perf=shard_perf)))
-        #: Pure pass-through target when unsharded (bit-identical runs).
-        #: A single-shard worker proxy passes through the same way — its
-        #: protocol surface is the arbiter's.
-        self._solo = self.shards[0].arbiter if self.nshards == 1 else None
         self._targets: Dict[str, Tuple[int, ...]] = {}
         self._span: Dict[str, _Span] = {}
 
@@ -239,13 +245,8 @@ class ShardRouter:
 
     @property
     def decision_log(self) -> List[DecisionRecord]:
-        """All shards' decision records merged in time order.
-
-        With one shard this is *the* arbiter's live log object; across
-        shards it is a merged snapshot (stable: ties keep shard order).
-        """
-        if self._solo is not None:
-            return self._solo.decision_log
+        """All shards' decision records merged in time order (a snapshot;
+        the sort is stable, so ties keep shard order)."""
         merged: List[DecisionRecord] = []
         for shard in self.shards:
             merged.extend(shard.arbiter.decision_log)
@@ -253,8 +254,6 @@ class ShardRouter:
         return merged
 
     def state_of(self, app: str) -> AccessState:
-        if self._solo is not None:
-            return self._solo.state_of(app)
         involved = self._targets.get(app)
         if not involved:
             return AccessState.IDLE
@@ -272,13 +271,9 @@ class ShardRouter:
         return AccessState.WAITING
 
     def is_authorized(self, app: str) -> bool:
-        if self._solo is not None:
-            return self._solo.is_authorized(app)
         return self.state_of(app) is AccessState.ACTIVE
 
     def descriptor_of(self, app: str) -> Optional[AccessDescriptor]:
-        if self._solo is not None:
-            return self._solo.descriptor_of(app)
         for s in self._involved(app):
             desc = self._arb(s).descriptor_of(app)
             if desc is not None:
@@ -286,30 +281,22 @@ class ShardRouter:
         return None
 
     def active_descriptors(self) -> List[AccessDescriptor]:
-        if self._solo is not None:
-            return self._solo.active_descriptors()
         out: List[AccessDescriptor] = []
         for shard in self.shards:
             out.extend(shard.arbiter.active_descriptors())
         return out
 
     def waiting_descriptors(self) -> List[AccessDescriptor]:
-        if self._solo is not None:
-            return self._solo.waiting_descriptors()
         out: List[AccessDescriptor] = []
         for shard in self.shards:
             out.extend(shard.arbiter.waiting_descriptors())
         return out
 
     def grant_in_flight(self, app: str) -> bool:
-        if self._solo is not None:
-            return self._solo.grant_in_flight(app)
         return any(self._arb(s).grant_in_flight(app)
                    for s in self._involved(app))
 
     def authorization_event(self, app: str) -> Event:
-        if self._solo is not None:
-            return self._solo.authorization_event(app)
         span = self._span.get(app)
         if span is not None and not span.complete:
             return span.auth_event
@@ -323,8 +310,6 @@ class ShardRouter:
 
     # -- protocol entry points ---------------------------------------------
     def submit_inform(self, descriptor: AccessDescriptor) -> Event:
-        if self._solo is not None:
-            return self._solo.submit_inform(descriptor)
         app = descriptor.app
         if app in self._targets:   # continuation / knowledge refresh
             involved = self._involved(app)
@@ -340,8 +325,6 @@ class ShardRouter:
         return self._begin_span(app, descriptor, involved)
 
     def on_inform(self, descriptor: AccessDescriptor) -> bool:
-        if self._solo is not None:
-            return self._solo.on_inform(descriptor)
         app = descriptor.app
         if app in self._targets:
             involved = self._involved(app)
@@ -361,24 +344,15 @@ class ShardRouter:
 
     def on_release(self, app: str,
                    remaining_bytes: Optional[float] = None) -> None:
-        if self._solo is not None:
-            self._solo.on_release(app, remaining_bytes)
-            return
         for s in self._involved(app):
             self._arb(s).on_release(app, remaining_bytes)
 
     def submit_release(self, app: str,
                        remaining_bytes: Optional[float] = None) -> None:
-        if self._solo is not None:
-            self._solo.submit_release(app, remaining_bytes)
-            return
         for s in self._involved(app):
             self._arb(s).submit_release(app, remaining_bytes)
 
     def on_complete(self, app: str) -> None:
-        if self._solo is not None:
-            self._solo.on_complete(app)
-            return
         span = self._span.pop(app, None)
         if span is not None:
             span.cancelled = True

@@ -10,7 +10,8 @@ its own worker process:
   :class:`~repro.core.arbiter.Arbiter` (``grant_latency=0``) on its own
   virtual clock, applies Inform/Release/Complete/Withdraw ops shipped
   over a blocking ``socketpair`` speaking the length-prefixed
-  canonical-JSON framing of :mod:`repro.service.protocol`, and replies
+  canonical-JSON framing of :mod:`repro.service.protocol` (JSON only:
+  the binary codec serves the service daemon), and replies
   with the ordered stream of state transitions each op caused plus its
   next pending virtual-clock event (``nw``).
 * :class:`ShardProcessPool` — the router-side end.  Buffers and
@@ -79,8 +80,7 @@ from .strategies import Action
 # service -> server -> core import chain is safe here.
 from ..service.protocol import (
     FrameReader, ProtocolError, WireDecoder, WireEncoder, decision_to_dict,
-    default_wire_codec, descriptor_from_dict, descriptor_to_dict,
-    encode_message, write_frame,
+    descriptor_from_dict, descriptor_to_dict, encode_message, write_frame,
 )
 
 __all__ = ["ShardProcessPool", "WorkerShardProxy", "ShardWorkerError"]
@@ -115,8 +115,7 @@ def _queue_reply(out: bytearray, encoder: WireEncoder, sim: Simulator,
 
 
 def _shard_worker_main(sock, index: int, strategy,
-                       decision_log_limit: Optional[int],
-                       codec: str = "json") -> None:
+                       decision_log_limit: Optional[int]) -> None:
     """One shard's worker loop: read op, catch up clock, apply, reply.
 
     Replies are *buffered*: a pipelined stretch of ops (one coordination
@@ -127,7 +126,7 @@ def _shard_worker_main(sock, index: int, strategy,
     try:
         sim = Simulator()
         perf = PerfCounters()
-        encoder = WireEncoder(codec, perf=perf)
+        encoder = WireEncoder(perf=perf)
         reader = FrameReader(sock, WireDecoder(perf=perf))
         out = bytearray()
         arb = Arbiter(sim, strategy, grant_latency=0.0,
@@ -251,7 +250,7 @@ class _WorkerHandle:
         self.sock = sock
         self.out = bytearray()   #: buffered, not-yet-sent frames
         self.queued = 0          #: frames in ``out`` (coalescing stats)
-        self.encoder = encoder   #: router->worker, pool codec + interning
+        self.encoder = encoder   #: router->worker (JSON, metered)
         self.reader = reader     #: buffered reads, universal decoder
 
 
@@ -279,16 +278,12 @@ class ShardProcessPool:
 
     def __init__(self, sim: Simulator, nshards: int,
                  grant_latency: float = 0.0,
-                 decision_log_limit: Optional[int] = None, perf=None,
-                 codec: Optional[str] = None):
+                 decision_log_limit: Optional[int] = None, perf=None):
         self.sim = sim
         self.nshards = int(nshards)
         self.grant_latency = float(grant_latency)
         self.decision_log_limit = decision_log_limit
         self.perf = perf
-        #: Wire codec for both directions; None = the process default
-        #: (``REPRO_WIRE_CODEC``, JSON when unset), resolved at pool start.
-        self.codec = codec
         self.proxies: List[WorkerShardProxy] = []
         self.handles: Optional[List[_WorkerHandle]] = None
         self.broken = False
@@ -329,8 +324,6 @@ class ShardProcessPool:
         timeout = float(os.environ.get("REPRO_SHARD_TIMEOUT", "120"))
         ctx = multiprocessing.get_context(method)
         self.start_method = method
-        if self.codec is None:
-            self.codec = default_wire_codec()
         handles: List[_WorkerHandle] = []
         try:
             for proxy in self.proxies:
@@ -338,13 +331,13 @@ class ShardProcessPool:
                 proc = ctx.Process(
                     target=_shard_worker_main,
                     args=(child, proxy.index, proxy.strategy,
-                          self.decision_log_limit, self.codec),
+                          self.decision_log_limit),
                     daemon=True, name=f"arbiter-shard-{proxy.index}")
                 proc.start()
                 child.close()
                 parent.settimeout(timeout)
                 handles.append(_WorkerHandle(
-                    proc, parent, WireEncoder(self.codec, perf=self.perf),
+                    proc, parent, WireEncoder(perf=self.perf),
                     FrameReader(parent, WireDecoder(perf=self.perf))))
         except BaseException:
             for handle in handles:

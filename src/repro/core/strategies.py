@@ -193,9 +193,6 @@ class DynamicStrategy(Strategy):
         FCFS and interruption only; Fig 12 argues sharing/delaying can win
         when interference is weaker than proportional — enabling this flag
         is that extension.
-    interference_estimator:
-        Optional callable ``(active_descriptors, incoming) -> dict of
-        predicted I/O times`` replacing the built-in estimator.
     capacity:
         The shared file system's aggregate bandwidth, B/s.  When set (the
         runtime injects it — a system-provided arbiter knows its machine),
@@ -218,13 +215,11 @@ class DynamicStrategy(Strategy):
     def __init__(self, metric: EfficiencyMetric | str = None,
                  consider_interference: bool = False,
                  consider_delay: bool = False,
-                 interference_estimator=None,
                  capacity: Optional[float] = None,
                  price_preempted: bool = False):
         self.metric = make_metric(metric) if metric is not None else CpuSecondsWasted()
         self.consider_interference = consider_interference
         self.consider_delay = consider_delay
-        self.interference_estimator = interference_estimator
         self.capacity = capacity
         self.price_preempted = price_preempted
 
@@ -259,10 +254,6 @@ class DynamicStrategy(Strategy):
         if not active and not waiting:
             return Decision(Action.GO)
         waiting_part = self.metric.alone_cost(totals)
-        if waiting_part is None:
-            # Non-decomposable custom metric: full prediction dicts.
-            return self._decide_full(now, active, waiting, incoming,
-                                     preempted)
         combine = self.metric.combine
         actives = list(active)
         descriptors = {d.app: d for d in actives}
@@ -357,66 +348,6 @@ class DynamicStrategy(Strategy):
             int_times[d.app] += pre_stack
         return fcfs_pre, pre_stack
 
-    def _decide_full(self, now, active, waiting, incoming,
-                     preempted: Sequence[AccessDescriptor] = ()) -> Decision:
-        """The historical whole-population cost evaluation (O(n) per
-        inform): kept for metrics that cannot decompose a waiting queue's
-        contribution out of their cost."""
-        involved = list(active) + list(waiting) + [incoming]
-        descriptors = {d.app: d for d in involved}
-
-        backlog = sum(d.remaining_t for d in active) + \
-            sum(d.t_alone for d in waiting)
-        fcfs_times = {}
-        for d in active:
-            fcfs_times[d.app] = self._elapsed(d, now) + d.remaining_t
-        for d in waiting:
-            # Waiting time so far is unknowable here without more state;
-            # count their standalone time plus the backlog ahead of them.
-            fcfs_times[d.app] = d.t_alone
-        fcfs_times[incoming.app] = backlog + incoming.t_alone
-
-        int_times = {}
-        for d in active:
-            int_times[d.app] = (self._elapsed(d, now) + incoming.t_alone
-                                + d.remaining_t)
-        for d in waiting:
-            int_times[d.app] = d.t_alone
-        int_times[incoming.app] = incoming.t_alone
-
-        fcfs_pre, _ = self._price_preempted(
-            now, list(active), incoming, preempted, descriptors,
-            fcfs_times, int_times)
-
-        costs = {
-            "fcfs": self.metric.cost(fcfs_times, descriptors),
-            "interrupt": self.metric.cost(int_times, descriptors),
-        }
-
-        if self.consider_interference:
-            share_times = self._interference_prediction(now, active, incoming)
-            for d in waiting:
-                share_times[d.app] = d.t_alone
-            share_times.update(fcfs_pre)
-            costs["interfere"] = self.metric.cost(share_times, descriptors)
-
-        best_delay = 0.0
-        if self.consider_delay and active:
-            horizon = max(d.remaining_t for d in active)
-            for frac in (0.25, 0.5, 0.75):
-                delta = frac * horizon
-                delay_times = self._delay_prediction(now, active, incoming,
-                                                     delta)
-                for d in waiting:
-                    delay_times[d.app] = d.t_alone
-                delay_times.update(fcfs_pre)
-                key = f"delay@{frac:.2f}"
-                costs[key] = self.metric.cost(delay_times, descriptors)
-                if costs[key] == min(costs.values()):
-                    best_delay = delta
-
-        return self._verdict(costs, best_delay)
-
     @staticmethod
     def _verdict(costs: Dict[str, float], best_delay: float) -> Decision:
         best = min(costs, key=costs.get)
@@ -435,8 +366,6 @@ class DynamicStrategy(Strategy):
 
     def _interference_prediction(self, now, active, incoming) -> Dict[str, float]:
         """Estimate everyone's time if all overlap for their remainder."""
-        if self.interference_estimator is not None:
-            return self.interference_estimator(active, incoming)
         parts = list(active) + [incoming]
         rates = self._shared_rates(parts)
         times = {}

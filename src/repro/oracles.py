@@ -15,11 +15,14 @@ replaced live here, where tests and benchmarks import them.  Nothing under
   round ever forms.  Decision logs and makespans must be string-equal to
   :class:`~repro.core.Arbiter`'s.
 * :func:`unbatched_arbiters` — runs whole experiments under the oracle
-  arbiter: while active, every inline shard a
-  :class:`~repro.core.ShardRouter` builds (and so every
-  :class:`~repro.core.CalciomRuntime` and ``ExperimentSpec`` run) is an
-  :class:`UnbatchedArbiter`.  Process-shard workers build their own
-  arbiters and are not affected.
+  arbiter: while active, every arbiter :mod:`repro.core.sharding` builds
+  — an unsharded :class:`~repro.core.CalciomRuntime`'s plain arbiter and
+  every inline :class:`~repro.core.ShardRouter` shard, so every
+  ``ExperimentSpec`` run — is an :class:`UnbatchedArbiter`.
+  Process-shard workers build their own arbiters and are not affected.
+* :class:`WholePopulationDynamic` — the dynamic strategy's historical
+  cost model, pricing every waiting application per option (O(n) per
+  inform) instead of the metric's O(1) ``alone_cost`` aggregate.
 * :class:`GlobalFlowNetwork` — the whole-network bandwidth allocator:
   every change re-prices every flow with a fresh progressive filling.
   For the same active flows its rates equal
@@ -37,20 +40,20 @@ import heapq
 import math
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, List
+from typing import Callable, Iterator, List, Sequence
 
 from . import platforms
 from .core import sharding
 from .core.arbiter import AccessState, Arbiter
 from .core.metrics import AccessDescriptor
-from .core.strategies import Action
+from .core.strategies import Action, Decision, DynamicStrategy
 from .simcore import (
     Event, FlowNetwork, FluidFlow, FluidLink, SimulationError, Simulator,
 )
 from .simcore.fairshare import _EPS_BYTES
 
 __all__ = ["OracleSimulator", "UnbatchedArbiter", "unbatched_arbiters",
-           "GlobalFlowNetwork", "global_allocator"]
+           "WholePopulationDynamic", "GlobalFlowNetwork", "global_allocator"]
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +279,12 @@ class UnbatchedArbiter(Arbiter):
 
 @contextmanager
 def unbatched_arbiters() -> Iterator[None]:
-    """Build every inline shard arbiter as an :class:`UnbatchedArbiter`.
+    """Build every inline arbiter as an :class:`UnbatchedArbiter`.
 
-    Swaps the class :class:`~repro.core.ShardRouter` instantiates for the
-    duration of the block, so whole ``ExperimentSpec`` runs go through the
+    Swaps the class :mod:`repro.core.sharding` instantiates (for
+    :func:`~repro.core.sharding.make_coordinator`'s plain arbiter and the
+    :class:`~repro.core.ShardRouter`'s shards) for the duration of the
+    block, so whole ``ExperimentSpec`` runs go through the
     oracle without a constructor parameter or a spec key::
 
         with unbatched_arbiters():
@@ -291,6 +296,81 @@ def unbatched_arbiters() -> Iterator[None]:
         yield
     finally:
         sharding.Arbiter = saved
+
+
+# ---------------------------------------------------------------------------
+# Dynamic strategy cost model
+# ---------------------------------------------------------------------------
+
+class WholePopulationDynamic(DynamicStrategy):
+    """:class:`~repro.core.DynamicStrategy` with the historical
+    whole-population cost model.
+
+    Every option predicts every waiting application's time into a full
+    per-app dict and prices it through ``metric.cost`` — O(n) per inform.
+    Production answers the waiting queue's share in O(1) through
+    ``metric.alone_cost``; decisions must match, and costs agree to
+    rounding (exactly for max-combining metrics).
+    """
+
+    def decide(self, now, active, waiting, incoming,
+               preempted: Sequence[AccessDescriptor] = ()) -> Decision:
+        if not active and not waiting:
+            return Decision(Action.GO)
+        involved = list(active) + list(waiting) + [incoming]
+        descriptors = {d.app: d for d in involved}
+
+        backlog = sum(d.remaining_t for d in active) + \
+            sum(d.t_alone for d in waiting)
+        fcfs_times = {}
+        for d in active:
+            fcfs_times[d.app] = self._elapsed(d, now) + d.remaining_t
+        for d in waiting:
+            # Waiting time so far is unknowable here without more state;
+            # count their standalone time plus the backlog ahead of them.
+            fcfs_times[d.app] = d.t_alone
+        fcfs_times[incoming.app] = backlog + incoming.t_alone
+
+        int_times = {}
+        for d in active:
+            int_times[d.app] = (self._elapsed(d, now) + incoming.t_alone
+                                + d.remaining_t)
+        for d in waiting:
+            int_times[d.app] = d.t_alone
+        int_times[incoming.app] = incoming.t_alone
+
+        fcfs_pre, _ = self._price_preempted(
+            now, list(active), incoming, preempted, descriptors,
+            fcfs_times, int_times)
+
+        costs = {
+            "fcfs": self.metric.cost(fcfs_times, descriptors),
+            "interrupt": self.metric.cost(int_times, descriptors),
+        }
+
+        if self.consider_interference:
+            share_times = self._interference_prediction(now, active, incoming)
+            for d in waiting:
+                share_times[d.app] = d.t_alone
+            share_times.update(fcfs_pre)
+            costs["interfere"] = self.metric.cost(share_times, descriptors)
+
+        best_delay = 0.0
+        if self.consider_delay and active:
+            horizon = max(d.remaining_t for d in active)
+            for frac in (0.25, 0.5, 0.75):
+                delta = frac * horizon
+                delay_times = self._delay_prediction(now, active, incoming,
+                                                     delta)
+                for d in waiting:
+                    delay_times[d.app] = d.t_alone
+                delay_times.update(fcfs_pre)
+                key = f"delay@{frac:.2f}"
+                costs[key] = self.metric.cost(delay_times, descriptors)
+                if costs[key] == min(costs.values()):
+                    best_delay = delta
+
+        return self._verdict(costs, best_delay)
 
 
 # ---------------------------------------------------------------------------

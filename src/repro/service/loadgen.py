@@ -61,7 +61,7 @@ class LoadgenStats:
 
         Hardware-independent — both rates are measured on the same host in
         the same process — which is what lets the CI gate compare records
-        across machines (see ``repro.perf.check_perf_regression``).
+        across machines (see ``benchmarks/check_perf_regression.py``).
         """
         if self.inproc_rate <= 0:
             return 0.0

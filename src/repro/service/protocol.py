@@ -21,20 +21,19 @@ the first byte distinguishes them, so one decoder handles both:
     messages, string-equal decision logs), asserted by
     ``tests/test_wire_codec.py``.
 
-``binary``
+``binary`` (the service daemon's plane only)
     The payload starts with a tag byte >= 0x80 followed by a
-    struct-packed body.  The hot message types of both data planes —
-    service Inform/Release/Complete/Withdraw and their acks, pushed
-    grants, shard-worker ops and transition replies — have fixed fast
-    paths (IEEE-754 doubles are bit-exact by construction); anything
-    else, and any message that fails a fast path's preconditions, falls
-    back to tag ``0x80`` + canonical JSON, so coverage is total.
-    :class:`AccessDescriptor` payloads are *interned*: the first time a
-    descriptor's static fields cross a connection they are sent in full
-    and assigned an id; subsequent informs for the same static tuple send
-    only the id plus the two mutable fields (``remaining_bytes``,
-    ``access_started``) — the dominant message of both planes shrinks
-    from ~250 JSON bytes to ~30.
+    struct-packed body.  The service's hot message types —
+    Inform/Release/Complete/Withdraw, their acks and pushed grants —
+    have fixed fast paths (IEEE-754 doubles are bit-exact by
+    construction); anything else, and any message that fails a fast
+    path's preconditions, falls back to tag ``0x80`` + canonical JSON, so
+    coverage is total.  :class:`AccessDescriptor` payloads are
+    *interned*: the first time a descriptor's static fields cross a
+    connection they are sent in full and assigned an id; subsequent
+    informs for the same static tuple send only the id plus the two
+    mutable fields (``remaining_bytes``, ``access_started``) — the
+    dominant message shrinks from ~250 JSON bytes to ~30.
 
 Because interning is *stateful per connection and direction*, encoding
 and decoding live in :class:`WireEncoder` / :class:`WireDecoder`
@@ -49,9 +48,10 @@ decode binary sends ``{"codec": "binary"}`` inside its hello; the daemon
 answers with the codec it will actually speak in the ``welcome`` (an
 unknown proposal falls back to ``"json"``), and both sides switch their
 *encoders* after the handshake.  Decoders need no switch — payloads are
-self-describing.  The shard-worker plane has one owner on both ends, so
-it skips negotiation: the router passes the codec name to each worker at
-spawn (``REPRO_WIRE_CODEC``, default ``json``).
+self-describing.  The shard-worker plane
+(:mod:`repro.core.shardproc`) negotiates nothing: it speaks JSON in both
+directions, through JSON :class:`WireEncoder` objects (so its frames are
+metered like the daemon's) and a blocking :class:`FrameReader`.
 
 Message schemas (client → server)
 ---------------------------------
@@ -94,7 +94,7 @@ __all__ = [
     "canonical_json", "default_wire_codec",
     "WireEncoder", "WireDecoder", "FrameReader",
     "encode_message", "decode_message", "read_message", "write_message",
-    "read_frame", "write_frame",
+    "write_frame",
     "descriptor_to_dict", "descriptor_from_dict",
     "decision_to_dict", "decisions_to_json",
 ]
@@ -199,18 +199,9 @@ _TAG_COMPLETE = 0x83
 _TAG_WITHDRAW = 0x84
 _TAG_ACK = 0x85
 _TAG_GRANT = 0x86
-_TAG_OP = 0x87
-_TAG_REPLY = 0x88
 
 _ACK_TYPES = ("inform-ack", "release-ack", "complete-ack", "withdraw-ack")
-_OP_NAMES = ("inform", "release", "complete", "withdraw", "advance")
-_STATE_NAMES = ("idle", "active", "waiting", "preempted")
-_ACTION_NAMES = ("go", "wait", "interrupt", "delay")
-
 _ACK_CODES = {name: i for i, name in enumerate(_ACK_TYPES)}
-_OP_CODES = {name: i for i, name in enumerate(_OP_NAMES)}
-_STATE_CODES = {name: i for i, name in enumerate(_STATE_NAMES)}
-_ACTION_CODES = {name: i for i, name in enumerate(_ACTION_NAMES)}
 
 _DESC_KEYS = frozenset((
     "app", "nprocs", "total_bytes", "t_alone", "remaining_bytes",
@@ -328,10 +319,6 @@ class WireEncoder:
             return self._enc_ack(m)
         if mtype == "grant":
             return self._enc_grant(m)
-        if mtype == "op":
-            return self._enc_op(m)
-        if mtype == "r":
-            return self._enc_reply(m)
         raise _Unrepresentable
 
     def _enc_inform(self, m: Mapping[str, Any]) -> bytes:
@@ -400,91 +387,6 @@ class WireEncoder:
         out += _F64.pack(m["t"])
         _pstr(out, m["app"])
         return bytes(out)
-
-    def _enc_op(self, m: Mapping[str, Any]) -> bytes:
-        op = m.get("op")
-        code = _OP_CODES.get(op)
-        if code is None:
-            raise _Unrepresentable
-        base = set(m) - {"t", "r"}
-        if op == "inform":
-            expected = {"type", "op", "d"}
-        elif op == "release":
-            expected = {"type", "op", "app", "rem"}
-        elif op == "advance":
-            expected = {"type", "op"}
-        else:
-            expected = {"type", "op", "app"}
-        if base != expected:
-            raise _Unrepresentable
-        flags = 0
-        out = bytearray((_TAG_OP, code, 0))
-        if "t" in m:
-            if not _is_num(m["t"]):
-                raise _Unrepresentable
-            flags |= 1
-            out += _F64.pack(m["t"])
-        if "r" in m:
-            r = m["r"]
-            if not _is_int(r) or r not in (0, 1):
-                raise _Unrepresentable
-            flags |= 2
-            if r:
-                flags |= 4
-        if op == "inform":
-            self._put_descriptor(out, m["d"])
-        elif op == "release":
-            _pstr(out, m["app"])
-            rem = m["rem"]
-            if rem is not None:
-                if not _is_num(rem):
-                    raise _Unrepresentable
-                flags |= 8
-                out += _F64.pack(rem)
-        elif op != "advance":
-            _pstr(out, m["app"])
-        out[2] = flags
-        return bytes(out)
-
-    def _enc_reply(self, m: Mapping[str, Any]) -> bytes:
-        if set(m) - {"ok", "dec"} != {"type", "tr", "nw"}:
-            raise _Unrepresentable
-        nw = m["nw"]
-        tr = m["tr"]
-        if not isinstance(tr, (list, tuple)) or len(tr) > 0xFFFF:
-            raise _Unrepresentable
-        flags = 0
-        body = bytearray()
-        if nw is not None:
-            if not _is_num(nw):
-                raise _Unrepresentable
-            flags |= 1
-            body += _F64.pack(nw)
-        if "ok" in m:
-            if not isinstance(m["ok"], bool):
-                raise _Unrepresentable
-            flags |= 2
-            if m["ok"]:
-                flags |= 4
-        if "dec" in m:
-            flags |= 8
-            dec = m["dec"]
-            if dec is not None:
-                if (not isinstance(dec, (list, tuple)) or len(dec) != 2
-                        or dec[0] not in _ACTION_CODES
-                        or not _is_num(dec[1])):
-                    raise _Unrepresentable
-                flags |= 16
-                body += _U8.pack(_ACTION_CODES[dec[0]])
-                body += _F64.pack(dec[1])
-        body += _U16.pack(len(tr))
-        for entry in tr:
-            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or entry[1] not in _STATE_CODES):
-                raise _Unrepresentable
-            _pstr(body, entry[0])
-            body += _U8.pack(_STATE_CODES[entry[1]])
-        return bytes(bytearray((_TAG_REPLY, flags)) + body)
 
     def _put_descriptor(self, out: bytearray, d: Any) -> None:
         if not isinstance(d, Mapping) or set(d) != _DESC_KEYS:
@@ -600,10 +502,6 @@ class WireDecoder:
             message, pos = self._dec_ack(data)
         elif tag == _TAG_GRANT:
             message, pos = self._dec_grant(data)
-        elif tag == _TAG_OP:
-            message, pos = self._dec_op(data)
-        elif tag == _TAG_REPLY:
-            message, pos = self._dec_reply(data)
         else:
             raise ProtocolError(f"unknown binary frame tag 0x{tag:02x}")
         if pos != len(data):
@@ -683,68 +581,6 @@ class WireDecoder:
         (t,) = _F64.unpack_from(data, 1)
         app, pos = self._get_str(data, 9)
         return {"type": "grant", "app": app, "t": t}, pos
-
-    def _dec_op(self, data: bytes) -> Tuple[Dict[str, Any], int]:
-        code, flags = data[1], data[2]
-        if code >= len(_OP_NAMES):
-            raise ProtocolError(f"unknown op code {code}")
-        op = _OP_NAMES[code]
-        message: Dict[str, Any] = {"type": "op", "op": op}
-        pos = 3
-        if flags & 1:
-            (t,) = _F64.unpack_from(data, pos)
-            pos += 8
-            message["t"] = t
-        if flags & 2:
-            message["r"] = 1 if flags & 4 else 0
-        if op == "inform":
-            message["d"], pos = self._get_descriptor(data, pos)
-        elif op == "release":
-            message["app"], pos = self._get_str(data, pos)
-            if flags & 8:
-                (rem,) = _F64.unpack_from(data, pos)
-                pos += 8
-                message["rem"] = rem
-            else:
-                message["rem"] = None
-        elif op != "advance":
-            message["app"], pos = self._get_str(data, pos)
-        return message, pos
-
-    def _dec_reply(self, data: bytes) -> Tuple[Dict[str, Any], int]:
-        flags = data[1]
-        message: Dict[str, Any] = {"type": "r"}
-        pos = 2
-        if flags & 1:
-            (nw,) = _F64.unpack_from(data, pos)
-            pos += 8
-        else:
-            nw = None
-        if flags & 2:
-            message["ok"] = bool(flags & 4)
-        if flags & 8:
-            if flags & 16:
-                action = data[pos]
-                if action >= len(_ACTION_NAMES):
-                    raise ProtocolError(f"unknown action code {action}")
-                (value,) = _F64.unpack_from(data, pos + 1)
-                pos += 9
-                message["dec"] = [_ACTION_NAMES[action], value]
-            else:
-                message["dec"] = None
-        (ntr,) = _U16.unpack_from(data, pos)
-        pos += 2
-        tr: List[List[Any]] = []
-        for _ in range(ntr):
-            app, pos = self._get_str(data, pos)
-            state = data[pos]
-            pos += 1
-            if state >= len(_STATE_NAMES):
-                raise ProtocolError(f"unknown state code {state}")
-            tr.append([app, _STATE_NAMES[state]])
-        message["tr"] = tr
-        message["nw"] = nw
-        return message, pos
 
     def _get_descriptor(self, data: bytes,
                         pos: int) -> Tuple[Dict[str, Any], int]:
@@ -952,57 +788,6 @@ class FrameReader:
         return self._decoder.decode(payload)
 
 
-def _recv_exactly(sock, n: int) -> bytes:
-    """Receive exactly ``n`` bytes, retrying EINTR; ``b""`` on clean EOF.
-
-    Every failure mode — a connection dropped mid-read, a transport
-    error — raises :class:`FrameError` carrying the byte offsets, never a
-    bare ``ConnectionError`` or ``struct.error``.
-    """
-    chunks = []
-    got = 0
-    while got < n:
-        try:
-            chunk = sock.recv(n - got)
-        except InterruptedError:  # pragma: no cover - EINTR straggler
-            continue
-        except OSError as exc:
-            raise FrameError(
-                f"transport failed after {got} of {n} bytes: {exc}"
-            ) from None
-        if not chunk:
-            if got:
-                raise FrameError(
-                    f"connection dropped mid-frame: got {got} of {n} bytes")
-            return b""
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(sock, decoder: Optional[WireDecoder] = None
-               ) -> Optional[Dict[str, Any]]:
-    """Blocking read of one frame; ``None`` on clean EOF at a boundary.
-
-    Unbuffered (two recv loops per frame) — kept for one-shot callers;
-    the data planes hold a :class:`FrameReader` per socket instead.
-    """
-    header = _recv_exactly(sock, _LEN.size)
-    if not header:
-        return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise FrameError(f"announced frame of {length} bytes exceeds "
-                         f"MAX_FRAME ({MAX_FRAME})")
-    payload = _recv_exactly(sock, length)
-    if len(payload) != length:
-        raise FrameError(f"connection dropped mid-frame: got "
-                         f"{len(payload)} of {length} payload bytes")
-    if decoder is not None:
-        return decoder.decode(payload)
-    return decode_message(payload)
-
-
 def write_frame(sock, message: Mapping[str, Any],
                 encoder: Optional[WireEncoder] = None) -> None:
     """Blocking write of one frame (``sendall``)."""
@@ -1051,12 +836,12 @@ def descriptor_from_dict(data: Mapping[str, Any]) -> AccessDescriptor:
             rounds=int(data.get("rounds", 1)),
             partitions=tuple(int(p) for p in data.get("partitions", (0,))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        desc.remaining_bytes = float(data.get("remaining_bytes",
+                                              desc.remaining_bytes))
+        started = data.get("access_started")
+        desc.access_started = None if started is None else float(started)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad descriptor {data!r}: {exc}") from None
-    desc.remaining_bytes = float(data.get("remaining_bytes",
-                                          desc.remaining_bytes))
-    started = data.get("access_started")
-    desc.access_started = None if started is None else float(started)
     return desc
 
 

@@ -37,6 +37,7 @@ The ops surface (``/healthz``/``/metrics``) lives in
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
@@ -45,12 +46,24 @@ from ..experiments.spec import ExperimentSpec
 from ..platforms import Platform
 from .protocol import (
     CODECS, ProtocolError, WireDecoder, WireEncoder, decisions_to_json,
-    default_wire_codec, descriptor_from_dict, read_message, write_message,
+    descriptor_from_dict, encode_message, read_message, write_message,
 )
 
 __all__ = ["ServiceConfig", "CoordinationService"]
 
 _OPS = ("inform", "release", "complete", "withdraw")
+
+
+def _finite(value: Any, what: str) -> float:
+    """``value`` as a finite float, else :class:`ProtocolError`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ProtocolError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -251,12 +264,15 @@ class CoordinationService:
             await self._reader_loop(conn, reader)
         except (ProtocolError, ConnectionError, asyncio.CancelledError) as exc:
             self.perf.bump("service_protocol_errors")
+            error = {"type": "error", "reason": str(exc)}
             if conn is not None and not conn.closed:
                 try:
-                    conn.outbox.put_nowait(
-                        {"type": "error", "reason": str(exc)})
+                    conn.outbox.put_nowait(error)
                 except Exception:  # pragma: no cover - raced shutdown
                     pass
+            elif conn is None and isinstance(exc, ProtocolError):
+                # A malformed hello: no session yet, answer on the socket.
+                writer.write(encode_message(error))
         finally:
             if conn is not None:
                 await self._finish_connection(conn, abnormal=not conn.closed)
@@ -280,7 +296,10 @@ class CoordinationService:
             return None
         if hello.get("type") != "hello":
             raise ProtocolError(f"expected hello, got {hello.get('type')!r}")
-        apps = [str(a) for a in hello.get("apps", [])]
+        apps = hello.get("apps", [])
+        if not isinstance(apps, list):
+            raise ProtocolError(f"hello.apps must be a list, got {apps!r}")
+        apps = [str(a) for a in apps]
         mode = hello.get("mode", "live")
         # Codec negotiation: grant the client's proposal when we speak it,
         # else fall back to the JSON oracle.  Hello/welcome are always
@@ -385,18 +404,47 @@ class CoordinationService:
                 continue
             if mtype not in _OPS:
                 raise ProtocolError(f"unknown message type {mtype!r}")
-            self._ingest(conn, message)
+            self._ingest(conn, self._parse(conn, message))
 
     # ------------------------------------------------------------------
     # The sequencer and the virtual clock
     # ------------------------------------------------------------------
-    def _ingest(self, conn: _Connection, entry: dict) -> None:
-        app = (entry.get("app")
-               or (entry.get("descriptor") or {}).get("app"))
+    def _parse(self, conn: _Connection, message: dict) -> dict:
+        """Validate one exchange frame into the entry :meth:`_apply` runs.
+
+        Runs on the sender's connection before anything is buffered, so a
+        malformed frame is its sender's :class:`ProtocolError` — never
+        the error of whichever peer's frame later drains the sequencer.
+        """
+        op = message["type"]
+        t = message.get("t")
+        entry: Dict[str, Any] = {"type": op,
+                                 "t": None if t is None else _finite(t, "t")}
+        if "seq" in message:
+            entry["seq"] = message["seq"]
+        if op == "inform":
+            data = message.get("descriptor")
+            if not isinstance(data, dict):
+                raise ProtocolError(
+                    f"inform needs a descriptor object, got {data!r}")
+            entry["descriptor"] = descriptor_from_dict(data)
+            app = entry["descriptor"].app
+        else:
+            app = message.get("app")
+            if not isinstance(app, str):
+                raise ProtocolError(f"{op} needs an app name, got {app!r}")
+            if op == "release":
+                remaining = message.get("remaining")
+                entry["remaining"] = (None if remaining is None
+                                      else _finite(remaining, "remaining"))
         if app not in conn.apps:
             raise ProtocolError(
                 f"exchange for {app!r} on a connection serving "
                 f"{sorted(conn.apps)}")
+        entry["app"] = app
+        return entry
+
+    def _ingest(self, conn: _Connection, entry: dict) -> None:
         if conn.mode == "live":
             self._apply(conn, entry)
             return
@@ -434,34 +482,28 @@ class CoordinationService:
         immediately (round partitioning does not change decisions), and
         running inside one event-loop task step makes each apply atomic.
         """
-        op = entry["op"] if "op" in entry else entry["type"]
-        t = entry.get("t")
-        if t is not None and float(t) > self.sim.now:
+        op = entry["type"]
+        app = entry["app"]
+        t = entry["t"]
+        if t is not None and t > self.sim.now:
             # Advance the virtual clock, firing grant notifications, span
             # chains and hold timers scheduled before the new time.
-            self.sim.run(until=float(t))
+            self.sim.run(until=t)
         ack: Dict[str, Any] = {"type": f"{op}-ack", "t": self.sim.now}
         if "seq" in entry:
             ack["seq"] = entry["seq"]
+        ack["app"] = app
         if op == "inform":
-            descriptor = descriptor_from_dict(entry.get("descriptor") or {})
-            authorized = self.coordinator.on_inform(descriptor)
+            authorized = self.coordinator.on_inform(entry["descriptor"])
             self._settle(conn)
-            app = descriptor.app
             if not authorized:
                 self._subscribe_grant(conn, app)
-            ack["app"] = app
             ack["authorized"] = bool(authorized)
         elif op == "release":
-            remaining = entry.get("remaining")
-            self.coordinator.on_release(
-                entry["app"],
-                None if remaining is None else float(remaining))
-            ack["app"] = entry["app"]
+            self.coordinator.on_release(app, entry["remaining"])
         else:  # complete / withdraw
-            self.coordinator.withdraw(entry["app"])
+            self.coordinator.withdraw(app)
             self._settle(conn)
-            ack["app"] = entry["app"]
         conn.applied += 1
         self.perf.bump("service_exchanges_applied")
         conn.outbox.put_nowait(ack)

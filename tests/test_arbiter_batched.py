@@ -488,6 +488,6 @@ def test_runtime_perf_wiring_through_platform():
                          latency=1e-5)
     platform = Platform(cfg)
     runtime = CalciomRuntime(platform, strategy="fcfs")
-    assert runtime.arbiter.perf is platform.perf
-    runtime.arbiter.on_inform(desc("x"))
+    assert runtime.coordinator.perf is platform.perf
+    runtime.coordinator.on_inform(desc("x"))
     assert platform.perf.get("coord_decisions") == 1

@@ -194,14 +194,12 @@ def test_fcfs_subclass_custom_decide_survives_batching():
 
 def test_dynamic_decomposed_costs_match_full_path_decisions():
     """Built-in (decomposable) metrics must pick the same action and
-    near-identical costs as the historical whole-population evaluation."""
+    near-identical costs as the historical whole-population evaluation
+    (the :class:`repro.oracles.WholePopulationDynamic` oracle)."""
+    from repro.oracles import WholePopulationDynamic
 
-    class Opaque(CpuSecondsWasted):
-        """Same metric, but non-decomposable: forces _decide_full."""
-        def alone_cost(self, totals):
-            return None
-
-    fast, slow = DynamicStrategy(CpuSecondsWasted()), DynamicStrategy(Opaque())
+    fast = DynamicStrategy(CpuSecondsWasted())
+    slow = WholePopulationDynamic(CpuSecondsWasted())
     active = [desc("A", 744, 20.0, total=1e9, started=0.0, remaining=0.7e9)]
     waiting = [desc(f"w{k}", 8 * (k + 1), 1.0 + 0.25 * k) for k in range(20)]
     for dt, nb in ((5.0, 24), (1.0, 700), (19.0, 8)):
@@ -215,12 +213,10 @@ def test_dynamic_decomposed_costs_match_full_path_decisions():
 
 def test_dynamic_decomposition_with_max_combine_metric():
     from repro.core import MaxSlowdown
+    from repro.oracles import WholePopulationDynamic
 
-    class OpaqueMax(MaxSlowdown):
-        def alone_cost(self, totals):
-            return None
-
-    fast, slow = DynamicStrategy(MaxSlowdown()), DynamicStrategy(OpaqueMax())
+    fast = DynamicStrategy(MaxSlowdown())
+    slow = WholePopulationDynamic(MaxSlowdown())
     active = [desc("A", 100, 10.0, total=1e9, started=0.0)]
     waiting = [desc("w", 50, 4.0)]
     incoming = desc("B", 10, 2.0, total=1e7)

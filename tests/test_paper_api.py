@@ -108,7 +108,7 @@ def test_release_refreshes_remaining_knowledge():
     def body():
         sa.prepare(MPIInfo(total_bytes=1000, nprocs=10, rounds=4))
         yield from sa.inform()
-        desc = runtime.arbiter.descriptor_of("a")
+        desc = runtime.coordinator.descriptor_of("a")
         assert desc.remaining_bytes == 1000
         yield from sa.end_access()  # one round done: 250 bytes
         assert desc.remaining_bytes == pytest.approx(750.0)
@@ -125,8 +125,8 @@ def test_complete_ends_access_and_descriptor():
         sa.prepare(MPIInfo(total_bytes=100, nprocs=10))
         yield from sa.inform()
         sa.complete()
-        assert runtime.arbiter.state_of("a") is AccessState.IDLE
-        assert runtime.arbiter.descriptor_of("a") is None
+        assert runtime.coordinator.state_of("a") is AccessState.IDLE
+        assert runtime.coordinator.descriptor_of("a") is None
         # A new access needs a fresh Prepare + Inform.
         sa.prepare(MPIInfo(total_bytes=200, nprocs=10))
         authorized = yield from sa.inform()
@@ -161,12 +161,12 @@ def test_nested_prepare_complete_balance():
         yield from sa.inform()
         sa.prepare(MPIInfo(total_bytes=500, nprocs=10))  # file 1 (nested)
         sa.complete()
-        assert runtime.arbiter.state_of("a") is AccessState.ACTIVE
+        assert runtime.coordinator.state_of("a") is AccessState.ACTIVE
         sa.prepare(MPIInfo(total_bytes=500, nprocs=10))  # file 2 (nested)
         sa.complete()
-        assert runtime.arbiter.state_of("a") is AccessState.ACTIVE
+        assert runtime.coordinator.state_of("a") is AccessState.ACTIVE
         sa.complete()  # outer
-        assert runtime.arbiter.state_of("a") is AccessState.IDLE
+        assert runtime.coordinator.state_of("a") is AccessState.IDLE
 
     p = platform.sim.process(body())
     platform.sim.run(until=p)

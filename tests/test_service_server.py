@@ -8,6 +8,7 @@ dependencies) and talks to it over genuine sockets.
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -290,6 +291,136 @@ def test_sequencer_rejects_duplicate_seq():
         finally:
             writer.close()
             await service.close()
+
+    _run(go())
+
+
+# ---------------------------------------------------------------------------
+# Malformed frames: blamed on their sender, never unhandled
+# ---------------------------------------------------------------------------
+
+def _catch_loop_errors():
+    """Collect what the event loop would log as unhandled exceptions."""
+    errors = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda _loop, context: errors.append(context))
+    return errors
+
+
+def test_malformed_out_of_order_frame_is_blamed_on_its_sender():
+    async def go():
+        unhandled = _catch_loop_errors()
+        service = await _start()
+        host, port = service.address
+        ra, wa = await _raw_replay_connection(host, port, ["a"])
+        rb, wb = await _raw_replay_connection(host, port, ["b"])
+        try:
+            # A races ahead with a malformed seq 1: it must be rejected on
+            # A's connection at once, not buffered for B to trip over.
+            bad = descriptor_to_dict(_descriptor("a"))
+            bad["nprocs"] = "many"
+            await write_message(wa, {"type": "inform", "seq": 1, "t": 0.0,
+                                     "descriptor": bad})
+            error = await asyncio.wait_for(read_message(ra), 5.0)
+            assert error["type"] == "error"
+            assert "bad descriptor" in error["reason"]
+            assert service.health()["pending"] == 0
+
+            # B owns the sequencer head and keeps its session throughout.
+            await write_message(wb, {
+                "type": "inform", "seq": 0, "t": 0.0,
+                "descriptor": descriptor_to_dict(_descriptor("b"))})
+            ack = await read_message(rb)
+            assert (ack["type"], ack["seq"]) == ("inform-ack", 0)
+            await write_message(wb, {"type": "complete", "seq": 1,
+                                     "t": 1.0, "app": "b"})
+            ack = await read_message(rb)
+            assert (ack["type"], ack["seq"]) == ("complete-ack", 1)
+            assert service.perf.get("service_protocol_errors") == 1
+            assert service.health()["sessions"] == 1
+        finally:
+            for w in (wa, wb):
+                w.close()
+            await service.close()
+        assert not unhandled
+
+    _run(go())
+
+
+def _bad_descriptor(**fields):
+    data = descriptor_to_dict(_descriptor("a"))
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize("frame, reason", [
+    ({"type": "inform", "seq": 0, "t": "soon",
+      "descriptor": descriptor_to_dict(_descriptor("a"))}, "t must be"),
+    ({"type": "inform", "seq": 0, "t": math.inf,
+      "descriptor": descriptor_to_dict(_descriptor("a"))}, "t must be"),
+    ({"type": "complete", "seq": 0, "t": math.nan, "app": "a"},
+     "t must be"),
+    ({"type": "release", "seq": 0, "t": 0.0, "app": "a",
+      "remaining": "half"}, "remaining must be"),
+    ({"type": "release", "seq": 0, "t": 0.0, "app": "a",
+      "remaining": -math.inf}, "remaining must be"),
+    ({"type": "inform", "seq": 0, "t": 0.0, "descriptor": ["a", 16]},
+     "descriptor object"),
+    ({"type": "inform", "seq": 0, "t": 0.0, "descriptor": "a"},
+     "descriptor object"),
+    ({"type": "inform", "seq": 0, "t": 0.0,
+      "descriptor": _bad_descriptor(remaining_bytes="lots")},
+     "bad descriptor"),
+    ({"type": "inform", "seq": 0, "t": 0.0,
+      "descriptor": _bad_descriptor(access_started="yesterday")},
+     "bad descriptor"),
+    ({"type": "inform", "seq": 0, "t": 0.0,
+      "descriptor": _bad_descriptor(nprocs=math.inf)}, "bad descriptor"),
+    ({"type": "withdraw", "seq": 0, "t": 0.0, "app": ["a"]},
+     "needs an app name"),
+], ids=["t-text", "t-inf", "t-nan", "remaining-text", "remaining-inf",
+        "descriptor-list", "descriptor-str", "descriptor-remaining",
+        "descriptor-started", "descriptor-nprocs-inf", "app-list"])
+def test_malformed_field_gets_an_error_frame(frame, reason):
+    async def go():
+        unhandled = _catch_loop_errors()
+        service = await _start()
+        host, port = service.address
+        reader, writer = await _raw_replay_connection(host, port, ["a"])
+        try:
+            await write_message(writer, frame)
+            error = await read_message(reader)
+            assert error["type"] == "error"
+            assert reason in error["reason"]
+            assert service.perf.get("service_protocol_errors") == 1
+            assert service.health()["next_seq"] == 0
+        finally:
+            writer.close()
+            await service.close()
+        assert not unhandled
+
+    _run(go())
+
+
+@pytest.mark.parametrize("apps", [5, "a", {"a": 1}])
+def test_malformed_hello_apps_gets_an_error_frame(apps):
+    async def go():
+        unhandled = _catch_loop_errors()
+        service = await _start()
+        host, port = service.address
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            await write_message(writer, {"type": "hello", "apps": apps,
+                                         "mode": "replay"})
+            error = await read_message(reader)
+            assert error["type"] == "error"
+            assert "hello.apps must be a list" in error["reason"]
+            assert service.perf.get("service_protocol_errors") == 1
+            assert service.health()["sessions"] == 0
+        finally:
+            writer.close()
+            await service.close()
+        assert not unhandled
 
     _run(go())
 

@@ -2,9 +2,11 @@
 
 Three layers of guarantees:
 
-* **Transparency** — a single-shard :class:`ShardRouter` is a pure
-  pass-through: randomized workloads and committed figure scenarios must
-  be decision-log- and completion-time-identical to the plain arbiter.
+* **Transparency** — an unsharded inline runtime talks to a plain
+  :class:`Arbiter`, and a single-shard :class:`ShardRouter` (which runs
+  the general routing path) must stay decision-log- and
+  completion-time-identical to it on randomized workloads and committed
+  figure scenarios.
 * **Partitioned platforms** — server groups, per-partition file systems,
   stable path routing, and partition-aware workload placement.
 * **Cross-shard protocol** — the ordered-lock two-phase grant: span
@@ -42,6 +44,29 @@ def partitioned_config(npartitions=4, nservers=8, **overrides):
 
 
 # -- transparency: one shard == the arbiter -----------------------------------
+
+def test_unsharded_inline_runtime_talks_to_its_arbiter():
+    """One inline shard gets a plain Arbiter (an UnbatchedArbiter under
+    the oracle swap); every other configuration gets a ShardRouter."""
+    from repro.oracles import UnbatchedArbiter
+
+    def coordinator(**kwargs):
+        platform = Platform(partitioned_config(npartitions=2))
+        return CalciomRuntime(platform, strategy="fcfs", **kwargs).coordinator
+
+    assert type(coordinator(shards=1)) is Arbiter
+    assert isinstance(coordinator(), ShardRouter)
+    with unbatched_arbiters():
+        assert type(coordinator(shards=1)) is UnbatchedArbiter
+        router = coordinator()
+        assert all(type(shard.arbiter) is UnbatchedArbiter
+                   for shard in router.shards)
+    assert type(coordinator(shards=1)) is Arbiter
+    # The process pool starts lazily: building the router spawns nothing.
+    process = coordinator(shards=1, workers="process")
+    assert isinstance(process, ShardRouter) and process.nshards == 1
+    process.close()
+
 
 def test_randomized_traces_single_shard_equals_arbiter():
     """Random schedules: router(1) and Arbiter must be bit-identical."""
@@ -193,7 +218,7 @@ def test_runtime_shard_validation_and_capacity():
             platform.config.partition_bandwidth(shard.index)
     single = CalciomRuntime(Platform(partitioned_config(npartitions=4)),
                             strategy="dynamic", shards=1)
-    assert single.arbiter.strategy.capacity == \
+    assert single.coordinator.strategy.capacity == \
         platform.config.aggregate_bandwidth
 
 
@@ -211,7 +236,7 @@ def test_strategy_instance_is_copied_per_shard():
     inst = DynamicStrategy()
     single = CalciomRuntime(Platform(cfg.with_(name="p2")), strategy=inst,
                             shards=1)
-    assert single.arbiter.strategy is inst
+    assert single.coordinator.strategy is inst
 
 
 # -- sharded semantics --------------------------------------------------------

@@ -9,13 +9,14 @@ Two layers of guarantee:
   the JSON encoding decodes to.  The generic fallback makes coverage
   total: anything the fast paths refuse must still round-trip.
 * **Decision-log bit-identity** — replaying the committed
-  ``service-many-writers`` scenario through the daemon, and the
-  randomized shard traces through ``workers="process"``, must produce
-  string-equal canonical decision logs under both codecs.
+  ``service-many-writers`` scenario through the daemon must produce
+  string-equal canonical decision logs under both codecs.  The
+  ``workers="process"`` shard plane speaks JSON only, whatever
+  ``REPRO_WIRE_CODEC`` says, and its log equals the inline one.
 
 Plus the framing satellites: `FrameError` with byte offsets out of every
-truncation path, the buffered `FrameReader`, codec negotiation, and the
-shared canonical-JSON helper.
+truncation path of the async reader and the blocking `FrameReader`, codec
+negotiation, and the shared canonical-JSON helper.
 """
 
 import asyncio
@@ -32,8 +33,8 @@ from repro.perf import PerfCounters
 from repro.service.protocol import (
     CODECS, MAX_FRAME, FrameError, FrameReader, ProtocolError, WireDecoder,
     WireEncoder, canonical_json, decisions_to_json, default_wire_codec,
-    descriptor_from_dict, descriptor_to_dict, encode_message, read_frame,
-    read_message, write_frame,
+    descriptor_from_dict, descriptor_to_dict, encode_message, read_message,
+    write_frame,
 )
 from repro.simcore import Simulator
 
@@ -71,7 +72,7 @@ def _rand_descriptor(rng):
 
 
 def _rand_message(rng):
-    kind = rng.randrange(10)
+    kind = rng.randrange(8)
     if kind == 0:
         return {"type": "inform", "seq": rng.randrange(2 ** 48),
                 "t": abs(_rand_float(rng)),
@@ -100,36 +101,6 @@ def _rand_message(rng):
     if kind == 6:
         return {"type": "grant", "app": rng.choice(_APPS),
                 "t": abs(_rand_float(rng))}
-    if kind == 7:
-        op = rng.choice(["inform", "release", "complete", "withdraw",
-                         "advance"])
-        msg = {"type": "op", "op": op}
-        if rng.random() < 0.8:
-            msg["t"] = abs(_rand_float(rng))
-        if op == "inform":
-            msg["d"] = _rand_descriptor(rng)
-            msg["r"] = rng.choice([0, 1])
-        elif op == "release":
-            msg["app"] = rng.choice(_APPS)
-            msg["rem"] = rng.choice([None, _rand_float(rng)])
-        elif op != "advance":
-            msg["app"] = rng.choice(_APPS)
-            if rng.random() < 0.5:
-                msg["r"] = rng.choice([0, 1])
-        return msg
-    if kind == 8:
-        states = ["idle", "active", "waiting", "preempted"]
-        msg = {"type": "r",
-               "tr": [[rng.choice(_APPS), rng.choice(states)]
-                      for _ in range(rng.randrange(4))],
-               "nw": rng.choice([None, abs(_rand_float(rng))])}
-        if rng.random() < 0.5:
-            msg["ok"] = rng.choice([True, False])
-        if rng.random() < 0.5:
-            msg["dec"] = rng.choice(
-                [None, [rng.choice(["go", "wait", "interrupt", "delay"]),
-                        _rand_float(rng)]])
-        return msg
     # Off-schema strays: must survive via the generic fallback.
     return rng.choice([
         {"type": "hello", "apps": [rng.choice(_APPS)], "mode": "replay",
@@ -141,7 +112,6 @@ def _rand_message(rng):
          "surprise": [1, {"k": None}]},
         {"type": "release", "app": rng.choice(_APPS),
          "remaining": "not-a-float"},
-        {"type": "op", "op": "inform", "d": {"app": "a"}},
     ])
 
 
@@ -265,8 +235,8 @@ def test_sync_read_truncated_payload_carries_offsets():
         payload = canonical_json({"type": "bye"}).encode()
         a.sendall(struct.pack(">I", len(payload)) + payload[:3])
         a.close()
-        with pytest.raises(FrameError, match=r"got 3 of 14"):
-            read_frame(b)
+        with pytest.raises(FrameError, match=r"got 7 of 18 frame bytes"):
+            FrameReader(b).read_frame()
     finally:
         b.close()
 
@@ -276,8 +246,8 @@ def test_sync_read_truncated_header_carries_offsets():
     try:
         a.sendall(b"\x00\x00")
         a.close()
-        with pytest.raises(FrameError, match=r"got 2 of 4"):
-            read_frame(b)
+        with pytest.raises(FrameError, match=r"got 2 of 4 header bytes"):
+            FrameReader(b).read_frame()
     finally:
         b.close()
 
@@ -287,8 +257,9 @@ def test_sync_read_clean_eof_is_none():
     try:
         write_frame(a, {"type": "bye"})
         a.close()
-        assert read_frame(b) == {"type": "bye"}
-        assert read_frame(b) is None
+        reader = FrameReader(b)
+        assert reader.read_frame() == {"type": "bye"}
+        assert reader.read_frame() is None
     finally:
         b.close()
 
@@ -298,7 +269,7 @@ def test_sync_oversized_frame_is_frame_error():
     try:
         a.sendall(struct.pack(">I", MAX_FRAME + 1))
         with pytest.raises(FrameError, match="exceeds MAX_FRAME"):
-            read_frame(b)
+            FrameReader(b).read_frame()
     finally:
         a.close()
         b.close()
@@ -493,8 +464,8 @@ def test_service_metrics_expose_wire_counters():
     assert snap.get("wire_frames_decoded", 0) >= stats.exchanges
 
 
-def _drive_shards(codec, seed=11):
-    """The randomized shard trace from test_process_shards, per codec."""
+def _drive_shards(workers, seed=11):
+    """The randomized shard trace from test_process_shards."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -506,7 +477,7 @@ def _drive_shards(codec, seed=11):
     sim = Simulator()
     perf = PerfCounters()
     router = ShardRouter(sim, nparts, "dynamic", grant_latency=1e-3,
-                         workers="process", perf=perf, codec=codec)
+                         workers=workers, perf=perf)
 
     def app(i):
         name = f"app{i:02d}"
@@ -531,32 +502,17 @@ def _drive_shards(codec, seed=11):
     return decisions_to_json(router.decision_log), sim.now, perf
 
 
-def test_process_shards_bit_identical_across_codecs():
-    log_json, end_json, _ = _drive_shards("json")
-    log_bin, end_bin, perf = _drive_shards("binary")
-    assert log_bin == log_json
-    assert end_bin == end_json
+def test_process_shards_speak_json_whatever_the_env(monkeypatch):
+    """REPRO_WIRE_CODEC selects the service codec only: process shards
+    still speak JSON, and their log equals the inline log."""
+    monkeypatch.setenv("REPRO_WIRE_CODEC", "binary")
+    log_inline, end_inline, _ = _drive_shards("inline")
+    log_proc, end_proc, perf = _drive_shards("process")
+    assert log_proc == log_inline
+    assert end_proc == end_inline
+    # Every frame was metered, and none took a binary-only path.
     assert perf.get("wire_frames_encoded") > 0
     assert perf.get("wire_flushes") > 0
-
-
-def test_process_shards_env_codec(monkeypatch):
-    """REPRO_WIRE_CODEC=binary selects the codec at pool start."""
-    monkeypatch.setenv("REPRO_WIRE_CODEC", "binary")
-    sim = Simulator()
-    perf = PerfCounters()
-    router = ShardRouter(sim, 1, "fcfs", workers="process", perf=perf)
-
-    def one():
-        d = AccessDescriptor(app="solo", nprocs=4, total_bytes=1e5,
-                             t_alone=1.0, partitions=(0,))
-        ok = yield router.submit_inform(d)
-        assert ok
-        yield sim.timeout(0.5)
-        router.on_complete("solo")
-
-    sim.process(one())
-    sim.run()
-    assert router._pool.codec == "binary"
-    router.close()
-    assert perf.get("wire_frames_encoded") > 0
+    for counter in ("wire_desc_interned", "wire_desc_refs",
+                    "wire_generic_frames"):
+        assert perf.get(counter) == 0, counter
