@@ -32,7 +32,7 @@ def _pipeline():
         for label, strategy in (("off", None), ("on", "interfere"))
     }
     results = ENGINE.run_all(specs.values())
-    return {key: r.as_pair() for key, r in zip(specs, results)}
+    return dict(zip(specs, results))
 
 
 def test_ablation_coordination_overhead(once, report):
@@ -40,8 +40,8 @@ def test_ablation_coordination_overhead(once, report):
     rows = []
     overheads = {}
     for grain in ("file", "round"):
-        t_off = out[(grain, "off")].a.write_time
-        t_on = out[(grain, "on")].a.write_time
+        t_off = out[(grain, "off")].record("A").write_time
+        t_on = out[(grain, "on")].record("A").write_time
         overheads[grain] = (t_on - t_off) / t_off
         rows.append([grain, t_off, t_on, 100 * overheads[grain]])
     text = "\n".join([
@@ -58,5 +58,5 @@ def test_ablation_coordination_overhead(once, report):
     assert abs(overheads["round"]) < 0.01
     # And round-grain costs more messages than file-grain (sanity check
     # that the hooks actually fire per round).
-    assert out[("round", "on")].a.write_time >= \
-        out[("file", "on")].a.write_time - 1e-9
+    assert out[("round", "on")].record("A").write_time >= \
+        out[("file", "on")].record("A").write_time - 1e-9

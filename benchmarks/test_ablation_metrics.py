@@ -35,7 +35,7 @@ def _pipeline():
     for metric in METRICS:
         spec = ExperimentSpec.pair(PLATFORM, _app("A", 744), _app("B", 24),
                                    dt=2.0, strategy=DynamicStrategy(metric))
-        out[metric] = ENGINE.run(spec).as_pair()
+        out[metric] = ENGINE.run(spec)
     return out
 
 
@@ -47,7 +47,8 @@ def test_ablation_metric_choice(once, report):
         acts = [d.action.value for d in res.decisions if d.app == "B"]
         decisions[metric] = acts[0] if acts else "-"
         rows.append([metric, decisions[metric],
-                     res.a.interference_factor, res.b.interference_factor,
+                     res.record("A").interference_factor,
+                     res.record("B").interference_factor,
                      res.cpu_seconds_wasted(),
                      res.sum_interference_factors()])
     text = "\n".join([

@@ -33,10 +33,10 @@ def _pipeline():
         platform_cfg = BASE.with_(scheduler=sched)
         spec = ExperimentSpec.pair(platform_cfg, _app("A", 744),
                                    _app("B", 24), dt=2.0)
-        out[sched] = ENGINE.run(spec).as_pair()
+        out[sched] = ENGINE.run(spec)
     out["calciom-interrupt"] = ENGINE.run(ExperimentSpec.pair(
         BASE, _app("A", 744), _app("B", 24), dt=2.0,
-        strategy="interrupt")).as_pair()
+        strategy="interrupt"))
     return out
 
 
@@ -44,8 +44,9 @@ def test_ablation_server_scheduler(once, report):
     out = once(_pipeline)
     rows = []
     for label, res in out.items():
-        rows.append([label, res.a.write_time, res.b.write_time,
-                     res.a.interference_factor, res.b.interference_factor,
+        a, b = res.record("A"), res.record("B")
+        rows.append([label, a.write_time, b.write_time,
+                     a.interference_factor, b.interference_factor,
                      res.cpu_seconds_wasted()])
     text = "\n".join([
         banner("Ablation: server-side policies vs CALCioM "
@@ -55,15 +56,16 @@ def test_ablation_server_scheduler(once, report):
     ])
     report("ablation_server_sched", text)
 
-    shared, fifo = out["shared"], out["fifo"]
-    aps, cal = out["app-serial"], out["calciom-interrupt"]
+    # The small app B's interference factor under each policy.
+    shared, fifo, aps, cal = (
+        out[label].record("B").interference_factor
+        for label in ("shared", "fifo", "app-serial", "calciom-interrupt"))
     # Fair sharing crushes the small app.
-    assert shared.b.interference_factor > 5.0
+    assert shared > 5.0
     # Blind serialization (FIFO / app-serial at the server) also leaves the
     # small late arriver behind the big app's bulk.
-    assert fifo.b.interference_factor > 5.0
-    assert aps.b.interference_factor > 5.0
+    assert fifo > 5.0
+    assert aps > 5.0
     # Only knowledge-driven interruption rescues it.
-    assert cal.b.interference_factor < 4.0
-    assert cal.b.interference_factor < 0.5 * min(
-        shared.b.interference_factor, fifo.b.interference_factor)
+    assert cal < 4.0
+    assert cal < 0.5 * min(shared, fifo)

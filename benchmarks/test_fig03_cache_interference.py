@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.apps import IORConfig
 from repro.experiments import ExperimentEngine, ExperimentSpec, banner, format_table
-from repro.experiments.runner import run_single
 from repro.mpisim import Contiguous
 from repro.platforms import grid5000_nancy
 
@@ -33,18 +32,19 @@ def _app(name, period, iterations):
 
 
 def _pipeline():
-    alone = run_single(PLATFORM, _app("ior1", 10.0, 10))
+    alone = ENGINE.run(ExperimentSpec.single(
+        PLATFORM, _app("ior1", 10.0, 10), measure_alone=False))
     both = ENGINE.run(ExperimentSpec.pair(
         PLATFORM, _app("ior1", 10.0, 10), _app("ior2", 7.0, 15),
-        dt=0.0, measure_alone=False)).as_pair()
-    return alone, both
+        dt=0.0, measure_alone=False))
+    return alone.record("ior1"), both.record("ior1")
 
 
 def test_fig03_cache_interference(once, report):
     alone, both = once(_pipeline)
-    tp_alone = np.array([p.throughput for p in alone.phases]) / 1e6
-    bytes_per_phase = alone.config.bytes_per_phase
-    tp_both = np.array([bytes_per_phase / t for t in both.a.write_times]) / 1e6
+    bytes_per_phase = _app("ior1", 10.0, 10).bytes_per_phase
+    tp_alone = np.array([bytes_per_phase / t for t in alone.write_times]) / 1e6
+    tp_both = np.array([bytes_per_phase / t for t in both.write_times]) / 1e6
 
     rows = [[i + 1, a, b, "<- collision" if b < 0.6 * a else ""]
             for i, (a, b) in enumerate(zip(tp_alone, tp_both))]

@@ -27,7 +27,7 @@ def _pipeline():
                                  dt=0.0, meta={"split": nb})
              for nb in SIZES_B]
     results = ENGINE.run_all(specs)
-    return {r.spec.meta["split"]: r.as_pair() for r in results}
+    return {r.spec.meta["split"]: r for r in results}
 
 
 def test_fig04_small_vs_big(once, report):
@@ -36,11 +36,12 @@ def test_fig04_small_vs_big(once, report):
     slowdowns = {}
     for nb, res in results.items():
         bytes_b = nb * 16_000_000
-        tp_alone = bytes_b / res.b.t_alone / 1e6
-        tp_inter = bytes_b / res.b.write_time / 1e6
+        a, b = res.record("A"), res.record("B")
+        tp_alone = bytes_b / b.t_alone / 1e6
+        tp_inter = bytes_b / b.write_time / 1e6
         slowdowns[nb] = tp_alone / tp_inter
-        agg = (bytes_b + 336 * 16_000_000) / max(res.a.write_time,
-                                                 res.b.write_time) / 1e6
+        agg = (bytes_b + 336 * 16_000_000) / max(a.write_time,
+                                                 b.write_time) / 1e6
         rows.append([nb, tp_alone, tp_inter, slowdowns[nb], agg])
     text = "\n".join([
         banner("Fig 4: B's throughput against a 336-core A (MB/s)"),

@@ -37,7 +37,7 @@ def _pipeline():
     specs = [ExperimentSpec.pair(PLATFORM, _app("A"), _app("B"), dt=dt,
                                  measure_alone=False)
              for dt in (1e6, 0.0, 10.0)]
-    alone, both0, both10 = (r.as_pair() for r in ENGINE.run_all(specs))
+    alone, both0, both10 = (r.record("A") for r in ENGINE.run_all(specs))
     return interfere, fcfs, alone, both0, both10
 
 
@@ -52,9 +52,8 @@ def test_fig08_collective_buffering(once, report):
     lines.append("")
     lines.append(banner("Fig 8b: phases of collective buffering (App A, s)"))
     rows = []
-    for label, pair in [("no interference", alone), ("dt = 0 s", both0),
-                        ("dt = 10 s", both10)]:
-        rec = pair.a
+    for label, rec in [("no interference", alone), ("dt = 0 s", both0),
+                       ("dt = 10 s", both10)]:
         rows.append([label, rec.comm_times[0], rec.io_write_times[0],
                      rec.write_times[0]])
     lines.append(format_table(["case", "comm phase", "write phase", "total"],
@@ -62,8 +61,8 @@ def test_fig08_collective_buffering(once, report):
     report("fig08_collective_buffering", "\n".join(lines))
 
     # (b) Communication phase barely moves; write phase balloons.
-    comm_ratio = both0.a.comm_times[0] / alone.a.comm_times[0]
-    write_ratio = both0.a.io_write_times[0] / alone.a.io_write_times[0]
+    comm_ratio = both0.comm_times[0] / alone.comm_times[0]
+    write_ratio = both0.io_write_times[0] / alone.io_write_times[0]
     assert comm_ratio < 1.1
     assert write_ratio > 1.6
     # (a) With overlap-tolerant comm phases, FCFS hurts the second app more

@@ -49,8 +49,8 @@ def test_fig11_dynamic_choice(once, report):
     f_cal = cpu_seconds_per_core(calciom)
 
     decisions = []
-    for pair in calciom.pairs:
-        acts = [d.action.value for d in pair.decisions if d.app == "B"]
+    for result in calciom.results:
+        acts = [d.action.value for d in result.decisions if d.app == "B"]
         decisions.append(acts[0] if acts else "-")
 
     rows = [[dt, fb, fc, d] for dt, fb, fc, d in

@@ -14,7 +14,7 @@ holds with ten concurrent applications:
   machine-scale Fig 12 insight.
 """
 
-from repro.experiments import banner, format_table, replay_trace
+from repro.experiments import banner, format_table, replay_result
 from repro.platforms import grid5000_rennes
 from repro.traces import IntrepidModel, generate_intrepid_like
 
@@ -25,7 +25,7 @@ STRATEGIES = [None, "fcfs", "interrupt", "dynamic"]
 def _run(trace, core_scale, bytes_per_process):
     out = {}
     for strat in STRATEGIES:
-        out[strat] = replay_trace(
+        out[strat] = replay_result(
             grid5000_rennes(), trace, WINDOW, strategy=strat,
             core_scale=core_scale, bytes_per_process=bytes_per_process,
             max_jobs=10)

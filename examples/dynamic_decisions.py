@@ -33,15 +33,14 @@ def main() -> None:
 
     rows = []
     for result in results:
-        pair = result.as_pair()
         decision = next(d for d in result.decisions if d.app == "B")
         rows.append([
             result.dt,
             f"{decision.costs.get('fcfs', float('nan')) / nprocs:.2f}",
             f"{decision.costs.get('interrupt', float('nan')) / nprocs:.2f}",
             decision.action.value,
-            f"{pair.a.write_time:.2f}",
-            f"{pair.b.write_time:.2f}",
+            f"{result.record('A').write_time:.2f}",
+            f"{result.record('B').write_time:.2f}",
         ])
     print(format_table(
         ["dt", "predicted f(fcfs)/N", "predicted f(intr)/N",

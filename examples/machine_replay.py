@@ -22,7 +22,7 @@ Run:  python examples/machine_replay.py
 """
 
 from repro.core import DynamicStrategy
-from repro.experiments import format_table, plan_replay, replay_trace
+from repro.experiments import format_table, plan_replay, replay_result
 from repro.platforms import grid5000_rennes
 from repro.traces import IntrepidModel, generate_intrepid_like
 
@@ -38,9 +38,9 @@ def compare(trace, core_scale, bytes_per_process):
         ("dynamic", "dynamic"),
         ("dynamic+share", DynamicStrategy(consider_interference=True)),
     ]:
-        res = replay_trace(grid5000_rennes(), trace, WINDOW,
-                           strategy=strategy, core_scale=core_scale,
-                           bytes_per_process=bytes_per_process, max_jobs=10)
+        res = replay_result(grid5000_rennes(), trace, WINDOW,
+                            strategy=strategy, core_scale=core_scale,
+                            bytes_per_process=bytes_per_process, max_jobs=10)
         factors = res.interference_factors()
         rows.append([
             label,

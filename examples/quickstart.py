@@ -36,13 +36,13 @@ def main() -> None:
 
     rows = []
     for (label, _), result in zip(setups, results):
-        pair = result.as_pair()
+        big, small = result.record("big-sim"), result.record("small-analysis")
         rows.append([
             label,
-            f"{pair.a.write_time:.2f}s",
-            f"{pair.b.write_time:.2f}s",
-            f"{pair.a.interference_factor:.2f}",
-            f"{pair.b.interference_factor:.2f}",
+            f"{big.write_time:.2f}s",
+            f"{small.write_time:.2f}s",
+            f"{big.interference_factor:.2f}",
+            f"{small.interference_factor:.2f}",
         ])
     print(format_table(
         ["setup", "T big", "T small", "I big", "I small"], rows))

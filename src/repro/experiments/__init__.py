@@ -1,8 +1,12 @@
 """Experiment harness: declarative specs, pluggable engines, Δ-graphs.
 
-The declarative API (:class:`ExperimentSpec` + :class:`ExperimentEngine`)
-is the only path: describe a campaign as data, run it through a serial
-or process-parallel executor, and get a uniform :class:`ResultSet`.
+The declarative API is the only path.  Describe each application as an
+:class:`~repro.apps.IORConfig` and each run as an
+:class:`ExperimentSpec` (a platform, the workloads, a strategy); run a
+campaign of specs through an :class:`ExperimentEngine` with a serial or
+process-parallel executor.  Every run yields one
+:class:`ExperimentResult`, and a campaign one :class:`ResultSet`, whether
+it holds a single application, a Δ-graph pair or a whole trace window.
 """
 
 from .deltagraph import DeltaGraph
@@ -11,35 +15,31 @@ from .engine import (
     ParallelExecutor, ResultSet, SerialExecutor, default_engine,
 )
 from .expected import TwoFlowModel, expected_delta_curve, expected_pair_times
-from .export import (
-    delta_graph_csv, multi_result_csv, result_set_csv, result_set_json,
-)
+from .export import delta_graph_csv, result_set_csv, result_set_json
 from .interference import (
     cpu_seconds_wasted, efficiency_summary, interference_factor,
     sum_interference_factors,
 )
-from .multi import MultiResult
-from .replay import (
-    ReplayPlan, plan_replay, replay_result, replay_spec, replay_trace,
-)
+from .replay import ReplayPlan, plan_replay, replay_result, replay_spec
 from .reporting import banner, format_series, format_table, sparkline
-from .runner import AppRecord, PairResult, run_single
+from .runner import AppRecord
 from .scenarios import (
     Scenario, build_scenario, get_scenario, list_scenarios,
     register_scenario,
 )
 from .spec import (
-    ExperimentSpec, WorkloadSpec, pattern_from_dict, pattern_to_dict,
-    platform_from_dict, platform_to_dict,
+    ExperimentSpec, pattern_from_dict, pattern_to_dict, platform_from_dict,
+    platform_to_dict, workload_from_dict, workload_to_dict,
 )
 from .sweeps import split_pairs
 
 __all__ = [
     # declarative API
-    "ExperimentSpec", "WorkloadSpec",
+    "ExperimentSpec",
     "pattern_to_dict", "pattern_from_dict",
     "platform_to_dict", "platform_from_dict",
-    "ExperimentEngine", "ExperimentResult", "ResultSet",
+    "workload_to_dict", "workload_from_dict",
+    "ExperimentEngine", "ExperimentResult", "ResultSet", "AppRecord",
     "Executor", "SerialExecutor", "ParallelExecutor",
     "BaselineCache", "default_engine",
     # scenarios
@@ -50,13 +50,10 @@ __all__ = [
     "TwoFlowModel", "expected_pair_times", "expected_delta_curve",
     "interference_factor", "sum_interference_factors", "cpu_seconds_wasted",
     "efficiency_summary",
-    # result shapes, single runs and trace replay
-    "AppRecord", "PairResult", "run_single",
-    "MultiResult", "ReplayPlan", "plan_replay", "replay_spec",
-    "replay_result", "replay_trace",
+    # trace replay
+    "ReplayPlan", "plan_replay", "replay_spec", "replay_result",
     # export and reporting
-    "delta_graph_csv", "multi_result_csv", "result_set_csv",
-    "result_set_json",
+    "delta_graph_csv", "result_set_csv", "result_set_json",
     "split_pairs",
     "format_table", "format_series", "sparkline", "banner",
 ]

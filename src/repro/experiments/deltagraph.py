@@ -13,11 +13,12 @@ interference factors, and (optionally) the analytic expected curve;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from .runner import PairResult
+if TYPE_CHECKING:  # engine imports this module
+    from .engine import ExperimentResult
 
 __all__ = ["DeltaGraph"]
 
@@ -34,7 +35,8 @@ class DeltaGraph:
     strategy: Optional[str]
     expected_a: Optional[np.ndarray] = None
     expected_b: Optional[np.ndarray] = None
-    pairs: List[PairResult] = field(default_factory=list)
+    #: The sweep's runs, one per dt, in ``dts`` order.
+    results: List["ExperimentResult"] = field(default_factory=list)
 
     @property
     def interference_a(self) -> np.ndarray:

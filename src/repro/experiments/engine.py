@@ -11,11 +11,14 @@ the engine fans them out through a pluggable executor:
   saturates all cores.  Simulations are deterministic, so the parallel
   result set is *identical* to the serial one.
 
+Every run yields one :class:`ExperimentResult` — per-application
+:class:`~repro.experiments.runner.AppRecord`\\ s keyed by workload name,
+the decision log and the machine-wide metrics — whether it holds one
+application, a Δ-graph pair or a whole trace window.
+
 Standalone baselines are owned by an explicit, injectable
-:class:`BaselineCache` (replacing the old module-global in ``runner.py``,
-which was unclearable and invisible to worker processes).  The engine
-computes every missing baseline *before* fanning out, so workers never
-race on shared state.
+:class:`BaselineCache`.  The engine computes every missing baseline
+*before* fanning out, so workers never race on shared state.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
-    Tuple, Union,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -39,17 +41,13 @@ from ..perf import WallTimer, merge_counts
 from ..platforms import Platform, PlatformConfig
 from .deltagraph import DeltaGraph
 from .expected import expected_delta_curve
-from .runner import AppRecord, PairResult
-from .spec import (
-    BASELINE_NAME, ExperimentSpec, WorkloadSpec, as_workload, baseline_spec,
-)
+from .runner import AppRecord
+from .spec import BASELINE_NAME, ExperimentSpec, baseline_spec
 
 __all__ = [
     "BaselineCache", "Executor", "SerialExecutor", "ParallelExecutor",
     "ExperimentResult", "ResultSet", "ExperimentEngine", "default_engine",
 ]
-
-Workload = Union[WorkloadSpec, IORConfig]
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +69,11 @@ class BaselineCache:
         self.misses = 0
 
     @staticmethod
-    def key(platform: PlatformConfig, workload: Workload) -> tuple:
-        cfg = as_workload(workload).to_ior()
-        return (platform, replace(cfg, start_time=0.0, name=BASELINE_NAME))
+    def key(platform: PlatformConfig, workload: IORConfig) -> tuple:
+        return (platform, workload.with_(start_time=0.0, name=BASELINE_NAME))
 
     def get(self, platform: PlatformConfig,
-            workload: Workload) -> Optional[float]:
+            workload: IORConfig) -> Optional[float]:
         value = self._values.get(self.key(platform, workload))
         if value is None:
             self.misses += 1
@@ -84,7 +81,7 @@ class BaselineCache:
             self.hits += 1
         return value
 
-    def put(self, platform: PlatformConfig, workload: Workload,
+    def put(self, platform: PlatformConfig, workload: IORConfig,
             value: float) -> None:
         self._values[self.key(platform, workload)] = value
 
@@ -135,8 +132,7 @@ def execute_spec(spec: ExperimentSpec,
                     runtime.coordinator = coordinator_wrap(
                         runtime.coordinator)
             apps: List[IORApp] = []
-            for workload in spec.workloads:
-                cfg = workload.to_ior()
+            for cfg in spec.workloads:
                 app = IORApp(platform, cfg)
                 if runtime is not None:
                     session = runtime.session(cfg.name, app.client,
@@ -268,40 +264,13 @@ class ExperimentResult:
     def sum_interference_factors(self) -> float:
         return sum(self.interference_factors().values())
 
-    # -- legacy views ------------------------------------------------------
-    def as_pair(self) -> PairResult:
-        """This result as the legacy two-application shape."""
-        if len(self.spec.workloads) != 2:
-            raise ValueError(
-                f"as_pair() needs exactly 2 workloads, got {self.spec.names}")
-        name_a, name_b = self.spec.names
-        dt = self.spec.meta.get("dt")
-        if dt is None:
-            dt = (self.spec.workload(name_b).start_time
-                  - self.spec.workload(name_a).start_time)
-        return PairResult(
-            a=self.records[name_a], b=self.records[name_b],
-            strategy=self.spec.strategy, dt=float(dt),
-            decisions=list(self.decisions),
-        )
-
-    def as_multi(self):
-        """This result as the legacy N-application shape."""
-        from .multi import MultiResult
-        return MultiResult(records=dict(self.records),
-                           strategy=self.spec.strategy,
-                           decisions=list(self.decisions),
-                           makespan=self.makespan)
-
 
 @dataclass
 class ResultSet:
     """Ordered collection of experiment results — one campaign's output.
 
-    Subsumes the legacy ``PairResult``/``MultiResult``/``DeltaGraph``
-    shapes: convert with :meth:`ExperimentResult.as_pair` /
-    :meth:`~ExperimentResult.as_multi` / :meth:`delta_graph`, regroup a
-    fan-out with :meth:`group_by_meta`, and export through
+    Assemble a Δ-graph with :meth:`delta_graph`, regroup a fan-out with
+    :meth:`group_by_meta`, and export through
     :func:`repro.experiments.export.result_set_csv` / ``result_set_json``.
     """
 
@@ -346,8 +315,10 @@ class ResultSet:
         """
         if not self.results:
             raise ValueError("empty result set")
-        pairs = [r.as_pair() for r in self.results]
         first = self.results[0].spec
+        if len(first.workloads) != 2:
+            raise ValueError(
+                f"delta_graph() needs exactly 2 workloads, got {first.names}")
 
         def shape(spec: ExperimentSpec) -> tuple:
             # The same (A, B) pair modulo the dt-induced start offsets.
@@ -363,22 +334,28 @@ class ResultSet:
                              "per dt under one platform and strategy; "
                              "regroup heterogeneous campaigns with "
                              "group_by_meta() or filter() first")
-        t_alone_a = pairs[0].a.t_alone
-        t_alone_b = pairs[0].b.t_alone
+        name_a, name_b = first.names
+        recs_a = [r.records[name_a] for r in self.results]
+        recs_b = [r.records[name_b] for r in self.results]
+        t_alone_a, t_alone_b = recs_a[0].t_alone, recs_b[0].t_alone
         if t_alone_a is None or t_alone_b is None:
             raise ValueError("delta_graph() needs standalone baselines; "
                              "run the specs with measure_alone=True")
-        dts = np.array([p.dt for p in pairs], dtype=float)
+        # meta["dt"] when the spec came from a dt sweep, else B's offset.
+        dts = np.array([
+            r.spec.dt if r.spec.dt is not None
+            else (r.spec.workloads[1].start_time
+                  - r.spec.workloads[0].start_time)
+            for r in self.results], dtype=float)
         graph = DeltaGraph(
             dts=dts,
-            t_a=np.array([p.a.write_time for p in pairs]),
-            t_b=np.array([p.b.write_time for p in pairs]),
+            t_a=np.array([rec.write_time for rec in recs_a]),
+            t_b=np.array([rec.write_time for rec in recs_b]),
             t_alone_a=t_alone_a, t_alone_b=t_alone_b,
-            strategy=first.strategy, pairs=pairs,
+            strategy=first.strategy, results=list(self.results),
         )
         if with_expected:
-            cfg_a = first.workloads[0].to_ior()
-            cfg_b = first.workloads[1].to_ior()
+            cfg_a, cfg_b = first.workloads
             graph.expected_a, graph.expected_b = expected_delta_curve(
                 first.platform,
                 cfg_a.nprocs, cfg_a.bytes_per_phase,
@@ -414,7 +391,7 @@ class ExperimentEngine:
         self.cache = cache if cache is not None else BaselineCache()
 
     # -- baselines ---------------------------------------------------------
-    def baseline(self, platform: PlatformConfig, workload: Workload,
+    def baseline(self, platform: PlatformConfig, workload: IORConfig,
                  use_cache: bool = True) -> float:
         """Standalone single-phase duration of ``workload`` on ``platform``."""
         if use_cache:
@@ -429,7 +406,7 @@ class ExperimentEngine:
 
     def _prime_baselines(self, specs: Sequence[ExperimentSpec]) -> None:
         """Compute every missing baseline, fanned out via the executor."""
-        needed: List[Tuple[PlatformConfig, WorkloadSpec]] = []
+        needed: List[Tuple[PlatformConfig, IORConfig]] = []
         seen = set()
         for spec in specs:
             if not spec.measure_alone:
@@ -478,8 +455,9 @@ class ExperimentEngine:
         return ResultSet(list(results))
 
     # -- campaign helpers --------------------------------------------------
-    def delta_graph(self, platform: PlatformConfig, a: Workload, b: Workload,
-                    dts: Sequence[float], strategy: Optional[Any] = None,
+    def delta_graph(self, platform: PlatformConfig, a: IORConfig,
+                    b: IORConfig, dts: Sequence[float],
+                    strategy: Optional[Any] = None,
                     with_expected: bool = False) -> DeltaGraph:
         """Sweep ``dts`` for (A, B) under ``strategy`` (None = uncoordinated)."""
         specs = [ExperimentSpec.pair(platform, a, b, dt=float(dt),
@@ -487,8 +465,8 @@ class ExperimentEngine:
                  for dt in dts]
         return self.run_all(specs).delta_graph(with_expected=with_expected)
 
-    def size_split_sweep(self, platform: PlatformConfig, base_a: Workload,
-                         base_b: Workload, total_cores: int,
+    def size_split_sweep(self, platform: PlatformConfig, base_a: IORConfig,
+                         base_b: IORConfig, total_cores: int,
                          sizes_b: Sequence[int], dts: Sequence[float],
                          strategy: Optional[Any] = None
                          ) -> Dict[int, DeltaGraph]:
@@ -498,7 +476,6 @@ class ExperimentEngine:
         executor sees the whole campaign at once.
         """
         from .sweeps import split_pairs
-        base_a, base_b = as_workload(base_a), as_workload(base_b)
         specs = []
         for na, nb in split_pairs(total_cores, sizes_b):
             for dt in dts:
@@ -509,16 +486,16 @@ class ExperimentEngine:
         grouped = self.run_all(specs).group_by_meta("split")
         return {nb: rs.delta_graph() for nb, rs in grouped.items()}
 
-    def strategy_comparison(self, platform: PlatformConfig, a: Workload,
-                            b: Workload, dt: float,
+    def strategy_comparison(self, platform: PlatformConfig, a: IORConfig,
+                            b: IORConfig, dt: float,
                             strategies: Sequence[Optional[Any]] = (
                                 None, "fcfs", "interrupt", "dynamic",
-                            )) -> Dict[Optional[Any], PairResult]:
+                            )) -> Dict[Optional[Any], ExperimentResult]:
         """The same pair under each coordination strategy (Fig 9/11 columns)."""
         specs = [ExperimentSpec.pair(platform, a, b, dt=dt, strategy=s)
                  for s in strategies]
         results = self.run_all(specs)
-        return {s: r.as_pair() for s, r in zip(strategies, results)}
+        return dict(zip(strategies, results))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +506,7 @@ _default_engine: Optional[ExperimentEngine] = None
 
 
 def default_engine() -> ExperimentEngine:
-    """The process-wide engine behind ``replay_result``/``replay_trace``."""
+    """The process-wide engine behind ``replay_result``."""
     global _default_engine
     if _default_engine is None:
         _default_engine = ExperimentEngine()

@@ -1,12 +1,14 @@
 """Result export: turn experiment objects into CSV/JSON for external tooling.
 
 The benchmarks print ASCII series; downstream users plotting against the
-paper want machine-readable output.  Everything funnels through one
-row-building path: a :class:`~repro.experiments.engine.ResultSet` exports
-per-(experiment, application) rows, and the legacy ``DeltaGraph`` /
-``MultiResult`` helpers remain for their specific shapes.  These helpers
-are intentionally dependency-free (plain ``csv``-style strings) so results
-can be shipped anywhere.
+paper want machine-readable output.  A
+:class:`~repro.experiments.engine.ResultSet` exports one row per
+(experiment, application) through :func:`result_set_csv`, or in full
+through :func:`result_set_json`; :func:`delta_graph_csv` writes one row
+per dt of a :class:`~repro.experiments.deltagraph.DeltaGraph`.  These
+helpers are intentionally dependency-free (plain strings that
+:mod:`csv` and :mod:`json` read back) so results can be shipped
+anywhere.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ from typing import Optional
 
 from .deltagraph import DeltaGraph
 from .engine import ExperimentResult, ResultSet
-from .multi import MultiResult
 from .runner import AppRecord
 
-__all__ = ["delta_graph_csv", "multi_result_csv", "result_set_csv",
-           "result_set_json"]
+__all__ = ["delta_graph_csv", "result_set_csv", "result_set_json"]
 
 #: Marker for cells whose value cannot be computed (e.g. no baseline).
 MISSING = "n/a"
@@ -39,7 +39,7 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.9g}"
     text = str(value)
-    if "," in text or '"' in text:
+    if any(c in text for c in ',"\n\r'):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
@@ -75,17 +75,6 @@ def delta_graph_csv(graph: DeltaGraph) -> str:
         if has_expected:
             row += [float(graph.expected_a[i]), float(graph.expected_b[i])]
         rows.append(row)
-    return _write_rows(header, rows)
-
-
-def multi_result_csv(result: MultiResult) -> str:
-    """One row per application: first-phase time, baseline, factor."""
-    header = ["app", "nprocs", "write_time", "t_alone",
-              "interference_factor", "wait_time"]
-    rows = []
-    for name in sorted(result.records):
-        rec = result.records[name]
-        rows.append([name, rec.nprocs] + _record_cells(rec))
     return _write_rows(header, rows)
 
 

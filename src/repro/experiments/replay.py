@@ -18,7 +18,8 @@ single declarative :class:`~repro.experiments.spec.ExperimentSpec`, so
 replays compose with :class:`~repro.experiments.engine.ExperimentEngine`
 campaigns, executors and perf counters like any other experiment — the
 ``swf-replay`` scenario in :mod:`repro.experiments.scenarios` is exactly
-that.
+that.  :func:`replay_result` plans and runs a window in one call and
+returns the uniform :class:`~repro.experiments.engine.ExperimentResult`.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ from ..mpisim import Contiguous
 from ..platforms import PlatformConfig
 from ..traces import JobIOModel, SWFTrace
 from .engine import ExperimentResult, default_engine
-from .multi import MultiResult
-from .spec import ExperimentSpec, WorkloadSpec
+from .spec import ExperimentSpec
 
-__all__ = ["ReplayPlan", "plan_replay", "replay_spec", "replay_trace",
-           "replay_result"]
+__all__ = ["ReplayPlan", "plan_replay", "replay_spec", "replay_result"]
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,6 @@ class ReplayPlan:
     configs: Tuple[IORConfig, ...]
     window: Tuple[float, float]
     core_scale: int
-
-    @property
-    def total_procs(self) -> int:
-        return sum(c.nprocs for c in self.configs)
 
 
 def plan_replay(trace: SWFTrace, window: Tuple[float, float],
@@ -138,37 +133,22 @@ def replay_spec(platform_cfg: PlatformConfig, trace: SWFTrace,
                        io_model=io_model, io_seed=io_seed)
     if not plan.configs:
         raise ValueError("no jobs active in the requested window")
-    workloads = tuple(WorkloadSpec.from_ior(cfg) for cfg in plan.configs)
     return ExperimentSpec(
-        platform=platform_cfg, workloads=workloads, strategy=strategy,
+        platform=platform_cfg, workloads=plan.configs, strategy=strategy,
         name=name, measure_alone=measure_alone,
-        meta={"napps": len(workloads),
+        meta={"napps": len(plan.configs),
               "window": [float(window[0]), float(window[1])],
               "core_scale": core_scale},
     )
 
 
-def replay_trace(platform_cfg: PlatformConfig, trace: SWFTrace,
-                 window: Tuple[float, float],
-                 strategy: Optional[str] = None,
-                 core_scale: int = 256,
-                 bytes_per_process: int = 16_000_000,
-                 phases_per_job: int = 4,
-                 max_jobs: Optional[int] = None,
-                 measure_alone: bool = True) -> MultiResult:
-    """Plan and run a trace window under one coordination strategy."""
-    spec = replay_spec(platform_cfg, trace, window, strategy=strategy,
-                       core_scale=core_scale,
-                       bytes_per_process=bytes_per_process,
-                       phases_per_job=phases_per_job, max_jobs=max_jobs,
-                       measure_alone=measure_alone)
-    return default_engine().run(spec).as_multi()
-
-
 def replay_result(platform_cfg: PlatformConfig, trace: SWFTrace,
                   window: Tuple[float, float],
                   **kwargs) -> ExperimentResult:
-    """Like :func:`replay_trace` but returning the uniform engine result
-    (with perf counters attached)."""
+    """Plan and run a trace window; ``kwargs`` go to :func:`replay_spec`.
+
+    Runs on :func:`~repro.experiments.engine.default_engine`, whose
+    baseline memo spans calls.
+    """
     spec = replay_spec(platform_cfg, trace, window, **kwargs)
     return default_engine().run(spec)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..apps import IORConfig
 from ..mpisim import Contiguous, Strided
 from ..platforms import (
     PlatformConfig, grid5000_nancy, grid5000_rennes, surveyor,
@@ -29,7 +30,7 @@ from ..platforms import (
 from ..simcore import ensure_rng
 from ..traces import IntrepidModel, JobIOModel, generate_intrepid_like
 from .replay import replay_spec
-from .spec import ExperimentSpec, WorkloadSpec
+from .spec import ExperimentSpec
 from .sweeps import split_pairs
 
 __all__ = [
@@ -93,10 +94,10 @@ def rennes_big_small(dt: float = 2.0, strategy: Optional[Any] = None,
                      big_procs: int = 600, small_procs: int = 24
                      ) -> List[ExperimentSpec]:
     pattern = Strided(block_size=2_000_000, nblocks=8)
-    big = WorkloadSpec(name="big-sim", nprocs=big_procs, pattern=pattern,
-                       procs_per_node=24)
-    small = WorkloadSpec(name="small-analysis", nprocs=small_procs,
-                         pattern=pattern, procs_per_node=24)
+    big = IORConfig(name="big-sim", nprocs=big_procs, pattern=pattern,
+                    procs_per_node=24)
+    small = IORConfig(name="small-analysis", nprocs=small_procs,
+                      pattern=pattern, procs_per_node=24)
     return [ExperimentSpec.pair(grid5000_rennes(), big, small, dt=dt,
                                 strategy=strategy, name="rennes-big-small")]
 
@@ -110,8 +111,8 @@ def fig02_contiguous_pair(dts: Sequence[float] = (-14.0, -10.0, -6.0, -2.0,
                           strategy: Optional[Any] = None,
                           ) -> List[ExperimentSpec]:
     pattern = Contiguous(block_size=16_000_000)
-    a = WorkloadSpec(name="A", nprocs=336, pattern=pattern,
-                     procs_per_node=24, grain=None)
+    a = IORConfig(name="A", nprocs=336, pattern=pattern,
+                  procs_per_node=24, grain=None)
     b = a.with_(name="B")
     return [ExperimentSpec.pair(grid5000_nancy(), a, b, dt=float(dt),
                                 strategy=strategy, name="fig02")
@@ -128,8 +129,8 @@ def fig06_size_split(total_cores: int = 768,
                                              5.0, 10.0, 15.0),
                      strategy: Optional[Any] = None) -> List[ExperimentSpec]:
     pattern = Strided(block_size=2_000_000, nblocks=8)
-    base_a = WorkloadSpec(name="A", nprocs=1, pattern=pattern,
-                          procs_per_node=24, grain=None)
+    base_a = IORConfig(name="A", nprocs=1, pattern=pattern,
+                       procs_per_node=24, grain=None)
     base_b = base_a.with_(name="B")
     specs = []
     for na, nb in split_pairs(total_cores, sizes_b):
@@ -155,10 +156,10 @@ def fig09_policies(splits: Sequence[Tuple[int, int]] = ((744, 24),
     pattern = Strided(block_size=1_000_000, nblocks=8)
     specs = []
     for na, nb in splits:
-        a = WorkloadSpec(name="A", nprocs=na, pattern=pattern,
-                         procs_per_node=24, grain="round")
-        b = WorkloadSpec(name="B", nprocs=nb, pattern=pattern,
-                         procs_per_node=24, grain="round")
+        a = IORConfig(name="A", nprocs=na, pattern=pattern,
+                      procs_per_node=24, grain="round")
+        b = IORConfig(name="B", nprocs=nb, pattern=pattern,
+                      procs_per_node=24, grain="round")
         for strategy in strategies:
             policy = strategy if strategy is not None else "interfere"
             for dt in dts:
@@ -178,8 +179,8 @@ def surveyor_four_files(dts: Sequence[float] = (0.0,),
                         grain: Optional[str] = "round",
                         ) -> List[ExperimentSpec]:
     pattern = Contiguous(block_size=4_000_000)
-    a = WorkloadSpec(name="A", nprocs=2048, pattern=pattern, nfiles=4,
-                     procs_per_node=4, scope="phase", grain=grain)
+    a = IORConfig(name="A", nprocs=2048, pattern=pattern, nfiles=4,
+                  procs_per_node=4, scope="phase", grain=grain)
     b = a.with_(name="B", nfiles=1)
     return [ExperimentSpec.pair(surveyor(), a, b, dt=float(dt),
                                 strategy=strategy, name="surveyor-4files")
@@ -199,10 +200,10 @@ def three_way_contention(nprocs: int = 100,
                               disk_bandwidth=500.0, per_core_bandwidth=10.0,
                               stripe_size=1000, latency=1e-6)
     workloads = tuple(
-        WorkloadSpec(name=name, nprocs=nprocs,
-                     pattern=Contiguous(block_size=1000),
-                     start_time=float(offset), grain="round",
-                     cb_buffer_size=2000)
+        IORConfig(name=name, nprocs=nprocs,
+                  pattern=Contiguous(block_size=1000),
+                  start_time=float(offset), grain="round",
+                  cb_buffer_size=2000)
         for name, offset in zip("abc", offsets))
     return [ExperimentSpec(platform=platform, workloads=workloads,
                            strategy=strategy, name="three-way-contention")]
@@ -268,7 +269,7 @@ def many_writers(napps: int = 200, nservers: int = 32,
     workloads = []
     for i in range(napps):
         nprocs = int(rng.choice([4, 8, 16, 32]))
-        workloads.append(WorkloadSpec(
+        workloads.append(IORConfig(
             name=f"app{i:03d}",
             nprocs=nprocs,
             pattern=Contiguous(block_size=bytes_per_process),
@@ -406,7 +407,7 @@ def checkpoint_waves(napps: int = 120, nservers: int = 16,
         if bridge_every > 0 and i % bridge_every == 0:
             nfiles = 2
             nbridges += 1
-        workloads.append(WorkloadSpec(
+        workloads.append(IORConfig(
             name=f"app{i:03d}",
             nprocs=nprocs,
             pattern=Contiguous(block_size=bytes_per_process),
@@ -456,7 +457,7 @@ def read_write_mix(napps: int = 80, nservers: int = 16,
         if read_every > 0 and i % read_every == 0:
             operation = "readwrite"
             nreaders += 1
-        workloads.append(WorkloadSpec(
+        workloads.append(IORConfig(
             name=f"app{i:03d}",
             nprocs=nprocs,
             pattern=Contiguous(block_size=bytes_per_process),
@@ -511,7 +512,7 @@ def sharded_writers(napps: int = 200, npartitions: int = 8,
     workloads = []
     for i in range(napps):
         nprocs = int(rng.choice([4, 8, 16, 32]))
-        workloads.append(WorkloadSpec(
+        workloads.append(IORConfig(
             name=f"app{i:03d}",
             nprocs=nprocs,
             pattern=Contiguous(block_size=bytes_per_process),
@@ -572,7 +573,7 @@ def cross_partition(napps: int = 24, npartitions: int = 4,
         else:
             partitions = (p,)
             nfiles = 1
-        workloads.append(WorkloadSpec(
+        workloads.append(IORConfig(
             name=f"app{i:03d}",
             nprocs=nprocs,
             pattern=Contiguous(block_size=bytes_per_process),

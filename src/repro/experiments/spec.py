@@ -2,19 +2,21 @@
 
 Every figure in the paper is "run a set of applications under a
 coordination setup and compare against standalone baselines".  This module
-captures that as data: a :class:`WorkloadSpec` describes one application
-(mirroring :class:`~repro.apps.IORConfig` field for field), and an
-:class:`ExperimentSpec` bundles a platform, a workload list, and a
-strategy into one runnable, JSON-round-trippable unit.  Campaigns
-(Δ-graphs, size-split sweeps, policy comparisons) are plain lists of
-specs, which is what lets the engine fan them out across processes.
+captures that as data: an :class:`~repro.apps.IORConfig` describes one
+application, and an :class:`ExperimentSpec` bundles a platform, a
+workload list, and a strategy into one runnable, JSON-round-trippable
+unit.  Campaigns (Δ-graphs, size-split sweeps, policy comparisons) are
+plain lists of specs, which is what lets the engine fan them out across
+processes.
 
 Serialization rules
 -------------------
 ``to_dict``/``from_dict`` round-trip through plain dicts of JSON types
-(``to_json``/``from_json`` wrap :mod:`json`).  Access patterns serialize
-as ``{"kind": "contiguous"|"strided", ...}``; infinite bandwidths encode
-as the string ``"inf"``.  Strategies must be *named* (``"fcfs"``,
+(``to_json``/``from_json`` wrap :mod:`json`); workloads and platforms go
+through :func:`workload_to_dict`/:func:`platform_to_dict` and their
+inverses, and every decoder rejects unknown keys.  Access patterns
+serialize as ``{"kind": "contiguous"|"strided", ...}``; infinite
+bandwidths encode as the string ``"inf"``.  Strategies must be *named* (``"fcfs"``,
 ``"dynamic"``, ...) to serialize — :class:`~repro.core.Strategy`
 instances are accepted at runtime but rejected by ``to_dict``.
 """
@@ -25,7 +27,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..apps import IORConfig
 from ..core import CalciomRuntime
@@ -33,9 +35,10 @@ from ..mpisim import AccessPattern, Contiguous, Strided
 from ..platforms import PlatformConfig
 
 __all__ = [
-    "WorkloadSpec", "ExperimentSpec",
+    "ExperimentSpec",
     "pattern_to_dict", "pattern_from_dict",
     "platform_to_dict", "platform_from_dict",
+    "workload_to_dict", "workload_from_dict",
 ]
 
 BASELINE_NAME = "_alone"  #: canonical workload name for standalone runs
@@ -110,90 +113,25 @@ def platform_from_dict(data: Dict[str, Any]) -> PlatformConfig:
 
 
 # ---------------------------------------------------------------------------
-# WorkloadSpec
+# Workload (de)serialization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Declarative description of one application in an experiment.
-
-    Mirrors :class:`~repro.apps.IORConfig` field for field (a module-level
-    assertion keeps them in sync) but adds serialization, so experiment
-    descriptions can live in JSON files and cross process boundaries.
-    """
-
-    name: str
-    nprocs: int
-    pattern: AccessPattern
-    nfiles: int = 1
-    iterations: int = 1
-    start_time: float = 0.0
-    period: Optional[float] = None
-    think_time: float = 0.0
-    scope: str = "phase"
-    grain: Optional[str] = "round"
-    overlap_compute: bool = False
-    procs_per_node: int = 1
-    cb_buffer_size: int = 4 * 1024 * 1024
-    naggregators: Optional[int] = None
-    partitions: Optional[Tuple[int, ...]] = None
-    operation: str = "write"
-
-    def __post_init__(self) -> None:
-        # Normalize so JSON round-trips (lists) compare equal to literals.
-        if self.partitions is not None:
-            object.__setattr__(self, "partitions",
-                               tuple(int(p) for p in self.partitions))
-        # Eager validation: constructing the IORConfig runs its checks.
-        self.to_ior()
-
-    # -- conversion --------------------------------------------------------
-    def to_ior(self) -> IORConfig:
-        """The runnable :class:`~repro.apps.IORConfig` this spec describes."""
-        return IORConfig(**{f.name: getattr(self, f.name)
-                            for f in fields(IORConfig)})
-
-    @classmethod
-    def from_ior(cls, cfg: IORConfig) -> "WorkloadSpec":
-        return cls(**{f.name: getattr(cfg, f.name)
-                      for f in fields(IORConfig)})
-
-    def with_(self, **changes) -> "WorkloadSpec":
-        """A modified copy (e.g. ``w.with_(nprocs=384)``)."""
-        return replace(self, **changes)
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["pattern"] = pattern_to_dict(self.pattern)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "WorkloadSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown workload fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        kwargs["pattern"] = pattern_from_dict(kwargs["pattern"])
-        return cls(**kwargs)
+def workload_to_dict(cfg: IORConfig) -> Dict[str, Any]:
+    """Serialize an :class:`~repro.apps.IORConfig` to a plain dict."""
+    data = {f.name: getattr(cfg, f.name) for f in fields(IORConfig)}
+    data["pattern"] = pattern_to_dict(cfg.pattern)
+    return data
 
 
-_SPEC_FIELDS = tuple(f.name for f in fields(WorkloadSpec))
-_IOR_FIELDS = tuple(f.name for f in fields(IORConfig))
-assert set(_SPEC_FIELDS) == set(_IOR_FIELDS), (
-    "WorkloadSpec must mirror IORConfig: "
-    f"{set(_SPEC_FIELDS) ^ set(_IOR_FIELDS)}"
-)
-
-
-def as_workload(obj: Union[WorkloadSpec, IORConfig]) -> WorkloadSpec:
-    """Coerce an IORConfig (or pass through a WorkloadSpec)."""
-    if isinstance(obj, WorkloadSpec):
-        return obj
-    if isinstance(obj, IORConfig):
-        return WorkloadSpec.from_ior(obj)
-    raise TypeError(f"expected WorkloadSpec or IORConfig, got {type(obj)!r}")
+def workload_from_dict(data: Dict[str, Any]) -> IORConfig:
+    """Inverse of :func:`workload_to_dict`."""
+    known = {f.name for f in fields(IORConfig)}
+    unknown = set(data) - known
+    if unknown:
+        raise ValueError(f"unknown workload fields: {sorted(unknown)}")
+    kwargs = dict(data)
+    kwargs["pattern"] = pattern_from_dict(kwargs["pattern"])
+    return IORConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +157,7 @@ class ExperimentSpec:
     """
 
     platform: PlatformConfig
-    workloads: Tuple[WorkloadSpec, ...]
+    workloads: Tuple[IORConfig, ...]
     strategy: Optional[Any] = None     #: strategy name, Strategy, or None
     name: str = ""
     measure_alone: bool = True
@@ -227,8 +165,11 @@ class ExperimentSpec:
     arbiter: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        workloads = tuple(as_workload(w) for w in self.workloads)
+        workloads = tuple(self.workloads)
         object.__setattr__(self, "workloads", workloads)
+        for w in workloads:
+            if not isinstance(w, IORConfig):
+                raise TypeError(f"expected IORConfig, got {type(w)!r}")
         if not workloads:
             raise ValueError("an experiment needs at least one workload")
         names = [w.name for w in workloads]
@@ -242,16 +183,13 @@ class ExperimentSpec:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def single(cls, platform: PlatformConfig,
-               workload: Union[WorkloadSpec, IORConfig],
+    def single(cls, platform: PlatformConfig, workload: IORConfig,
                strategy: Optional[Any] = None, **kw) -> "ExperimentSpec":
-        return cls(platform=platform, workloads=(as_workload(workload),),
+        return cls(platform=platform, workloads=(workload,),
                    strategy=strategy, **kw)
 
     @classmethod
-    def pair(cls, platform: PlatformConfig,
-             a: Union[WorkloadSpec, IORConfig],
-             b: Union[WorkloadSpec, IORConfig],
+    def pair(cls, platform: PlatformConfig, a: IORConfig, b: IORConfig,
              dt: float = 0.0, strategy: Optional[Any] = None,
              **kw) -> "ExperimentSpec":
         """A two-application experiment with B offset by ``dt``.
@@ -259,7 +197,6 @@ class ExperimentSpec:
         Negative ``dt`` shifts A instead (start times must be >= 0); the
         signed dt is kept in ``meta["dt"]`` — the Δ-graph x-coordinate.
         """
-        a, b = as_workload(a), as_workload(b)
         dt = float(dt)
         if dt >= 0:
             a, b = a.with_(start_time=0.0), b.with_(start_time=dt)
@@ -280,7 +217,7 @@ class ExperimentSpec:
         """The Δ-graph offset, when this spec belongs to a dt sweep."""
         return self.meta.get("dt")
 
-    def workload(self, name: str) -> WorkloadSpec:
+    def workload(self, name: str) -> IORConfig:
         for w in self.workloads:
             if w.name == name:
                 return w
@@ -299,7 +236,7 @@ class ExperimentSpec:
         return {
             "name": self.name,
             "platform": platform_to_dict(self.platform),
-            "workloads": [w.to_dict() for w in self.workloads],
+            "workloads": [workload_to_dict(w) for w in self.workloads],
             "strategy": self.strategy,
             "measure_alone": self.measure_alone,
             "meta": dict(self.meta),
@@ -308,10 +245,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
+        unknown = set(data) - _SPEC_KEYS
+        if unknown:
+            raise ValueError(f"unknown experiment spec keys: "
+                             f"{sorted(unknown)}; accepted: "
+                             f"{sorted(_SPEC_KEYS)}")
         return cls(
             name=data.get("name", ""),
             platform=platform_from_dict(data["platform"]),
-            workloads=tuple(WorkloadSpec.from_dict(w)
+            workloads=tuple(workload_from_dict(w)
                             for w in data["workloads"]),
             strategy=data.get("strategy"),
             measure_alone=data.get("measure_alone", True),
@@ -327,10 +269,14 @@ class ExperimentSpec:
         return cls.from_dict(json.loads(text))
 
 
+#: Top-level keys of ``ExperimentSpec.to_dict`` (the dataclass fields).
+_SPEC_KEYS = frozenset(f.name for f in fields(ExperimentSpec))
+
+
 def baseline_spec(platform: PlatformConfig,
-                  workload: Union[WorkloadSpec, IORConfig]) -> ExperimentSpec:
+                  workload: IORConfig) -> ExperimentSpec:
     """The normalized standalone run for one workload (cache key shape)."""
-    w = as_workload(workload).with_(start_time=0.0, name=BASELINE_NAME)
+    w = workload.with_(start_time=0.0, name=BASELINE_NAME)
     return ExperimentSpec(platform=platform, workloads=(w,), strategy=None,
                           name="baseline", measure_alone=False,
                           meta={"baseline": True})

@@ -73,15 +73,6 @@ class Communicator:
         steps = self._log2p()
         return steps * (self.alpha + nbytes / self.per_proc_bandwidth)
 
-    def reduce_time(self, nbytes: float) -> float:
-        """Binomial-tree reduction (same shape as bcast)."""
-        return self.bcast_time(nbytes)
-
-    def allreduce_time(self, nbytes: float) -> float:
-        """Recursive doubling: log2 P rounds of full-vector exchange."""
-        steps = self._log2p()
-        return steps * (self.alpha + nbytes / self.per_proc_bandwidth)
-
     def gather_time(self, nbytes_per_proc: float) -> float:
         """Binomial gather; bandwidth term dominated by the root's link."""
         total = nbytes_per_proc * max(0, self.nprocs - 1)

@@ -199,10 +199,6 @@ class Platform:
         self._clients[name] = nprocs
         return name
 
-    def client_bandwidth(self, name: str) -> float:
-        """Registered aggregate uplink bandwidth of a client, B/s."""
-        return self._clients[name] * self.config.per_core_bandwidth
-
     # -- partitions --------------------------------------------------------
     @property
     def npartitions(self) -> int:

@@ -1,8 +1,8 @@
 """Discrete-event simulation kernel.
 
 A from-scratch, SimPy-flavoured engine: generator processes, one-shot
-events, condition composition, interrupts, counting resources, stores, and —
-the piece everything else leans on — a fluid-flow weighted max-min bandwidth
+events, condition composition, interrupts, stores, and — the piece
+everything else leans on — a fluid-flow weighted max-min bandwidth
 allocator (:mod:`repro.simcore.fairshare`).
 """
 
@@ -12,14 +12,14 @@ from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .fairshare import FluidFlow, FluidLink, FlowNetwork
 from .monitor import TimeSeries
 from .process import Process
-from .resources import Request, Resource, Store
+from .resources import Store
 from .rng import ensure_rng, substream
 
 __all__ = [
     "Simulator", "Timer",
     "Event", "Timeout", "Condition", "AllOf", "AnyOf",
     "Process", "Interrupt", "SimulationError",
-    "Resource", "Request", "Store",
+    "Store",
     "FluidLink", "FluidFlow", "FlowNetwork",
     "TimeSeries", "substream", "ensure_rng",
 ]

@@ -40,7 +40,7 @@ from itertools import count
 from typing import Any, Callable, Generator, Optional
 
 from .errors import SimulationError, StopSimulation
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import Event, Timeout
 from .process import Process
 
 __all__ = ["Simulator", "Timer"]
@@ -263,14 +263,6 @@ class Simulator:
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from a generator."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events) -> AllOf:
-        """Event that triggers when every event in ``events`` has triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that triggers when any event in ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:

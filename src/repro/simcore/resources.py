@@ -1,101 +1,17 @@
-"""Countable resources and object stores for simulated processes.
+"""Object stores for simulated processes.
 
-These are the classic SimPy-style coordination primitives.  The CALCioM
-layer uses them for token passing (an application "holding the file system"
-under FCFS serialization is a :class:`Resource` holder), and the storage
-server schedulers use :class:`Store` as their request queues.
+:class:`Store` is the SimPy-style FIFO the storage server schedulers use
+as their request queues.
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
 from typing import Any, List
 
 from .engine import Simulator
-from .errors import SimulationError
 from .events import Event
 
-__all__ = ["Resource", "Request", "Store"]
-
-
-class Request(Event):
-    """Pending claim on a :class:`Resource`; triggers when granted."""
-
-    __slots__ = ("resource", "priority", "_key")
-
-    def __init__(self, resource: "Resource", priority: float):
-        super().__init__(resource.sim)
-        self.resource = resource
-        self.priority = priority
-
-    def cancel(self) -> None:
-        """Withdraw the claim (no-op if already granted — release instead)."""
-        self.resource._cancel(self)
-
-
-class Resource:
-    """A resource with ``capacity`` slots, granted in priority-then-FIFO order.
-
-    Usage from a process::
-
-        req = res.request()
-        yield req
-        try:
-            ...  # critical section
-        finally:
-            res.release(req)
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource"):
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._holders: List[Request] = []
-        self._waiting: List = []  # heap of (priority, seq, request)
-        self._seq = count()
-
-    @property
-    def in_use(self) -> int:
-        """Number of granted slots."""
-        return len(self._holders)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of ungranted requests."""
-        return len(self._waiting)
-
-    def request(self, priority: float = 0.0) -> Request:
-        """Claim a slot; lower ``priority`` values are served first."""
-        req = Request(self, priority)
-        heapq.heappush(self._waiting, (priority, next(self._seq), req))
-        self._grant()
-        return req
-
-    def release(self, request: Request) -> None:
-        """Return a granted slot."""
-        try:
-            self._holders.remove(request)
-        except ValueError:
-            raise SimulationError(
-                f"release() of a request that does not hold {self.name!r}"
-            ) from None
-        self._grant()
-
-    def _cancel(self, request: Request) -> None:
-        self._waiting = [(p, s, r) for (p, s, r) in self._waiting if r is not request]
-        heapq.heapify(self._waiting)
-        self._grant()
-
-    def _grant(self) -> None:
-        while self._waiting and len(self._holders) < self.capacity:
-            _, _, req = heapq.heappop(self._waiting)
-            if req.triggered:  # cancelled after triggering is impossible; safety
-                continue
-            self._holders.append(req)
-            req.succeed(req)
+__all__ = ["Store"]
 
 
 class Store:

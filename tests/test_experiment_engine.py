@@ -9,14 +9,15 @@ import pytest
 
 from repro.apps import IORConfig
 from repro.experiments import (
-    BaselineCache, ExperimentEngine, ExperimentSpec, ParallelExecutor,
-    SerialExecutor, WorkloadSpec, build_scenario, get_scenario,
-    list_scenarios, result_set_csv, result_set_json,
+    AppRecord, BaselineCache, ExperimentEngine, ExperimentResult,
+    ExperimentSpec, ParallelExecutor, ResultSet, SerialExecutor,
+    build_scenario, get_scenario, list_scenarios, result_set_csv,
+    result_set_json,
 )
-from repro.experiments.export import MISSING, multi_result_csv
+from repro.experiments.export import MISSING
 from repro.experiments.spec import (
     baseline_spec, pattern_from_dict, pattern_to_dict, platform_from_dict,
-    platform_to_dict,
+    platform_to_dict, workload_from_dict, workload_to_dict,
 )
 from repro.mpisim import Contiguous, Strided
 from repro.platforms import PlatformConfig, grid5000_rennes
@@ -28,9 +29,8 @@ PLATFORM = PlatformConfig(
 
 
 def w(name, nprocs, block=1000, **kw):
-    return WorkloadSpec(name=name, nprocs=nprocs,
-                        pattern=Contiguous(block_size=block), grain=None,
-                        **kw)
+    return IORConfig(name=name, nprocs=nprocs,
+                     pattern=Contiguous(block_size=block), grain=None, **kw)
 
 
 # -- serialization -----------------------------------------------------------
@@ -62,17 +62,6 @@ def test_platform_dict_rejects_removed_kernel_knobs():
             platform_from_dict({**data, key: value})
 
 
-def test_workload_spec_mirrors_ior_config():
-    spec = w("A", 50, start_time=3.0, iterations=2)
-    cfg = spec.to_ior()
-    assert isinstance(cfg, IORConfig)
-    assert (cfg.name, cfg.nprocs, cfg.start_time) == ("A", 50, 3.0)
-    assert WorkloadSpec.from_ior(cfg) == spec
-    # Validation runs eagerly (IORConfig's checks).
-    with pytest.raises(ValueError):
-        WorkloadSpec(name="bad", nprocs=0, pattern=Contiguous(block_size=1))
-
-
 def test_experiment_spec_json_roundtrip():
     spec = ExperimentSpec.pair(
         grid5000_rennes(), w("A", 200), w("B", 100), dt=-5.0,
@@ -84,6 +73,10 @@ def test_experiment_spec_json_roundtrip():
     # Negative dt shifted A, kept B at zero.
     assert again.workload("A").start_time == 5.0
     assert again.workload("B").start_time == 0.0
+    # Every registered campaign survives the trip, spec for spec.
+    for name in list_scenarios():
+        for spec in build_scenario(name):
+            assert ExperimentSpec.from_json(spec.to_json()) == spec, name
 
 
 def test_experiment_spec_rejects_object_strategy_in_to_dict():
@@ -100,6 +93,17 @@ def test_experiment_spec_validates_workloads():
     with pytest.raises(ValueError):
         ExperimentSpec(platform=PLATFORM,
                        workloads=(w("x", 1), w("x", 2)))
+    with pytest.raises(TypeError, match="IORConfig"):
+        ExperimentSpec(platform=PLATFORM,
+                       workloads=(workload_to_dict(w("x", 1)),))
+    # A decoded workload is validated eagerly (IORConfig's checks), and
+    # the decoder rejects fields IORConfig does not have.
+    data = workload_to_dict(w("x", 1))
+    assert workload_from_dict(data) == w("x", 1)
+    with pytest.raises(ValueError, match="nprocs"):
+        workload_from_dict({**data, "nprocs": 0})
+    with pytest.raises(ValueError, match="nproc"):
+        workload_from_dict({**data, "nproc": 2})
 
 
 def test_experiment_spec_rejects_unknown_arbiter_options():
@@ -120,10 +124,15 @@ def test_experiment_spec_rejects_unknown_arbiter_options():
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
 
-def test_experiment_spec_accepts_raw_ior_configs():
-    cfg = IORConfig(name="A", nprocs=5, pattern=Contiguous(block_size=100))
-    spec = ExperimentSpec(platform=PLATFORM, workloads=(cfg,))
-    assert isinstance(spec.workloads[0], WorkloadSpec)
+def test_experiment_spec_rejects_unknown_top_level_keys():
+    """A misspelled key fails loudly instead of loading the default."""
+    spec = ExperimentSpec(platform=PLATFORM, workloads=(w("x", 1),),
+                          strategy="fcfs", measure_alone=False)
+    for key, value in (("measure_alon", False), ("stratgy", "fcfs")):
+        data = {**spec.to_dict(), key: value}
+        with pytest.raises(ValueError, match=key):
+            ExperimentSpec.from_dict(data)
+    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
 
 # -- engine + executors ------------------------------------------------------
@@ -210,9 +219,9 @@ def test_baseline_cache_key_normalizes_name_and_offset():
 
 def test_baseline_bypass_and_clear():
     engine = ExperimentEngine()
-    t1 = engine.baseline(PLATFORM, w("solo", 50).to_ior())
+    t1 = engine.baseline(PLATFORM, w("solo", 50))
     assert len(engine.cache) == 1
-    t2 = engine.baseline(PLATFORM, w("solo", 50).to_ior(), use_cache=False)
+    t2 = engine.baseline(PLATFORM, w("solo", 50), use_cache=False)
     assert t1 == t2
     assert len(engine.cache) == 1  # bypass neither read nor wrote
     engine.cache.clear()
@@ -290,9 +299,7 @@ def test_result_set_csv_and_json():
     assert first["records"]["A"]["t_alone"] is not None
 
 
-def test_multi_result_csv_keeps_zero_baseline():
-    from repro.experiments import MultiResult
-    from repro.experiments.runner import AppRecord
+def test_result_set_csv_keeps_zero_baseline():
     records = {
         "zero": AppRecord(name="zero", nprocs=4, write_times=[2.0],
                           wait_times=[0.0], comm_times=[0.0],
@@ -301,12 +308,18 @@ def test_multi_result_csv_keeps_zero_baseline():
                           wait_times=[0.0], comm_times=[0.0],
                           io_write_times=[3.0], t_alone=None),
     }
-    lines = multi_result_csv(
-        MultiResult(records=records, strategy=None)).strip().splitlines()
-    by_app = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+    spec = ExperimentSpec(platform=PLATFORM,
+                          workloads=(w("zero", 4), w("none", 8)))
+    result = ExperimentResult(spec=spec, records=records, makespan=3.0)
+    lines = result_set_csv(ResultSet([result])).strip().splitlines()
+    header = lines[0].split(",")
+    t_alone = header.index("t_alone")
+    factor = header.index("interference_factor")
+    by_app = {row[header.index("app")]: row
+              for row in (line.split(",") for line in lines[1:])}
     # t_alone == 0.0 exports as 0 (not dropped); its factor is undefined.
-    assert by_app["zero"][3] == "0"
-    assert by_app["zero"][4] == MISSING
+    assert by_app["zero"][t_alone] == "0"
+    assert by_app["zero"][factor] == MISSING
     # Missing baseline gets explicit markers in both cells.
-    assert by_app["none"][3] == MISSING
-    assert by_app["none"][4] == MISSING
+    assert by_app["none"][t_alone] == MISSING
+    assert by_app["none"][factor] == MISSING

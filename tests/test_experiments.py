@@ -7,7 +7,7 @@ from repro.apps import IORConfig
 from repro.experiments import (
     ExperimentEngine, ExperimentSpec, TwoFlowModel, cpu_seconds_wasted,
     efficiency_summary, expected_pair_times, format_series, format_table,
-    interference_factor, run_single, sparkline, split_pairs,
+    interference_factor, sparkline, split_pairs,
     sum_interference_factors,
 )
 from repro.mpisim import Contiguous
@@ -85,11 +85,13 @@ def test_expected_identical_apps_finish_in_equal_time():
 
 # -- runner ------------------------------------------------------------------------
 
-def test_run_single_matches_analytic():
-    app = run_single(PLATFORM, cfg("solo", 50))
+def test_single_app_run_matches_analytic():
+    result = ENGINE.run(ExperimentSpec.single(
+        PLATFORM, cfg("solo", 50), measure_alone=False))
     # 50 procs x 10 B/s = 500 B/s client-bound; 50 kB data + 12.5% shuffle.
     base = 50 * 1000 / 500.0
-    assert app.phases[0].duration == pytest.approx(base * 1.125, rel=0.01)
+    assert result.record("solo").write_time == pytest.approx(base * 1.125,
+                                                             rel=0.01)
 
 
 def test_standalone_time_cache_consistency():
@@ -100,19 +102,19 @@ def test_standalone_time_cache_consistency():
 
 def test_run_pair_interference_factors():
     res = ENGINE.run(ExperimentSpec.pair(
-        PLATFORM, cfg("A", 200), cfg("B", 200), dt=0.0)).as_pair()
-    assert res.a.interference_factor > 1.5
-    assert res.b.interference_factor > 1.5
+        PLATFORM, cfg("A", 200), cfg("B", 200), dt=0.0))
+    assert res.record("A").interference_factor > 1.5
+    assert res.record("B").interference_factor > 1.5
     assert res.cpu_seconds_wasted() > 0
     assert res.sum_interference_factors() > 3.0
 
 
 def test_run_pair_negative_dt_shifts_a():
     res = ENGINE.run(ExperimentSpec.pair(
-        PLATFORM, cfg("A", 200), cfg("B", 200), dt=-1e5)).as_pair()
+        PLATFORM, cfg("A", 200), cfg("B", 200), dt=-1e5))
     # B ran long before A: no interference either way.
-    assert res.a.interference_factor == pytest.approx(1.0, abs=0.01)
-    assert res.b.interference_factor == pytest.approx(1.0, abs=0.01)
+    assert res.record("A").interference_factor == pytest.approx(1.0, abs=0.01)
+    assert res.record("B").interference_factor == pytest.approx(1.0, abs=0.01)
 
 
 def test_delta_graph_shape_matches_expected():
@@ -159,8 +161,8 @@ def test_strategy_comparison_covers_strategies():
         strategies=(None, "fcfs", "interrupt"))
     assert set(results) == {None, "fcfs", "interrupt"}
     # Interrupt saves the small app relative to FCFS.
-    assert (results["interrupt"].b.interference_factor
-            < results["fcfs"].b.interference_factor)
+    assert (results["interrupt"].record("B").interference_factor
+            < results["fcfs"].record("B").interference_factor)
 
 
 # -- interference helpers ------------------------------------------------------------

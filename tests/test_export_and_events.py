@@ -1,10 +1,15 @@
 """Tests for CSV export helpers and event edge cases."""
 
+import csv
+import io
+
 import pytest
 
 from repro.apps import IORConfig
-from repro.experiments import ExperimentEngine, ExperimentSpec
-from repro.experiments.export import delta_graph_csv, multi_result_csv
+from repro.experiments import (
+    AppRecord, ExperimentEngine, ExperimentResult, ExperimentSpec, ResultSet,
+)
+from repro.experiments.export import delta_graph_csv, result_set_csv
 from repro.mpisim import Contiguous
 from repro.platforms import PlatformConfig
 from repro.simcore import SimulationError, Simulator
@@ -39,21 +44,40 @@ def test_delta_graph_csv_without_expected():
     assert lines[0] == "dt,t_a,t_b,i_a,i_b"
 
 
-def test_multi_result_csv():
+def test_result_set_csv_one_row_per_app():
     spec = ExperimentSpec(platform=PLATFORM,
                           workloads=(cfg("a"), cfg("b", 20)))
-    res = ExperimentEngine().run(spec).as_multi()
-    lines = multi_result_csv(res).strip().splitlines()
-    assert lines[0].startswith("app,nprocs,write_time")
+    res = ExperimentEngine().run(spec)
+    lines = result_set_csv(ResultSet([res])).strip().splitlines()
+    assert lines[0].startswith("experiment,strategy,dt,app,nprocs,write_time")
     assert len(lines) == 3
-    assert lines[1].startswith("a,10,")
-    assert lines[2].startswith("b,20,")
+    assert lines[1].startswith("0,none,n/a,a,10,")
+    assert lines[2].startswith("0,none,n/a,b,20,")
 
 
 def test_csv_quotes_commas():
     from repro.experiments.export import _cell
     assert _cell('a,b') == '"a,b"'
     assert _cell('say "hi"') == '"say ""hi"""'
+
+
+def test_csv_quotes_line_breaks():
+    from repro.experiments.export import _cell
+    assert _cell("a\nb") == '"a\nb"'
+    assert _cell("a\rb") == '"a\rb"'
+    name = "a\nb"
+    spec = ExperimentSpec(platform=PLATFORM, name=name,
+                          workloads=(cfg(name),))
+    record = AppRecord(name=name, nprocs=10, write_times=[2.0],
+                       wait_times=[0.0], comm_times=[0.0],
+                       io_write_times=[2.0], t_alone=1.0)
+    result = ExperimentResult(spec=spec, records={name: record},
+                              makespan=2.0)
+    rows = list(csv.reader(io.StringIO(result_set_csv(ResultSet([result])),
+                                       newline="")))
+    assert len(rows) == 2  # header + one application row
+    assert rows[1][0] == name and rows[1][3] == name
+    assert rows[1][4:] == ["10", "2", "1", "2", "0", "2"]
 
 
 # -- event edge cases --------------------------------------------------------------

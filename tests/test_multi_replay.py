@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import IORConfig
 from repro.experiments import (
-    ExperimentEngine, ExperimentSpec, plan_replay, replay_trace,
+    ExperimentEngine, ExperimentSpec, plan_replay, replay_result,
 )
 from repro.mpisim import Contiguous
 from repro.platforms import PlatformConfig
@@ -20,7 +20,7 @@ def run_many(platform, configs, strategy=None, measure_alone=True):
     """Run ``configs`` together on a fresh platform (an N-app spec)."""
     spec = ExperimentSpec(platform=platform, workloads=tuple(configs),
                           strategy=strategy, measure_alone=measure_alone)
-    return ExperimentEngine().run(spec).as_multi()
+    return ExperimentEngine().run(spec)
 
 
 def cfg(name, nprocs, start=0.0, block=1000):
@@ -130,7 +130,7 @@ def test_replay_trace_runs_under_strategies():
     for key, strat in [(None, None),
                        ("dynamic", DynamicStrategy(
                            consider_interference=True))]:
-        results[key] = replay_trace(
+        results[key] = replay_result(
             PLATFORM, toy_trace(), window=(0.0, 120.0), core_scale=8,
             bytes_per_process=1000, strategy=strat)
     assert set(results[None].records) == {"job1", "job2"}
@@ -142,7 +142,7 @@ def test_replay_trace_runs_under_strategies():
 
 def test_replay_empty_window_raises():
     with pytest.raises(ValueError):
-        replay_trace(PLATFORM, toy_trace(), window=(2000.0, 2100.0))
+        replay_result(PLATFORM, toy_trace(), window=(2000.0, 2100.0))
 
 
 def test_replay_max_jobs_cap():

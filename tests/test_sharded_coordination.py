@@ -17,12 +17,11 @@ Three layers of guarantees:
 import numpy as np
 import pytest
 
+from repro.apps import IORConfig
 from repro.core import (
     AccessDescriptor, AccessState, Arbiter, CalciomRuntime, ShardRouter,
 )
-from repro.experiments import (
-    ExperimentEngine, ExperimentSpec, WorkloadSpec, build_scenario,
-)
+from repro.experiments import ExperimentEngine, ExperimentSpec, build_scenario
 from repro.mpisim import Contiguous
 from repro.oracles import unbatched_arbiters
 from repro.perf import PerfCounters
@@ -412,8 +411,8 @@ def test_per_shard_perf_counters():
 # -- engine / spec / scenario wiring ------------------------------------------
 
 def test_workload_partitions_round_trip():
-    w = WorkloadSpec(name="w", nprocs=4, pattern=Contiguous(block_size=1000),
-                     partitions=(0, 2))
+    w = IORConfig(name="w", nprocs=4, pattern=Contiguous(block_size=1000),
+                  partitions=(0, 2))
     spec = ExperimentSpec(platform=partitioned_config(npartitions=4),
                           workloads=(w,), strategy="fcfs",
                           arbiter={"shards": 4})

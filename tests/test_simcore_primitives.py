@@ -1,99 +1,11 @@
-"""Unit tests for kernel primitives: Resource, Store, TimeSeries, RNG."""
+"""Unit tests for kernel primitives: Store, TimeSeries, RNG."""
 
 import numpy as np
 import pytest
 
 from repro.simcore import (
-    Resource, SimulationError, Simulator, Store, TimeSeries, ensure_rng,
-    substream,
+    SimulationError, Simulator, Store, TimeSeries, ensure_rng, substream,
 )
-
-
-# -- Resource -----------------------------------------------------------------
-
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
-    sim.run()
-    assert r1.processed and r2.processed
-    assert not r3.triggered
-    assert res.in_use == 2
-    assert res.queue_length == 1
-
-
-def test_resource_release_grants_next():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    sim.run()
-    res.release(r1)
-    sim.run()
-    assert r2.processed
-    assert res.in_use == 1
-
-
-def test_resource_priority_order():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    holder = res.request()
-    low = res.request(priority=10.0)
-    high = res.request(priority=-1.0)
-    sim.run()
-    res.release(holder)
-    sim.run()
-    assert high.processed
-    assert not low.triggered
-
-
-def test_resource_release_of_non_holder_rejected():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    res.request()
-    stranger = res.request()
-    sim.run()
-    with pytest.raises(SimulationError):
-        res.release(stranger)
-
-
-def test_resource_cancel_waiting_request():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    r3 = res.request()
-    sim.run()
-    r2.cancel()
-    res.release(r1)
-    sim.run()
-    assert r3.processed
-    assert not r2.triggered
-
-
-def test_resource_capacity_validation():
-    with pytest.raises(SimulationError):
-        Resource(Simulator(), capacity=0)
-
-
-def test_resource_process_integration():
-    """Classic mutex pattern from a generator process."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def worker(name, hold):
-        req = res.request()
-        yield req
-        order.append(f"{name}-in")
-        yield sim.timeout(hold)
-        order.append(f"{name}-out")
-        res.release(req)
-
-    sim.process(worker("a", 2.0))
-    sim.process(worker("b", 1.0))
-    sim.run()
-    assert order == ["a-in", "a-out", "b-in", "b-out"]
 
 
 # -- Store ----------------------------------------------------------------------
