@@ -44,5 +44,10 @@ def test_fig02_delta_graph(once, report):
     assert np.all(np.diff(g.t_a[mid:]) <= 1e-6)
     # Standalone in the paper's ballpark.
     assert 7.0 < g.t_alone_a < 10.0
-    # Tracks the expected proportional-sharing curve (within shuffle cost).
-    assert np.all(np.abs(g.t_a / g.expected_a - 1.0) < 0.15)
+    # Tracks the expected proportional-sharing curve.  Both apps are
+    # file-system-limited (336 x 11 MB/s > 630 MB/s) and the fabric is
+    # ~10x faster than the file system, so the shuffle and message costs
+    # the model omits stay below 1% (worst row 9.13 s against 9.07 s);
+    # 2% leaves room for rounding, and any real departure from
+    # proportional sharing fails.
+    assert np.all(np.abs(g.t_a / g.expected_a - 1.0) < 0.02)

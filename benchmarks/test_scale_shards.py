@@ -92,7 +92,7 @@ class AuditedFCFS(FCFSStrategy):
 
     name = "fcfs-audited"
 
-    def decide(self, now, active, waiting, incoming, preempted=()):
+    def decide(self, now, active, waiting, incoming):
         decision = super().decide(now, active, waiting, incoming)
         times = {}
         backlog = 0.0
@@ -126,7 +126,7 @@ class WaveAuditedFCFS(FCFSStrategy):
 
     _TERMS = tuple(range(1, 17))
 
-    def decide(self, now, active, waiting, incoming, preempted=()):
+    def decide(self, now, active, waiting, incoming):
         decision = super().decide(now, active, waiting, incoming)
         exp, log1p = math.exp, math.log1p
         backlog = 0.0

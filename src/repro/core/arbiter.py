@@ -230,9 +230,6 @@ class Arbiter:
         # note_append/note_remove.
         self._waiting_view = DescriptorSetView(self._waiting, self._desc,
                                                track_totals=True)
-        #: Read-only preempted queue (preemption order) for strategies
-        #: whose cost models price deep preemption stacks.
-        self._preempted_view = DescriptorSetView(self._preempted, self._desc)
 
     # -- queries -----------------------------------------------------------
     def state_of(self, app: str) -> AccessState:
@@ -253,7 +250,7 @@ class Arbiter:
 
     def preempted_descriptors(self) -> List[AccessDescriptor]:
         """Preempted accesses, in preemption (FIFO re-grant) order."""
-        return list(self._preempted_view)
+        return [self._desc[app] for app in self._preempted]
 
     def grant_in_flight(self, app: str) -> bool:
         """Whether ``app``'s grant notification is still crossing the fabric.
@@ -476,7 +473,7 @@ class Arbiter:
         """
         decisions = iter(self.strategy.decide_batch(
             self.sim.now, self._active_view, self._waiting_view,
-            descriptors, preempted=self._preempted_view))
+            descriptors))
         results: List[bool] = []
         for k, descriptor in enumerate(descriptors):
             try:

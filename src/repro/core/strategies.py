@@ -24,6 +24,7 @@ from .metrics import (
     AccessDescriptor, CpuSecondsWasted, EfficiencyMetric, WaitingTotals,
     make_metric,
 )
+from .sharing import water_fill
 
 __all__ = [
     "Action", "Decision", "Strategy", "InterfereStrategy", "FCFSStrategy",
@@ -66,13 +67,8 @@ class Strategy(ABC):
     Contract: ``active`` and ``waiting`` are *read-only views* over the
     arbiter's live indexes (:class:`~repro.core.metrics.DescriptorSetView`)
     — iterable, sized, truth-testable, but not lists and never to be
-    mutated.
-
-    Both :meth:`decide` and :meth:`decide_batch` also take a
-    ``preempted=()`` keyword: a read-only view of the preempted queue, in
-    preemption order.  The arbiter always passes it.  Most built-ins
-    ignore it, but §IV-D-style cost models can use it to see the work an
-    INTERRUPT would stack on.
+    mutated.  Preempted applications are not shown: the arbiter resumes
+    them, in preemption order, before any waiter.
     """
 
     name: str = "strategy"
@@ -80,14 +76,12 @@ class Strategy(ABC):
     @abstractmethod
     def decide(self, now: float, active: Sequence[AccessDescriptor],
                waiting: Sequence[AccessDescriptor],
-               incoming: AccessDescriptor,
-               preempted: Sequence[AccessDescriptor] = ()) -> Decision:
+               incoming: AccessDescriptor) -> Decision:
         """Decide what to do with ``incoming`` at time ``now``."""
 
     def decide_batch(self, now: float, active: Sequence[AccessDescriptor],
                      waiting: Sequence[AccessDescriptor],
                      incomings: Sequence[AccessDescriptor],
-                     preempted: Sequence[AccessDescriptor] = (),
                      ) -> Iterable[Decision]:
         """Decide a whole :class:`~repro.core.arbiter.CoordinationRound`.
 
@@ -98,12 +92,10 @@ class Strategy(ABC):
         is exactly what makes the default (one :meth:`decide` per
         incoming) bit-identical to N independent unbatched calls.
         Override to share work across the batch; yield exactly one
-        :class:`Decision` per incoming, in order.  ``preempted`` is the
-        read-only preempted-queue view, forwarded to :meth:`decide`.
+        :class:`Decision` per incoming, in order.
         """
         for incoming in incomings:
-            yield self.decide(now, active, waiting, incoming,
-                              preempted=preempted)
+            yield self.decide(now, active, waiting, incoming)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -114,8 +106,7 @@ class InterfereStrategy(Strategy):
 
     name = "interfere"
 
-    def decide(self, now, active, waiting, incoming,
-               preempted=()) -> Decision:
+    def decide(self, now, active, waiting, incoming) -> Decision:
         return Decision(Action.GO)
 
 
@@ -129,13 +120,12 @@ class FCFSStrategy(Strategy):
 
     name = "fcfs"
 
-    def decide(self, now, active, waiting, incoming,
-               preempted=()) -> Decision:
+    def decide(self, now, active, waiting, incoming) -> Decision:
         if active or waiting:
             return Decision(Action.WAIT)
         return Decision(Action.GO)
 
-    def decide_batch(self, now, active, waiting, incomings, preempted=()):
+    def decide_batch(self, now, active, waiting, incomings):
         # Batch-aware: the machine's busyness is evaluated once per
         # coordination round.  The first incoming can only GO on an idle
         # machine, and its own admission (GO -> active, WAIT -> waiting)
@@ -144,8 +134,7 @@ class FCFSStrategy(Strategy):
         if type(self).decide is not FCFSStrategy.decide:
             # A subclass customized decide(): its per-incoming logic (extra
             # audit fields, tweaked policy) must keep running.
-            yield from super().decide_batch(now, active, waiting, incomings,
-                                            preempted=preempted)
+            yield from super().decide_batch(now, active, waiting, incomings)
             return
         busy = bool(active) or bool(waiting)
         for _ in incomings:
@@ -165,8 +154,7 @@ class InterruptStrategy(Strategy):
 
     name = "interrupt"
 
-    def decide(self, now, active, waiting, incoming,
-               preempted=()) -> Decision:
+    def decide(self, now, active, waiting, incoming) -> Decision:
         if active:
             return Decision(Action.INTERRUPT)
         if waiting:
@@ -193,21 +181,20 @@ class DynamicStrategy(Strategy):
         FCFS and interruption only; Fig 12 argues sharing/delaying can win
         when interference is weaker than proportional — enabling this flag
         is that extension.
+    consider_delay:
+        Also evaluate holding the newcomer for 25%, 50% or 75% of the
+        longest active remainder, then sharing (Fig 12's "slightly
+        delaying one of the writes"); a winning hold is a DELAY decision.
     capacity:
-        The shared file system's aggregate bandwidth, B/s.  When set (the
-        runtime injects it — a system-provided arbiter knows its machine),
-        the built-in estimator water-fills predicted rates against it, with
-        each application's standalone drain rate (``total_bytes/t_alone``,
-        derived from exchanged info only) as its cap.  Without it, the
-        estimator falls back to pessimistic pure-proportional stretching.
-    price_preempted:
-        Also charge the preempted queue into every option's cost.  The
-        arbiter resumes preempted applications one at a time, ahead of the
-        FIFO waiters (and an INTERRUPT's victims queue *behind* already-
-        preempted apps), so a deep preemption stack is real deferred work
-        the INTERRUPT option would push further out.  Off by default:
-        decisions are bit-identical to the historical cost model whenever
-        the flag is off or the preempted queue is empty.
+        The shared file system's aggregate bandwidth, B/s, which the
+        sharing and delay predictions water-fill
+        (:func:`~repro.core.sharing.water_fill`) with each application's
+        standalone drain rate (``total_bytes/t_alone``, derived from
+        exchanged info only) as its cap.
+        :class:`~repro.core.CalciomRuntime` supplies it — a
+        system-provided arbiter knows its machine — so it only needs
+        passing when :meth:`decide` is called directly with either
+        option on.
     """
 
     name = "dynamic"
@@ -215,20 +202,17 @@ class DynamicStrategy(Strategy):
     def __init__(self, metric: EfficiencyMetric | str = None,
                  consider_interference: bool = False,
                  consider_delay: bool = False,
-                 capacity: Optional[float] = None,
-                 price_preempted: bool = False):
+                 capacity: Optional[float] = None):
         self.metric = make_metric(metric) if metric is not None else CpuSecondsWasted()
         self.consider_interference = consider_interference
         self.consider_delay = consider_delay
         self.capacity = capacity
-        self.price_preempted = price_preempted
 
-    def decide(self, now, active, waiting, incoming,
-               preempted: Sequence[AccessDescriptor] = ()) -> Decision:
+    def decide(self, now, active, waiting, incoming) -> Decision:
         return self._decide_one(now, active, waiting, incoming,
-                                _capture_totals(waiting), preempted)
+                                _capture_totals(waiting))
 
-    def decide_batch(self, now, active, waiting, incomings, preempted=()):
+    def decide_batch(self, now, active, waiting, incomings):
         # Batch-aware: the waiting-queue aggregates are shared across the
         # round.  On a tracking view ``_capture_totals`` is O(1) and stays
         # current as the arbiter applies each decision (a WAIT/DELAY
@@ -236,8 +220,7 @@ class DynamicStrategy(Strategy):
         # sequences is paid once per round, not once per incoming.
         if type(self).decide is not DynamicStrategy.decide:
             # A subclass customized decide(): preserve its logic.
-            yield from super().decide_batch(now, active, waiting, incomings,
-                                            preempted=preempted)
+            yield from super().decide_batch(now, active, waiting, incomings)
             return
         # Captured once per round: a tracking view's totals object is live
         # (the arbiter's WAIT applications extend it in place), and a
@@ -245,12 +228,10 @@ class DynamicStrategy(Strategy):
         # ever appends to the waiting queue.
         totals = _capture_totals(waiting)
         for incoming in incomings:
-            yield self._decide_one(now, active, waiting, incoming, totals,
-                                   preempted)
+            yield self._decide_one(now, active, waiting, incoming, totals)
 
     def _decide_one(self, now, active, waiting, incoming,
-                    totals: WaitingTotals,
-                    preempted: Sequence[AccessDescriptor] = ()) -> Decision:
+                    totals: WaitingTotals) -> Decision:
         if not active and not waiting:
             return Decision(Action.GO)
         waiting_part = self.metric.alone_cost(totals)
@@ -275,10 +256,6 @@ class DynamicStrategy(Strategy):
                      for d in actives}
         int_times[incoming.app] = incoming.t_alone
 
-        fcfs_pre, pre_stack = self._price_preempted(
-            now, actives, incoming, preempted, descriptors,
-            fcfs_times, int_times)
-
         costs = {
             "fcfs": combine(self.metric.cost(fcfs_times, descriptors),
                             waiting_part),
@@ -289,9 +266,6 @@ class DynamicStrategy(Strategy):
         if self.consider_interference:
             share_times = self._interference_prediction(now, actives,
                                                         incoming)
-            # The preempted stack stays queued whether or not the
-            # incoming shares: price it exactly as under FCFS.
-            share_times.update(fcfs_pre)
             costs["interfere"] = combine(
                 self.metric.cost(share_times, descriptors), waiting_part)
 
@@ -302,7 +276,6 @@ class DynamicStrategy(Strategy):
                 delta = frac * horizon
                 delay_times = self._delay_prediction(now, actives, incoming,
                                                      delta)
-                delay_times.update(fcfs_pre)
                 key = f"delay@{frac:.2f}"
                 costs[key] = combine(
                     self.metric.cost(delay_times, descriptors), waiting_part)
@@ -310,43 +283,6 @@ class DynamicStrategy(Strategy):
                     best_delay = delta
 
         return self._verdict(costs, best_delay)
-
-    def _price_preempted(self, now, actives, incoming, preempted,
-                         descriptors, fcfs_times, int_times):
-        """Charge the preempted queue into the FCFS/interrupt predictions.
-
-        Mirrors the arbiter's grant order: preempted applications resume
-        one at a time (queue order) once the actives drain, ahead of FIFO
-        waiters — and an INTERRUPT's victims join *behind* the existing
-        stack, so under that option the stack resumes right after the
-        incoming while the victims also eat the whole stack's remainder.
-        Mutates ``fcfs_times``/``int_times`` in place and returns
-        ``(fcfs_pre, pre_stack)`` — the FCFS-option times of the preempted
-        apps (reused by interfere/delay pricing) and the stack's total
-        remaining seconds.  No-ops (empty dict, 0.0) unless
-        ``price_preempted`` is set and the queue is non-empty, keeping the
-        historical decisions bit-identical.
-        """
-        if not self.price_preempted:
-            return {}, 0.0
-        pre = list(preempted)
-        if not pre:
-            return {}, 0.0
-        backlog_active = sum(d.remaining_t for d in actives)
-        fcfs_pre: Dict[str, float] = {}
-        cum = 0.0
-        for d in pre:
-            descriptors[d.app] = d
-            cum += d.remaining_t
-            fcfs_pre[d.app] = self._elapsed(d, now) + backlog_active + cum
-            int_times[d.app] = (self._elapsed(d, now) + incoming.t_alone
-                                + cum)
-        pre_stack = cum
-        fcfs_times.update(fcfs_pre)
-        fcfs_times[incoming.app] += pre_stack
-        for d in actives:
-            int_times[d.app] += pre_stack
-        return fcfs_pre, pre_stack
 
     @staticmethod
     def _verdict(costs: Dict[str, float], best_delay: float) -> Decision:
@@ -364,14 +300,28 @@ class DynamicStrategy(Strategy):
     def _elapsed(d: AccessDescriptor, now: float) -> float:
         return (now - d.access_started) if d.access_started is not None else 0.0
 
+    @staticmethod
+    def _drain(d: AccessDescriptor) -> float:
+        """The standalone drain rate ``d`` reported (its sharing cap)."""
+        return d.total_bytes / d.t_alone if d.t_alone > 0 else 0.0
+
+    def _rates(self, parts: List[AccessDescriptor],
+               drains: List[float]) -> List[float]:
+        """§II-C rates of ``parts`` sharing the file system: weight = core
+        count, cap = the drain rate each application itself reported."""
+        if self.capacity is None:
+            raise ValueError(
+                "DynamicStrategy needs the file system's capacity to price "
+                "the interfere/delay options; CalciomRuntime supplies it, "
+                "so pass capacity= when calling decide() directly")
+        return water_fill(self.capacity, [d.nprocs for d in parts], drains)
+
     def _interference_prediction(self, now, active, incoming) -> Dict[str, float]:
         """Estimate everyone's time if all overlap for their remainder."""
         parts = list(active) + [incoming]
-        rates = self._shared_rates(parts)
+        drains = [self._drain(d) for d in parts]
         times = {}
-        for d in parts:
-            drain = d.total_bytes / d.t_alone if d.t_alone > 0 else 0.0
-            rate = rates[d.app]
+        for d, drain, rate in zip(parts, drains, self._rates(parts, drains)):
             if rate <= 0 or drain <= 0:
                 stretched = 0.0 if d.remaining_t == 0 else float("inf")
             else:
@@ -387,7 +337,7 @@ class DynamicStrategy(Strategy):
         ``delta`` of standalone work), then whoever still has a remainder
         shares with the newcomer.
         """
-        survivors = []
+        shadows = []
         times: Dict[str, float] = {}
         for d in active:
             if d.remaining_t <= delta:
@@ -398,56 +348,17 @@ class DynamicStrategy(Strategy):
                     drained = delta * d.total_bytes / d.t_alone
                     shadow.remaining_bytes = max(
                         0.0, shadow.remaining_bytes - drained)
-                survivors.append((d, shadow))
-        parts = [shadow for _, shadow in survivors] + [incoming]
-        rates = self._shared_rates(parts)
-        for original, shadow in survivors:
-            drain = (original.total_bytes / original.t_alone
-                     if original.t_alone > 0 else 0.0)
-            rate = rates[original.app]
-            stretched = (shadow.remaining_t * drain / rate
-                         if rate > 0 and drain > 0 else shadow.remaining_t)
-            times[original.app] = self._elapsed(original, now) + delta + stretched
-        drain_in = (incoming.total_bytes / incoming.t_alone
-                    if incoming.t_alone > 0 else 0.0)
-        rate_in = rates[incoming.app]
-        stretched_in = (incoming.remaining_t * drain_in / rate_in
-                        if rate_in > 0 and drain_in > 0
-                        else incoming.remaining_t)
-        times[incoming.app] = delta + stretched_in
+                shadows.append(shadow)
+        parts = shadows + [incoming]
+        drains = [self._drain(d) for d in parts]
+        for d, drain, rate in zip(parts, drains, self._rates(parts, drains)):
+            stretched = (d.remaining_t * drain / rate
+                         if rate > 0 and drain > 0 else d.remaining_t)
+            if d is incoming:
+                times[d.app] = delta + stretched
+            else:
+                times[d.app] = self._elapsed(d, now) + delta + stretched
         return times
-
-    def _shared_rates(self, parts: List[AccessDescriptor]) -> Dict[str, float]:
-        """Weighted max-min share of ``capacity`` with per-app drain caps.
-
-        Mirrors the fluid physics of the machine using only exchanged
-        knowledge: weight = core count, cap = the standalone drain rate the
-        application itself reported (bytes over estimated alone-time).
-        """
-        drains = {d.app: (d.total_bytes / d.t_alone if d.t_alone > 0 else 0.0)
-                  for d in parts}
-        if self.capacity is None:
-            # No machine knowledge: pure proportional split of the largest
-            # observed drain rate (a pessimistic overlap estimate).
-            total_w = sum(d.nprocs for d in parts)
-            peak = max(drains.values(), default=0.0)
-            return {d.app: peak * d.nprocs / total_w for d in parts}
-        rates: Dict[str, float] = {}
-        residual = self.capacity
-        unfixed = list(parts)
-        while unfixed:
-            total_w = sum(d.nprocs for d in unfixed)
-            share = residual / total_w
-            capped = [d for d in unfixed if drains[d.app] < d.nprocs * share]
-            if not capped:
-                for d in unfixed:
-                    rates[d.app] = d.nprocs * share
-                break
-            for d in capped:
-                rates[d.app] = drains[d.app]
-                residual -= drains[d.app]
-                unfixed.remove(d)
-        return rates
 
 
 _STRATEGIES = {

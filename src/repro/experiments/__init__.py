@@ -14,7 +14,6 @@ from .engine import (
     BaselineCache, Executor, ExperimentEngine, ExperimentResult,
     ParallelExecutor, ResultSet, SerialExecutor, default_engine,
 )
-from .expected import TwoFlowModel, expected_delta_curve, expected_pair_times
 from .export import delta_graph_csv, result_set_csv, result_set_json
 from .interference import (
     cpu_seconds_wasted, efficiency_summary, interference_factor,
@@ -47,7 +46,6 @@ __all__ = [
     "list_scenarios",
     # Δ-graphs and analytics
     "DeltaGraph",
-    "TwoFlowModel", "expected_pair_times", "expected_delta_curve",
     "interference_factor", "sum_interference_factors", "cpu_seconds_wasted",
     "efficiency_summary",
     # trace replay

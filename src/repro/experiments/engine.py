@@ -37,10 +37,10 @@ import numpy as np
 
 from ..apps import IORApp, IORConfig
 from ..core import CalciomRuntime, DecisionRecord
+from ..core.sharing import interfere_times
 from ..perf import WallTimer, merge_counts
 from ..platforms import Platform, PlatformConfig
 from .deltagraph import DeltaGraph
-from .expected import expected_delta_curve
 from .runner import AppRecord
 from .spec import BASELINE_NAME, ExperimentSpec, baseline_spec
 
@@ -355,13 +355,18 @@ class ResultSet:
             strategy=first.strategy, results=list(self.results),
         )
         if with_expected:
-            cfg_a, cfg_b = first.workloads
-            graph.expected_a, graph.expected_b = expected_delta_curve(
-                first.platform,
-                cfg_a.nprocs, cfg_a.bytes_per_phase,
-                cfg_b.nprocs, cfg_b.bytes_per_phase,
-                dts,
-            )
+            # §II-C proportional sharing; a negative dt means B starts first.
+            cfg = first.platform
+            pair = first.workloads
+            sizes = [w.bytes_per_phase for w in pair]
+            weights = [w.nprocs for w in pair]
+            caps = [w.nprocs * cfg.per_core_bandwidth for w in pair]
+            expected = np.array([
+                interfere_times(cfg.aggregate_bandwidth,
+                                (0.0, dt) if dt >= 0 else (-dt, 0.0),
+                                sizes, weights, caps)
+                for dt in dts.tolist()])
+            graph.expected_a, graph.expected_b = expected.T
         return graph
 
 

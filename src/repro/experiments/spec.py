@@ -14,11 +14,12 @@ Serialization rules
 ``to_dict``/``from_dict`` round-trip through plain dicts of JSON types
 (``to_json``/``from_json`` wrap :mod:`json`); workloads and platforms go
 through :func:`workload_to_dict`/:func:`platform_to_dict` and their
-inverses, and every decoder rejects unknown keys.  Access patterns
-serialize as ``{"kind": "contiguous"|"strided", ...}``; infinite
-bandwidths encode as the string ``"inf"``.  Strategies must be *named* (``"fcfs"``,
-``"dynamic"``, ...) to serialize — :class:`~repro.core.Strategy`
-instances are accepted at runtime but rejected by ``to_dict``.
+inverses, and every decoder raises ``ValueError`` naming any unknown or
+missing keys.  Access patterns serialize as ``{"kind":
+"contiguous"|"strided", ...}``; infinite bandwidths encode as the string
+``"inf"``.  Strategies must be *named* (``"fcfs"``, ``"dynamic"``, ...)
+to serialize — :class:`~repro.core.Strategy` instances are accepted at
+runtime but rejected by ``to_dict``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..apps import IORConfig
 from ..core import CalciomRuntime
@@ -54,6 +55,32 @@ _ARBITER_OPTIONS = tuple(
 # Pattern and platform (de)serialization
 # ---------------------------------------------------------------------------
 
+def _check_keys(what: str, data: Any, known: Iterable[str],
+                required: Iterable[str]) -> None:
+    """Raise ``ValueError`` naming every unknown and every missing key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a dict, got {type(data).__name__}")
+    known = set(known)
+    problems = []
+    unknown = set(data) - known
+    if unknown:
+        problems.append(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required) - set(data)
+    if missing:
+        problems.append(f"missing {what} fields: {sorted(missing)}")
+    if problems:
+        raise ValueError("; ".join(problems)
+                         + f"; accepted: {sorted(known)}")
+
+
+def _dataclass_keys(cls) -> Tuple[List[str], List[str]]:
+    """(all field names, names of the fields without a default)."""
+    names = [f.name for f in fields(cls)]
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    return names, required
+
+
 def pattern_to_dict(pattern: AccessPattern) -> Dict[str, Any]:
     """Serialize an access pattern to a plain dict."""
     if isinstance(pattern, Strided):
@@ -66,13 +93,18 @@ def pattern_to_dict(pattern: AccessPattern) -> Dict[str, Any]:
 
 def pattern_from_dict(data: Dict[str, Any]) -> AccessPattern:
     """Inverse of :func:`pattern_to_dict`."""
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "contiguous":
+        _check_keys("pattern", data, ("kind", "block_size"),
+                    ("kind", "block_size"))
         return Contiguous(block_size=int(data["block_size"]))
     if kind == "strided":
+        _check_keys("pattern", data, ("kind", "block_size", "nblocks"),
+                    ("kind", "block_size"))
         return Strided(block_size=int(data["block_size"]),
                        nblocks=int(data.get("nblocks", 1)))
-    raise ValueError(f"unknown pattern kind {kind!r}")
+    raise ValueError(f"unknown pattern kind {kind!r}; accepted: "
+                     "['contiguous', 'strided']")
 
 
 def _encode_value(value: Any) -> Any:
@@ -101,10 +133,7 @@ _PLATFORM_FLOAT_FIELDS = frozenset(
 
 def platform_from_dict(data: Dict[str, Any]) -> PlatformConfig:
     """Inverse of :func:`platform_to_dict`."""
-    known = {f.name for f in fields(PlatformConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown platform fields: {sorted(unknown)}")
+    _check_keys("platform", data, *_dataclass_keys(PlatformConfig))
     kwargs = dict(data)
     for key in _PLATFORM_FLOAT_FIELDS:
         if key in kwargs and kwargs[key] is not None:
@@ -125,10 +154,7 @@ def workload_to_dict(cfg: IORConfig) -> Dict[str, Any]:
 
 def workload_from_dict(data: Dict[str, Any]) -> IORConfig:
     """Inverse of :func:`workload_to_dict`."""
-    known = {f.name for f in fields(IORConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown workload fields: {sorted(unknown)}")
+    _check_keys("workload", data, *_dataclass_keys(IORConfig))
     kwargs = dict(data)
     kwargs["pattern"] = pattern_from_dict(kwargs["pattern"])
     return IORConfig(**kwargs)
@@ -245,11 +271,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
-        unknown = set(data) - _SPEC_KEYS
-        if unknown:
-            raise ValueError(f"unknown experiment spec keys: "
-                             f"{sorted(unknown)}; accepted: "
-                             f"{sorted(_SPEC_KEYS)}")
+        _check_keys("experiment spec", data, *_dataclass_keys(cls))
         return cls(
             name=data.get("name", ""),
             platform=platform_from_dict(data["platform"]),
@@ -267,10 +289,6 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
         return cls.from_dict(json.loads(text))
-
-
-#: Top-level keys of ``ExperimentSpec.to_dict`` (the dataclass fields).
-_SPEC_KEYS = frozenset(f.name for f in fields(ExperimentSpec))
 
 
 def baseline_spec(platform: PlatformConfig,

@@ -40,7 +40,7 @@ import heapq
 import math
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Sequence
+from typing import Callable, Iterator, List
 
 from . import platforms
 from .core import sharding
@@ -195,7 +195,6 @@ class UnbatchedArbiter(Arbiter):
                 self.active_descriptors(),
                 self.waiting_descriptors(),
                 descriptor,
-                preempted=self.preempted_descriptors(),
             )
             self._log_decision(
                 app, decision,
@@ -313,8 +312,7 @@ class WholePopulationDynamic(DynamicStrategy):
     rounding (exactly for max-combining metrics).
     """
 
-    def decide(self, now, active, waiting, incoming,
-               preempted: Sequence[AccessDescriptor] = ()) -> Decision:
+    def decide(self, now, active, waiting, incoming) -> Decision:
         if not active and not waiting:
             return Decision(Action.GO)
         involved = list(active) + list(waiting) + [incoming]
@@ -339,10 +337,6 @@ class WholePopulationDynamic(DynamicStrategy):
             int_times[d.app] = d.t_alone
         int_times[incoming.app] = incoming.t_alone
 
-        fcfs_pre, _ = self._price_preempted(
-            now, list(active), incoming, preempted, descriptors,
-            fcfs_times, int_times)
-
         costs = {
             "fcfs": self.metric.cost(fcfs_times, descriptors),
             "interrupt": self.metric.cost(int_times, descriptors),
@@ -352,7 +346,6 @@ class WholePopulationDynamic(DynamicStrategy):
             share_times = self._interference_prediction(now, active, incoming)
             for d in waiting:
                 share_times[d.app] = d.t_alone
-            share_times.update(fcfs_pre)
             costs["interfere"] = self.metric.cost(share_times, descriptors)
 
         best_delay = 0.0
@@ -364,7 +357,6 @@ class WholePopulationDynamic(DynamicStrategy):
                                                      delta)
                 for d in waiting:
                     delay_times[d.app] = d.t_alone
-                delay_times.update(fcfs_pre)
                 key = f"delay@{frac:.2f}"
                 costs[key] = self.metric.cost(delay_times, descriptors)
                 if costs[key] == min(costs.values()):

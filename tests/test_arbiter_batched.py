@@ -119,7 +119,7 @@ def test_batched_strategy_invocation_sees_earlier_decisions():
         name = "recording"
         supports_views = True
 
-        def decide(self, now, active, waiting, incoming, preempted=()):
+        def decide(self, now, active, waiting, incoming):
             seen_active.append([d.app for d in active])
             return Decision(Action.GO)
 
@@ -145,7 +145,7 @@ def test_views_reach_view_aware_strategies():
         name = "peek"
         supports_views = True
 
-        def decide(self, now, active, waiting, incoming, preempted=()):
+        def decide(self, now, active, waiting, incoming):
             captured["active"] = active
             captured["waiting"] = waiting
             captured["len_at_decision"] = len(active)
@@ -169,7 +169,7 @@ def test_views_are_the_default_contract():
     class Plain(Strategy):
         name = "plain"
 
-        def decide(self, now, active, waiting, incoming, preempted=()):
+        def decide(self, now, active, waiting, incoming):
             captured["active"] = active
             return Decision(Action.GO)
 
@@ -232,7 +232,7 @@ class AlwaysDelay(Strategy):
     def __init__(self, delay):
         self.delay = delay
 
-    def decide(self, now, active, waiting, incoming, preempted=()):
+    def decide(self, now, active, waiting, incoming):
         if active:
             return Decision(Action.DELAY, delay=self.delay)
         return Decision(Action.GO)
@@ -290,7 +290,7 @@ def test_preempted_app_completing_while_waiters_queue(arbiter_cls):
     class JustWait(Strategy):
         supports_views = True
 
-        def decide(self, now, active, waiting, incoming, preempted=()):
+        def decide(self, now, active, waiting, incoming):
             return Decision(Action.WAIT)
 
     arb.strategy = JustWait()
@@ -308,7 +308,7 @@ def test_interrupt_targeting_explicit_subset(arbiter_cls):
     class InterruptOnlyA(Strategy):
         supports_views = True
 
-        def decide(self, now, active, waiting, incoming, preempted=()):
+        def decide(self, now, active, waiting, incoming):
             if active:
                 return Decision(Action.INTERRUPT, preempt=["a"])
             return Decision(Action.GO)

@@ -5,6 +5,7 @@ import pytest
 from repro.core import (
     AccessDescriptor, AccessState, ApplicationRegistry, Arbiter,
 )
+from repro.oracles import UnbatchedArbiter
 from repro.simcore import SimulationError, Simulator
 
 
@@ -67,6 +68,16 @@ def test_preempted_resumes_before_waiting():
     # a was preempted first -> resumes first.
     assert arb.is_authorized("a")
     assert arb.state_of("b") is AccessState.PREEMPTED
+
+
+@pytest.mark.parametrize("arbiter_cls", [Arbiter, UnbatchedArbiter])
+def test_preempted_descriptors_list_stack_in_preemption_order(arbiter_cls):
+    arb = arbiter_cls(Simulator(), "interrupt")
+    arb.on_inform(desc("a"))
+    arb.on_inform(desc("b"))                   # b interrupts a
+    arb.on_inform(desc("c"))                   # c interrupts b
+    assert arb.state_of("a") is AccessState.PREEMPTED
+    assert [d.app for d in arb.preempted_descriptors()] == ["a", "b"]
 
 
 def test_reinform_while_active_is_continuation():
@@ -193,7 +204,7 @@ def test_delay_action_grants_after_hold():
     class AlwaysDelay(Strategy):
         name = "always-delay"
 
-        def decide(self, now, active, waiting, incoming, preempted=()):
+        def decide(self, now, active, waiting, incoming):
             if active:
                 return Decision(Action.DELAY, delay=5.0)
             return Decision(Action.GO)
@@ -216,7 +227,7 @@ def test_delay_action_early_grant_wins():
     class AlwaysDelay(Strategy):
         name = "always-delay"
 
-        def decide(self, now, active, waiting, incoming, preempted=()):
+        def decide(self, now, active, waiting, incoming):
             if active:
                 return Decision(Action.DELAY, delay=100.0)
             return Decision(Action.GO)

@@ -118,14 +118,30 @@ def test_dynamic_goes_when_idle():
 
 def test_dynamic_interference_option():
     """With consider_interference, a negligible overlap chooses GO."""
-    s = DynamicStrategy(CpuSecondsWasted(), consider_interference=True)
-    # Two apps that together demand less than... proportional model predicts
-    # doubling; here B is tiny relative to A so sharing barely hurts A but
-    # serializing/interrupting costs someone a full t_alone.
+    s = DynamicStrategy(CpuSecondsWasted(), consider_interference=True,
+                        capacity=2e10)
+    # The file system fits both apps' standalone drains (1e10 + 1e7 B/s),
+    # so sharing slows nobody, while serializing or interrupting costs
+    # someone a full t_alone.
     a = desc("A", 1000, 100.0, total=1e12, started=0.0)
     b = desc("B", 1, 0.001, total=1e4)
     d = s.decide(0.0, [a], [], b)
     assert "interfere" in d.costs
+    assert d.action is Action.GO
+
+
+@pytest.mark.parametrize("option", ["consider_interference",
+                                    "consider_delay"])
+def test_dynamic_sharing_options_need_capacity(option):
+    """Pricing a sharing option without the file system's capacity is an
+    error naming who supplies it, not a silent fallback estimate."""
+    s = DynamicStrategy(CpuSecondsWasted(), **{option: True})
+    a = desc("A", 100, 10.0, total=1e4, started=0.0)
+    b = desc("B", 100, 10.0, total=1e4)
+    with pytest.raises(ValueError, match="CalciomRuntime supplies it"):
+        s.decide(0.0, [a], [], b)
+    # FCFS/interrupt pricing alone needs no capacity.
+    assert DynamicStrategy().decide(0.0, [a], [], b).action is Action.WAIT
 
 
 def test_make_strategy_lookup():
@@ -181,7 +197,7 @@ def test_fcfs_decide_batch_matches_per_incoming_decisions():
 def test_fcfs_subclass_custom_decide_survives_batching():
     """The O(1) batch shortcut must not bypass a subclass's decide()."""
     class Audited(FCFSStrategy):
-        def decide(self, now, active, waiting, incoming, preempted=()):
+        def decide(self, now, active, waiting, incoming):
             d = super().decide(now, active, waiting, incoming)
             d.costs["audited"] = 1.0
             return d

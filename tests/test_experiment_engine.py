@@ -124,6 +124,56 @@ def test_experiment_spec_rejects_unknown_arbiter_options():
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
 
+def test_pattern_dict_rejects_misspelled_and_missing_keys():
+    """A misspelled pattern field fails instead of taking its default."""
+    with pytest.raises(ValueError, match=r"unknown pattern fields: \['nblock'\]"):
+        pattern_from_dict({"kind": "strided", "block_size": 1000,
+                           "nblock": 8})
+    with pytest.raises(ValueError,
+                       match=r"missing pattern fields: \['block_size'\]"):
+        pattern_from_dict({"kind": "contiguous"})
+    with pytest.raises(ValueError, match="unknown pattern kind"):
+        pattern_from_dict({"block_size": 1000})
+    assert pattern_from_dict({"kind": "strided", "block_size": 1000,
+                              "nblocks": 8}) == Strided(1000, 8)
+
+
+def test_spec_dicts_name_missing_keys():
+    """Every decoder reports a missing required key as a ValueError
+    naming it, never a bare KeyError or TypeError."""
+    spec = ExperimentSpec(platform=PLATFORM, workloads=(w("x", 1),),
+                          strategy="fcfs")
+    data = spec.to_dict()
+    for key in ("platform", "workloads"):
+        broken = {k: v for k, v in data.items() if k != key}
+        with pytest.raises(ValueError,
+                           match=rf"missing experiment spec fields: \['{key}'\]"):
+            ExperimentSpec.from_dict(broken)
+    workload = data["workloads"][0]
+    for key in ("pattern", "nprocs"):
+        broken = {k: v for k, v in workload.items() if k != key}
+        with pytest.raises(ValueError,
+                           match=rf"missing workload fields: \['{key}'\]"):
+            workload_from_dict(broken)
+    broken = {k: v for k, v in workload.items() if k != "pattern"}
+    broken["patern"] = workload["pattern"]
+    with pytest.raises(ValueError, match=r"unknown workload fields: "
+                       r"\['patern'\]; missing workload fields: \['pattern'\]"):
+        workload_from_dict(broken)
+    pattern = dict(workload["pattern"])
+    del pattern["block_size"]
+    with pytest.raises(ValueError, match="missing pattern fields"):
+        ExperimentSpec.from_dict(
+            {**data, "workloads": [{**workload, "pattern": pattern}]})
+    platform = {k: v for k, v in data["platform"].items()
+                if k != "nservers"}
+    with pytest.raises(ValueError,
+                       match=r"missing platform fields: \['nservers'\]"):
+        platform_from_dict(platform)
+    with pytest.raises(ValueError, match="platform must be a dict"):
+        platform_from_dict(None)
+
+
 def test_experiment_spec_rejects_unknown_top_level_keys():
     """A misspelled key fails loudly instead of loading the default."""
     spec = ExperimentSpec(platform=PLATFORM, workloads=(w("x", 1),),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.apps import IORConfig
+from repro.core.sharing import interfere_times, water_fill
 from repro.experiments import (
-    ExperimentEngine, ExperimentSpec, TwoFlowModel, cpu_seconds_wasted,
-    efficiency_summary, expected_pair_times, format_series, format_table,
+    ExperimentEngine, ExperimentSpec, cpu_seconds_wasted,
+    efficiency_summary, format_series, format_table,
     interference_factor, sparkline, split_pairs,
     sum_interference_factors,
 )
@@ -28,50 +29,55 @@ def cfg(name, nprocs, block=1000, **kw):
                      pattern=Contiguous(block_size=block), grain=None, **kw)
 
 
-# -- analytic model -------------------------------------------------------------
+# -- analytic model (repro.core.sharing) ---------------------------------------
 
-def test_two_flow_alone_rates():
-    m = TwoFlowModel(capacity=1000.0, weight_a=50, weight_b=200,
-                     cap_a=500.0, cap_b=2000.0)
-    assert m.alone_rate_a() == 500.0
-    assert m.alone_rate_b() == 1000.0
+def pair_times(nprocs_a, bytes_a, nprocs_b, bytes_b, dt):
+    """(T_A, T_B) on PLATFORM with B starting ``dt`` after A, mapped the
+    way ``ResultSet.delta_graph`` maps a negative dt (B starts first)."""
+    return tuple(interfere_times(
+        PLATFORM.aggregate_bandwidth,
+        (0.0, dt) if dt >= 0 else (-dt, 0.0),
+        (bytes_a, bytes_b), (nprocs_a, nprocs_b),
+        (nprocs_a * PLATFORM.per_core_bandwidth,
+         nprocs_b * PLATFORM.per_core_bandwidth)))
 
 
-def test_two_flow_shared_rates_proportional():
-    m = TwoFlowModel(capacity=1000.0, weight_a=100, weight_b=300,
-                     cap_a=1e9, cap_b=1e9)
-    ra, rb = m.shared_rates()
+def test_water_fill_alone_rates():
+    assert water_fill(1000.0, [50], [500.0]) == [500.0]
+    assert water_fill(1000.0, [200], [2000.0]) == [1000.0]
+
+
+def test_water_fill_proportional_shares():
+    ra, rb = water_fill(1000.0, [100, 300], [1e9, 1e9])
     assert ra == pytest.approx(250.0)
     assert rb == pytest.approx(750.0)
 
 
-def test_two_flow_shared_rates_with_cap_redistribution():
-    m = TwoFlowModel(capacity=1000.0, weight_a=100, weight_b=100,
-                     cap_a=200.0, cap_b=1e9)
-    ra, rb = m.shared_rates()
+def test_water_fill_cap_redistribution():
+    ra, rb = water_fill(1000.0, [100, 100], [200.0, 1e9])
     assert ra == pytest.approx(200.0)   # capped
     assert rb == pytest.approx(800.0)   # picks up the slack
 
 
 def test_expected_pair_symmetric_at_dt_zero():
-    ta, tb = expected_pair_times(PLATFORM, 200, 100000.0, 200, 100000.0, 0.0)
+    ta, tb = pair_times(200, 100000.0, 200, 100000.0, 0.0)
     assert ta == pytest.approx(tb)
     # Equal halves of 1000 B/s: each 500 B/s for 100 kB -> 200 s.
     assert ta == pytest.approx(200.0)
 
 
 def test_expected_pair_no_overlap_when_dt_large():
-    ta, tb = expected_pair_times(PLATFORM, 200, 100000.0, 200, 100000.0, 1e6)
+    ta, tb = pair_times(200, 100000.0, 200, 100000.0, 1e6)
     assert ta == pytest.approx(100.0)
     assert tb == pytest.approx(100.0)
 
 
 def test_expected_pair_negative_dt_mirrors():
-    ta1, tb1 = expected_pair_times(PLATFORM, 200, 1e5, 100, 5e4, 30.0)
-    tb2, ta2 = expected_pair_times(PLATFORM, 100, 5e4, 200, 1e5, -30.0)[::-1]
+    ta, tb = pair_times(200, 1e5, 100, 5e4, 30.0)
     # Mirror: (A,B,dt) == swapped (B,A,-dt).
-    assert ta1 == pytest.approx(expected_pair_times(
-        PLATFORM, 200, 1e5, 100, 5e4, 30.0)[0])
+    tb_swapped, ta_swapped = pair_times(100, 5e4, 200, 1e5, -30.0)
+    assert ta == pytest.approx(ta_swapped)
+    assert tb == pytest.approx(tb_swapped)
 
 
 def test_expected_identical_apps_finish_in_equal_time():
@@ -79,7 +85,7 @@ def test_expected_identical_apps_finish_in_equal_time():
     write time for any overlap (work conservation); the paper's measured
     first-arriver advantage is a sub-proportional queueing effect."""
     for dt in (0.0, 25.0, 50.0, 99.0):
-        ta, tb = expected_pair_times(PLATFORM, 200, 1e5, 200, 1e5, dt)
+        ta, tb = pair_times(200, 1e5, 200, 1e5, dt)
         assert ta == pytest.approx(tb)
 
 

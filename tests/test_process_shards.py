@@ -300,7 +300,7 @@ class DelayWhenBusy(FCFSStrategy):
     def __init__(self, delay=1.0):
         self.delay = delay
 
-    def decide(self, now, active, waiting, incoming, preempted=()):
+    def decide(self, now, active, waiting, incoming):
         if active or waiting:
             return Decision(Action.DELAY, delay=self.delay)
         return Decision(Action.GO)

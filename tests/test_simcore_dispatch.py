@@ -391,7 +391,7 @@ class _DelayThenShare(FCFSStrategy):
     """FCFS that answers DELAY while anything is active — enough traffic
     through the hold-timer machinery to make a meaty decision log."""
 
-    def decide(self, now, active, waiting, incoming, preempted=()):
+    def decide(self, now, active, waiting, incoming):
         if active:
             return Decision(Action.DELAY, delay=2.0)
         return Decision(Action.GO)
