@@ -90,9 +90,9 @@ __all__ = ["ShardProcessPool", "WorkerShardProxy", "ShardWorkerError"]
 #: the kernel's default buffer so neither side ever blocks on a full pipe.
 REPLY_WINDOW = 256
 
-#: Flush the per-worker send buffer past this size even with no reply
-#: pending (keeps fire-and-forget stretches memory-bounded).
-SEND_BUFFER_FLUSH = 1 << 16
+#: Flush a worker's queued ops past this many even with no reply pending
+#: (keeps fire-and-forget stretches memory-bounded: ~64 KiB of JSON ops).
+SEND_BUFFER_FRAMES = 256
 
 _LOG_CHUNK_BYTES = 400_000
 
@@ -101,7 +101,7 @@ _LOG_CHUNK_BYTES = 400_000
 # Worker side
 # ---------------------------------------------------------------------------
 
-def _queue_reply(out: bytearray, encoder: WireEncoder, sim: Simulator,
+def _queue_reply(encoder: WireEncoder, sim: Simulator,
                  transitions: List, **extra: Any) -> None:
     peek = sim.peek()
     msg: Dict[str, Any] = {
@@ -110,7 +110,7 @@ def _queue_reply(out: bytearray, encoder: WireEncoder, sim: Simulator,
         "nw": None if math.isinf(peek) else peek,
     }
     msg.update(extra)
-    out += encoder.encode(msg)
+    encoder.queue(msg)
     del transitions[:]
 
 
@@ -128,31 +128,19 @@ def _shard_worker_main(sock, index: int, strategy,
         perf = PerfCounters()
         encoder = WireEncoder(perf=perf)
         reader = FrameReader(sock, WireDecoder(perf=perf))
-        out = bytearray()
         arb = Arbiter(sim, strategy, grant_latency=0.0,
                       decision_log_limit=decision_log_limit, perf=perf)
         transitions: List = []
         arb.transition_observer = (
             lambda app, state: transitions.append((app, state.value)))
 
-        queued = [0]
-
-        def _send_reply(_sock, sim, transitions, **extra):
-            _queue_reply(out, encoder, sim, transitions, **extra)
-            queued[0] += 1
-
         def _flush():
-            if out:
-                data = bytes(out)
-                del out[:]
+            data = encoder.flush()
+            if data:
                 sock.sendall(data)
-                perf.bump("wire_flushes")
-                if queued[0] > 1:
-                    perf.bump("wire_coalesced_frames", queued[0] - 1)
-                queued[0] = 0
 
         while True:
-            if out and not reader.has_buffered_frame():
+            if encoder.queued and not reader.has_buffered_frame():
                 # Flush-before-block: the wave is over (nothing more is
                 # parseable from the buffer), ship the coalesced replies.
                 _flush()
@@ -171,9 +159,9 @@ def _shard_worker_main(sock, index: int, strategy,
                 sim.run(until=sim.now)
                 if msg.get("r"):
                     dec = arb.last_decision_for(desc.app)
-                    _send_reply(sock, sim, transitions, ok=ok,
-                                dec=(None if dec is None
-                                     else [dec[0].value, dec[1]]))
+                    _queue_reply(encoder, sim, transitions, ok=ok,
+                                 dec=(None if dec is None
+                                      else [dec[0].value, dec[1]]))
             elif op == "release":
                 arb.on_release(msg["app"], msg.get("rem"))
                 sim.run(until=sim.now)
@@ -184,14 +172,14 @@ def _shard_worker_main(sock, index: int, strategy,
                     arb.withdraw(msg["app"])
                 sim.run(until=sim.now)
                 if msg.get("r", 1):
-                    _send_reply(sock, sim, transitions)
+                    _queue_reply(encoder, sim, transitions)
             elif op == "advance":
                 sim.run(until=sim.now)
-                _send_reply(sock, sim, transitions)
+                _queue_reply(encoder, sim, transitions)
             elif op == "snapshot":
                 sim.run(until=sim.now)
-                _send_reply(
-                    sock, sim, transitions,
+                _queue_reply(
+                    encoder, sim, transitions,
                     active=[descriptor_to_dict(d)
                             for d in arb.active_descriptors()],
                     waiting=[descriptor_to_dict(d)
@@ -200,8 +188,9 @@ def _shard_worker_main(sock, index: int, strategy,
                                for d in arb.preempted_descriptors()])
             elif op == "desc":
                 d = arb.descriptor_of(msg["app"])
-                _send_reply(sock, sim, transitions,
-                            desc=None if d is None else descriptor_to_dict(d))
+                _queue_reply(encoder, sim, transitions,
+                             desc=(None if d is None
+                                   else descriptor_to_dict(d)))
             elif op == "log":
                 _flush()
                 chunk: List[Dict[str, Any]] = []
@@ -218,7 +207,7 @@ def _shard_worker_main(sock, index: int, strategy,
                 write_frame(sock, {"type": "log", "records": chunk,
                                    "more": False})
             elif op == "perf":
-                _send_reply(sock, sim, transitions, perf=perf.as_dict())
+                _queue_reply(encoder, sim, transitions, perf=perf.as_dict())
             else:
                 raise ProtocolError(f"unknown op {op!r}")
         _flush()
@@ -242,16 +231,15 @@ def _shard_worker_main(sock, index: int, strategy,
 class _WorkerHandle:
     """One live worker: its process and the router's socket end."""
 
-    __slots__ = ("proc", "sock", "out", "queued", "encoder", "reader")
+    __slots__ = ("proc", "sock", "encoder", "decoder", "reader")
 
-    def __init__(self, proc, sock, encoder: WireEncoder,
-                 reader: FrameReader):
+    def __init__(self, proc, sock, perf=None):
         self.proc = proc
         self.sock = sock
-        self.out = bytearray()   #: buffered, not-yet-sent frames
-        self.queued = 0          #: frames in ``out`` (coalescing stats)
-        self.encoder = encoder   #: router->worker (JSON, metered)
-        self.reader = reader     #: buffered reads, universal decoder
+        #: router->worker (JSON, metered); queues ops until a flush.
+        self.encoder = WireEncoder(perf=perf)
+        self.decoder = WireDecoder(perf=perf)
+        self.reader = FrameReader(sock, self.decoder)  #: buffered reads
 
 
 class _Pending:
@@ -336,9 +324,7 @@ class ShardProcessPool:
                 proc.start()
                 child.close()
                 parent.settimeout(timeout)
-                handles.append(_WorkerHandle(
-                    proc, parent, WireEncoder(perf=self.perf),
-                    FrameReader(parent, WireDecoder(perf=self.perf))))
+                handles.append(_WorkerHandle(proc, parent, self.perf))
         except BaseException:
             for handle in handles:
                 handle.sock.close()
@@ -379,6 +365,8 @@ class ShardProcessPool:
         if self.handles is None:
             return
         for handle in self.handles:
+            if self.perf is not None:
+                self.perf.detach(handle.encoder, handle.decoder)
             try:
                 handle.sock.sendall(
                     encode_message({"type": "op", "op": "exit"}))
@@ -426,22 +414,14 @@ class ShardProcessPool:
         assert self.handles is not None
         handle = self.handles[shard]
         msg.setdefault("type", "op")
-        handle.out += handle.encoder.encode(msg)
-        handle.queued += 1
-        if len(handle.out) >= SEND_BUFFER_FLUSH:
+        handle.encoder.queue(msg)
+        if handle.encoder.queued >= SEND_BUFFER_FRAMES:
             self._flush_handle(shard, handle)
 
     def _flush_handle(self, shard: int, handle: _WorkerHandle) -> None:
-        if not handle.out:
+        data = handle.encoder.flush()
+        if not data:
             return
-        data = bytes(handle.out)
-        queued = handle.queued
-        del handle.out[:]
-        handle.queued = 0
-        if self.perf is not None:
-            self.perf.bump("wire_flushes")
-            if queued > 1:
-                self.perf.bump("wire_coalesced_frames", queued - 1)
         try:
             handle.sock.sendall(data)
         except OSError as exc:

@@ -75,6 +75,9 @@ pushes), ``service_reordered_frames`` / ``service_backpressure_stalls``
 (replay-sequencer buffering and paused reads),
 ``service_crash_withdrawals`` / ``service_abnormal_disconnects`` (crash
 semantics), ``service_protocol_errors`` and ``service_drains``.
+The per-frame ones (``service_frames``, ``service_exchanges_applied``,
+``service_grants_pushed``, ``service_reordered_frames``) are plain
+integers of the daemon, folded like the simulator's.
 
 Both inter-process data planes — the service daemon and the
 ``workers="process"`` shard pool (JSON only) — meter the wire layer
@@ -89,8 +92,10 @@ counter                     meaning
 ``wire_frames_decoded``     frames parsed (either codec)
 ``wire_bytes_encoded``      bytes produced, length prefixes included
 ``wire_bytes_decoded``      bytes consumed, length prefixes included
-``wire_encode_seconds``     host CPU spent serializing frames
-``wire_decode_seconds``     host CPU spent parsing frames
+``wire_encode_seconds``     host CPU spent serializing frames, timed
+                            once per flush
+``wire_decode_seconds``     host CPU spent splitting and parsing frames,
+                            timed once per received chunk
 ``wire_flushes``            coalesced buffer flushes — each is one
                             ``sendall``/``write`` syscall shipping every
                             frame queued since the previous flush
@@ -108,6 +113,9 @@ counter                     meaning
                             types, off-schema payloads)
 ==========================  ==================================================
 
+Each encoder and decoder keeps its ``wire_*`` counts as plain integers
+folded into the bag it was given; a daemon connection's pair is folded a
+last time and released (:meth:`PerfCounters.detach`) when it closes.
 Worker-process counters (including their ``wire_*`` side) are merged into
 the router's bag at pool close, so they land in
 ``ExperimentResult.perf`` and the ops ``/metrics`` endpoint like every
@@ -164,11 +172,23 @@ class PerfCounters:
     def attach(self, source: Any, names: Iterable[str]) -> None:
         """Fold ``source._n_<name>`` into counter ``name`` on every read.
 
-        Each attribute is an integer the source increments; a read adds
-        every non-zero one to its counter and resets it to zero.
+        Each attribute is a number the source adds to (an event count, or
+        seconds for a ``*_seconds`` timer); a read adds every non-zero one
+        to its counter and resets it to zero.
         """
         self._sources.append(
             (source, tuple((name, "_n_" + name) for name in names)))
+
+    def detach(self, *sources: Any) -> None:
+        """Fold ``sources`` one last time and stop reading them.
+
+        For sources that end before the bag does (a daemon connection's
+        codec pair), so the list read on every fold does not grow with
+        every source ever attached.
+        """
+        self._fold()
+        self._sources = [entry for entry in self._sources
+                         if not any(entry[0] is src for src in sources)]
 
     def _fold(self) -> None:
         counts = self._counts

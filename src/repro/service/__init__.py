@@ -14,8 +14,9 @@ applications are separate jobs and the arbiter is machine infrastructure:
   coordinator proxy recording every Inform/Release/Complete exchange of
   an in-process run as a replayable :class:`CoordinationTrace`;
 * :mod:`repro.service.server` — :class:`CoordinationService`, the asyncio
-  daemon hosting an arbiter/:class:`~repro.core.sharding.ShardRouter`
-  with admission control, per-connection backpressure and graceful drain;
+  daemon (one callback-driven protocol per connection) hosting an
+  arbiter/:class:`~repro.core.sharding.ShardRouter` with admission
+  control, per-connection backpressure and graceful drain;
 * :mod:`repro.service.ops` — the operations sidecar (``/healthz`` +
   ``/metrics`` HTTP endpoints over the daemon's perf counters);
 * :mod:`repro.service.client` — :class:`ServiceClient` /
@@ -35,9 +36,10 @@ randomized traces in ``tests/test_service_equivalence.py``).
 
 from .client import RemoteSession, ServiceClient
 from .protocol import (
-    CODECS, FrameError, FrameReader, ProtocolError, WireDecoder,
-    WireEncoder, canonical_json, decision_to_dict, default_wire_codec,
-    descriptor_from_dict, descriptor_to_dict, read_message, write_message,
+    CODECS, FrameError, FrameReader, FrameSplitter, ProtocolError,
+    WireDecoder, WireEncoder, canonical_json, decision_to_dict,
+    default_wire_codec, descriptor_from_dict, descriptor_to_dict,
+    read_message, write_message,
 )
 from .server import CoordinationService, ServiceConfig
 from .trace import CoordinationTrace, RecordingRouter, record_trace
@@ -47,7 +49,7 @@ __all__ = [
     "ServiceClient", "RemoteSession",
     "CoordinationTrace", "RecordingRouter", "record_trace",
     "ProtocolError", "FrameError", "read_message", "write_message",
-    "CODECS", "WireEncoder", "WireDecoder", "FrameReader",
+    "CODECS", "WireEncoder", "WireDecoder", "FrameSplitter", "FrameReader",
     "canonical_json", "default_wire_codec",
     "descriptor_to_dict", "descriptor_from_dict", "decision_to_dict",
 ]

@@ -21,17 +21,22 @@ in-process             over the wire
 Responses are matched FIFO per request (the daemon acks in application
 order, and a connection's requests apply in the order they were sent);
 pushed ``grant`` frames are routed to the owning session's grant queue.
+Both happen in the client's ``data_received`` callback, as each chunk
+arrives — the client is its connection's :class:`asyncio.Protocol`, and
+its one task (``_pump_loop``) only waits for the connection to end and
+then fails every ack still outstanding.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Union
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Union
 
 from ..core.metrics import AccessDescriptor
 from .protocol import (
-    ProtocolError, WireDecoder, WireEncoder, default_wire_codec,
-    descriptor_to_dict, read_message, write_message,
+    FrameSplitter, ProtocolError, WireDecoder, WireEncoder, decode_message,
+    default_wire_codec, descriptor_to_dict, encode_message,
 )
 
 __all__ = ["ServiceClient", "RemoteSession", "AdmissionRejected"]
@@ -93,7 +98,7 @@ class RemoteSession:
         return f"<RemoteSession {self.app!r} via {self.client!r}>"
 
 
-class ServiceClient:
+class ServiceClient(asyncio.Protocol):
     """One framed connection to the coordination daemon.
 
     Usage::
@@ -105,23 +110,32 @@ class ServiceClient:
         authorized = await session.inform(descriptor)
         ...
         await client.close()          # says bye, waits for the ack
+
+    The client is the connection's :class:`asyncio.Protocol`:
+    ``data_received`` resolves ack futures in FIFO order and routes
+    pushed grants to their sessions as each chunk arrives.
     """
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, apps: List[str], mode: str,
-                 codec: str = "json", perf=None):
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, apps: List[str], mode: str = "live", perf=None):
+        self._loop = asyncio.get_running_loop()
         self.apps = list(apps)
         self.mode = mode
-        self.codec = codec          #: what the daemon granted in welcome
-        self._encoder = WireEncoder(codec, perf=perf)
-        self._decoder = WireDecoder(perf=perf)
+        self.codec = "json"         #: what the daemon granted in welcome
+        self._perf = perf
+        self._transport: Optional[asyncio.Transport] = None
+        self._splitter = FrameSplitter()
+        self._encoder: Optional[WireEncoder] = None
+        self._decoder: Optional[WireDecoder] = None
         self._sessions = {app: RemoteSession(self, app) for app in apps}
         #: FIFO of futures awaiting acks (requests apply in send order).
-        self._acks: "asyncio.Queue[asyncio.Future]" = asyncio.Queue()
-        #: Encoded-but-unsent frames (the request_nowait/flush pipeline).
-        self._sendbuf = bytearray()
+        self._acks: Deque[asyncio.Future] = deque()
+        self._welcome: "asyncio.Future[Optional[dict]]" = \
+            self._loop.create_future()
+        #: The transport's close (its exception, None when clean).
+        self._ended: "asyncio.Future[Optional[Exception]]" = \
+            self._loop.create_future()
+        #: Pending while the transport is paused for writing.
+        self._writable: Optional[asyncio.Future] = None
         self._bye_ack: Optional[asyncio.Future] = None
         self._pump: Optional[asyncio.Task] = None
         self._broken: Optional[Exception] = None
@@ -141,30 +155,36 @@ class ServiceClient:
         """
         if codec is None:
             codec = default_wire_codec()
-        reader, writer = await asyncio.open_connection(host, port)
-        await write_message(writer, {"type": "hello", "apps": list(apps),
-                                     "mode": mode, "spec_sha": spec_sha,
-                                     "codec": codec})
-        answer = await read_message(reader)
-        if answer is None:
-            raise ConnectionError("daemon closed during handshake")
-        if answer.get("type") == "rejected":
-            writer.close()
-            raise AdmissionRejected(answer.get("reason", "unknown"))
-        if answer.get("type") != "welcome":
-            raise ProtocolError(f"expected welcome, got {answer!r}")
-        granted = answer.get("codec", "json")
-        client = cls(reader, writer, apps, mode, codec=granted, perf=perf)
+        client = cls(apps, mode, perf=perf)
+        transport, _ = await client._loop.create_connection(
+            lambda: client, host, port)
+        transport.write(encode_message({
+            "type": "hello", "apps": list(apps), "mode": mode,
+            "spec_sha": spec_sha, "codec": codec}))
+        try:
+            answer = await client._welcome
+            if answer is None:
+                raise ConnectionError("daemon closed during handshake")
+            if answer.get("type") == "rejected":
+                raise AdmissionRejected(answer.get("reason", "unknown"))
+            if answer.get("type") != "welcome":
+                raise ProtocolError(f"expected welcome, got {answer!r}")
+        except BaseException:
+            transport.close()
+            raise
+        client.codec = answer.get("codec", "json")
+        client._encoder = WireEncoder(client.codec, perf=perf)
+        client._decoder = WireDecoder(perf=perf)
         client._pump = asyncio.ensure_future(client._pump_loop())
+        client._route()     # frames that arrived behind the welcome
         return client
 
     async def close(self) -> None:
         """Clean shutdown: ``bye``, wait for the ack, drop the link."""
         if self._broken is None and self._bye_ack is None:
-            loop = asyncio.get_event_loop()
-            self._bye_ack = loop.create_future()
+            self._bye_ack = self._loop.create_future()
             try:
-                self._sendbuf += self._encoder.encode({"type": "bye"})
+                self._encoder.queue({"type": "bye"})
                 await self.flush()
                 await asyncio.wait_for(self._bye_ack, 5.0)
             except (ConnectionError, asyncio.TimeoutError):
@@ -173,18 +193,13 @@ class ServiceClient:
 
     async def abort(self) -> None:
         """Drop the connection without the bye handshake (crash client)."""
+        if self._transport is not None:
+            self._transport.abort()
         if self._pump is not None:
-            self._pump.cancel()
-            try:
-                await self._pump
-            except (asyncio.CancelledError, Exception):
-                pass
+            await self._pump
             self._pump = None
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except Exception:
-            pass
+        if self._perf is not None and self._encoder is not None:
+            self._perf.detach(self._encoder, self._decoder)
 
     # -- sessions ----------------------------------------------------------
     def session(self, app: str) -> RemoteSession:
@@ -204,10 +219,10 @@ class ServiceClient:
                        t: Optional[float] = None) -> "asyncio.Future":
         """Queue one frame without sending; the pipelined half of request.
 
-        The frame is encoded into the client's send buffer and its ack
-        future returned; nothing hits the socket until :meth:`flush`.
+        The frame is queued on the client's encoder and its ack future
+        returned; nothing hits the socket until :meth:`flush`.
         Queue a whole wave, flush once, then await the futures — one
-        syscall per wave instead of one write+drain per exchange.  Valid
+        syscall per wave instead of one write per exchange.  Valid
         whenever exchanges need no interleaved responses: replay traces
         (acks stay FIFO per connection; the daemon's sequencer orders
         across connections by ``seq``), or a live fire-and-await burst.
@@ -218,59 +233,114 @@ class ServiceClient:
             message["seq"] = int(seq)
         if t is not None:
             message["t"] = float(t)
-        future = asyncio.get_event_loop().create_future()
-        self._acks.put_nowait(future)
-        self._sendbuf += self._encoder.encode(message)
+        future = self._loop.create_future()
+        self._acks.append(future)
+        self._encoder.queue(message)
         return future
 
     async def flush(self) -> None:
-        """Ship every queued frame in one write (no-op when empty)."""
-        if not self._sendbuf:
+        """Ship every queued frame in one write (no-op when empty).
+
+        Waits while the daemon is not reading (the transport paused
+        writing).
+        """
+        if not self._encoder.queued:
             return
-        data = bytes(self._sendbuf)
-        del self._sendbuf[:]
-        self._writer.write(data)
-        await self._writer.drain()
+        data = self._encoder.flush()
+        if self._transport.is_closing():
+            raise ConnectionError("connection is closed")
+        self._transport.write(data)
+        if self._writable is not None:
+            await self._writable
 
     async def decision_digest(self) -> Dict[str, Any]:
         """The daemon's current decision-log digest (equivalence checks)."""
         return await self.request({"type": "decision-digest"})
 
     async def _pump_loop(self) -> None:
-        """Route inbound frames: grants to sessions, acks FIFO, errors up."""
-        try:
-            while True:
-                frame = await read_message(self._reader, self._decoder)
-                if frame is None:
-                    raise ConnectionError("daemon closed the connection")
-                ftype = frame.get("type")
-                if ftype == "grant":
-                    session = self._sessions.get(frame.get("app"))
-                    if session is not None:
-                        session.grants.put_nowait(frame)
-                elif ftype == "bye-ack":
-                    if self._bye_ack is not None \
-                            and not self._bye_ack.done():
-                        self._bye_ack.set_result(frame)
-                    return
-                elif ftype == "error":
-                    raise ProtocolError(frame.get("reason", "unknown"))
-                else:
-                    future = self._acks.get_nowait()
-                    if not future.done():
-                        future.set_result(frame)
-        except asyncio.CancelledError:  # pragma: no cover - teardown
-            raise
-        except Exception as exc:
+        """Wait for the connection to end, then fail every pending ack."""
+        exc = await self._ended
+        if self._bye_ack is not None and self._bye_ack.done():
+            return
+        self._break(exc or ConnectionError("daemon closed the connection"))
+
+    def _break(self, exc: Exception) -> None:
+        """The connection is unusable: fail every outstanding future."""
+        if self._broken is None:
             self._broken = exc
-            while not self._acks.empty():
-                future = self._acks.get_nowait()
-                if not future.done():
-                    future.set_exception(
-                        ConnectionError(f"connection lost: {exc}"))
-            if self._bye_ack is not None and not self._bye_ack.done():
-                self._bye_ack.set_exception(
+        pending = list(self._acks)
+        self._acks.clear()
+        if self._bye_ack is not None:
+            pending.append(self._bye_ack)
+        for future in pending:
+            if not future.done():
+                future.set_exception(
                     ConnectionError(f"connection lost: {exc}"))
+
+    def _route(self) -> None:
+        """Route decoded frames: acks FIFO, grants to sessions, errors up."""
+        frames: List[Any] = []
+        self._decoder.decode_frames(self._splitter, frames)
+        acks = self._acks
+        for frame in frames:
+            if self._broken is not None:
+                return
+            if isinstance(frame, ProtocolError):
+                self._break(frame)
+                return
+            ftype = frame.get("type")
+            if ftype == "grant":
+                session = self._sessions.get(frame.get("app"))
+                if session is not None:
+                    session.grants.put_nowait(frame)
+            elif ftype == "bye-ack":
+                if self._bye_ack is not None and not self._bye_ack.done():
+                    self._bye_ack.set_result(frame)
+            elif ftype == "error":
+                self._break(ProtocolError(frame.get("reason", "unknown")))
+            elif acks:
+                future = acks.popleft()
+                if not future.done():
+                    future.set_result(frame)
+            else:
+                self._break(ProtocolError(f"unexpected frame {frame!r}"))
+
+    # -- asyncio.Protocol --------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._splitter.feed(data)
+        if self._decoder is not None:
+            self._route()
+        elif not self._welcome.done():
+            try:
+                payload = self._splitter.next()
+                if payload is not None:
+                    self._welcome.set_result(decode_message(payload))
+            except ProtocolError as exc:
+                self._welcome.set_exception(exc)
+
+    def eof_received(self) -> bool:
+        error = self._splitter.truncation()
+        if error is not None:
+            self._break(error)
+        return False
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if not self._welcome.done():
+            self._welcome.set_result(None)
+        if self._writable is not None and not self._writable.done():
+            self._writable.set_result(None)
+        self._ended.set_result(exc)
+
+    def pause_writing(self) -> None:
+        self._writable = self._loop.create_future()
+
+    def resume_writing(self) -> None:
+        if self._writable is not None:
+            self._writable.set_result(None)
+            self._writable = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ServiceClient apps={len(self.apps)} mode={self.mode!r} "

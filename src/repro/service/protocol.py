@@ -83,7 +83,8 @@ import asyncio
 import json
 import os
 import struct
-import time
+from collections import deque
+from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.arbiter import DecisionRecord
@@ -92,7 +93,7 @@ from ..core.metrics import AccessDescriptor
 __all__ = [
     "MAX_FRAME", "CODECS", "ProtocolError", "FrameError",
     "canonical_json", "default_wire_codec",
-    "WireEncoder", "WireDecoder", "FrameReader",
+    "WireEncoder", "WireDecoder", "FrameSplitter", "FrameReader",
     "encode_message", "decode_message", "read_message", "write_message",
     "write_frame",
     "descriptor_to_dict", "descriptor_from_dict",
@@ -262,32 +263,54 @@ def _put_seq_t(out: bytearray, m: Mapping[str, Any]) -> int:
     return flags
 
 
+_ENCODER_COUNTERS = (
+    "wire_frames_encoded", "wire_bytes_encoded", "wire_encode_seconds",
+    "wire_flushes", "wire_coalesced_frames", "wire_generic_frames",
+    "wire_desc_interned", "wire_desc_refs",
+)
+_DECODER_COUNTERS = (
+    "wire_frames_decoded", "wire_bytes_decoded", "wire_decode_seconds",
+)
+
+
 class WireEncoder:
     """One direction's frame encoder (codec fixed, interning stateful).
 
     ``encode()`` always returns a complete frame (length prefix
     included); with ``codec="binary"`` the hot message types take the
     struct fast paths and descriptors are interned, while anything
-    off-schema falls back to tagged canonical JSON.  Counter bumps go to
-    ``perf`` when given: ``wire_frames_encoded`` / ``wire_bytes_encoded``
-    / ``wire_encode_seconds``, plus ``wire_desc_interned`` /
-    ``wire_desc_refs`` / ``wire_generic_frames`` on the binary paths.
+    off-schema falls back to tagged canonical JSON.
+
+    Every data plane sends through :meth:`queue` and :meth:`flush`:
+    messages are queued as they are produced and encoded together into
+    one buffer when the owner writes, so the frames of a whole
+    coordination wave cost one write.  The counters are plain integer
+    attributes folded into ``perf`` when it is read
+    (:meth:`~repro.perf.PerfCounters.attach`): ``wire_frames_encoded`` /
+    ``wire_bytes_encoded`` per frame, ``wire_encode_seconds`` /
+    ``wire_flushes`` / ``wire_coalesced_frames`` per flush, plus
+    ``wire_desc_interned`` / ``wire_desc_refs`` / ``wire_generic_frames``
+    on the binary paths.
     """
 
-    __slots__ = ("codec", "perf", "_desc_ids")
+    __slots__ = ("codec", "_desc_ids", "_queued") + tuple(
+        "_n_" + name for name in _ENCODER_COUNTERS)
 
     def __init__(self, codec: str = "json", perf=None):
         if codec not in CODECS:
             raise ValueError(f"unknown wire codec {codec!r} "
                              f"(expected one of {CODECS})")
         self.codec = codec
-        self.perf = perf
         #: static-descriptor tuple -> interned id (binary codec only).
         self._desc_ids: Dict[tuple, int] = {}
+        #: Messages queued since the last flush, in send order.
+        self._queued: List[Mapping[str, Any]] = []
+        for name in _ENCODER_COUNTERS:
+            setattr(self, "_n_" + name, 0)
+        if perf is not None:
+            perf.attach(self, _ENCODER_COUNTERS)
 
     def encode(self, message: Mapping[str, Any]) -> bytes:
-        perf = self.perf
-        t0 = time.perf_counter() if perf is not None else 0.0
         if self.codec == "binary":
             try:
                 payload = self._binary_payload(message)
@@ -295,16 +318,43 @@ class WireEncoder:
                     UnicodeEncodeError, TypeError, KeyError, ValueError):
                 payload = (_U8.pack(_TAG_GENERIC)
                            + canonical_json(message).encode("utf-8"))
-                if perf is not None:
-                    perf.bump("wire_generic_frames")
+                self._n_wire_generic_frames += 1
         else:
             payload = canonical_json(message).encode("utf-8")
         frame = _frame(payload)
-        if perf is not None:
-            perf.bump("wire_encode_seconds", time.perf_counter() - t0)
-            perf.bump("wire_frames_encoded")
-            perf.bump("wire_bytes_encoded", len(frame))
+        self._n_wire_frames_encoded += 1
+        self._n_wire_bytes_encoded += len(frame)
         return frame
+
+    def queue(self, message: Mapping[str, Any]) -> None:
+        """Queue ``message`` for the next :meth:`flush`."""
+        self._queued.append(message)
+
+    @property
+    def queued(self) -> int:
+        """Messages queued since the last flush."""
+        return len(self._queued)
+
+    def flush(self) -> bytes:
+        """Every queued message as one buffer of frames, in queue order.
+
+        One timer pair per flush, not per frame; ``b""`` when nothing is
+        queued (and then nothing is counted).
+        """
+        messages = self._queued
+        if not messages:
+            return b""
+        self._queued = []
+        t0 = perf_counter()
+        if len(messages) == 1:
+            data = self.encode(messages[0])
+        else:
+            encode = self.encode
+            data = b"".join([encode(message) for message in messages])
+        self._n_wire_encode_seconds += perf_counter() - t0
+        self._n_wire_flushes += 1
+        self._n_wire_coalesced_frames += len(messages) - 1
+        return data
 
     # -- binary fast paths --------------------------------------------------
     def _binary_payload(self, m: Mapping[str, Any]) -> bytes:
@@ -417,8 +467,7 @@ class WireEncoder:
             out += _U32.pack(did)
             out += _F64.pack(remaining)
             _put_opt_float(out, started)
-            if self.perf is not None:
-                self.perf.bump("wire_desc_refs")
+            self._n_wire_desc_refs += 1
             return
         # Build the full body before committing the intern id: a failing
         # field must not leave the encoder table ahead of the decoder's.
@@ -437,8 +486,7 @@ class WireEncoder:
         if len(ids) < _MAX_INTERNED:
             did = len(ids)
             ids[key] = did
-            if self.perf is not None:
-                self.perf.bump("wire_desc_interned")
+            self._n_wire_desc_interned += 1
         else:
             did = _NO_ID
         out += b"\x00"
@@ -452,21 +500,44 @@ class WireDecoder:
     Payloads are self-describing (first byte >= 0x80 means binary), so a
     single decoder instance serves a connection regardless of what was
     negotiated; the instance carries the interned-descriptor table the
-    peer's encoder builds up.  Counter bumps (when ``perf`` is given):
-    ``wire_frames_decoded`` / ``wire_bytes_decoded`` /
-    ``wire_decode_seconds``.
+    peer's encoder builds up.  Counters, folded into ``perf`` when given
+    (as for :class:`WireEncoder`): ``wire_frames_decoded`` /
+    ``wire_bytes_decoded`` per frame, ``wire_decode_seconds`` per
+    :meth:`decode_frames` pass.
     """
 
-    __slots__ = ("perf", "_desc_static")
+    __slots__ = ("_desc_static",) + tuple(
+        "_n_" + name for name in _DECODER_COUNTERS)
 
     def __init__(self, perf=None):
-        self.perf = perf
         #: interned id -> static descriptor fields, mirrored from the peer.
         self._desc_static: Dict[int, tuple] = {}
+        for name in _DECODER_COUNTERS:
+            setattr(self, "_n_" + name, 0)
+        if perf is not None:
+            perf.attach(self, _DECODER_COUNTERS)
+
+    def decode_frames(self, splitter: "FrameSplitter", out) -> None:
+        """Decode every complete frame ``splitter`` holds onto ``out``.
+
+        The receive path of every data plane: one pass per chunk read
+        from the transport, timed once.  A frame that fails to split or
+        decode ends the pass, and its :class:`ProtocolError` is appended
+        after the messages before it, so the consumer meets the fault in
+        stream order; the stream is unusable after it.
+        """
+        t0 = perf_counter()
+        try:
+            while True:
+                payload = splitter.next()
+                if payload is None:
+                    break
+                out.append(self.decode(payload))
+        except ProtocolError as exc:
+            out.append(exc)
+        self._n_wire_decode_seconds += perf_counter() - t0
 
     def decode(self, payload) -> Dict[str, Any]:
-        perf = self.perf
-        t0 = time.perf_counter() if perf is not None else 0.0
         if not payload:
             raise ProtocolError("empty frame")
         data = bytes(payload)
@@ -481,10 +552,8 @@ class WireDecoder:
                     f"undecodable binary frame: {exc}") from None
         else:
             message = decode_message(data)
-        if perf is not None:
-            perf.bump("wire_decode_seconds", time.perf_counter() - t0)
-            perf.bump("wire_frames_decoded")
-            perf.bump("wire_bytes_decoded", len(data) + _LEN.size)
+        self._n_wire_frames_decoded += 1
+        self._n_wire_bytes_decoded += len(data) + _LEN.size
         return message
 
     # -- binary parsing -----------------------------------------------------
@@ -699,6 +768,87 @@ async def write_message(writer: asyncio.StreamWriter,
 
 
 # ---------------------------------------------------------------------------
+# Push-style framing (every buffered reader)
+# ---------------------------------------------------------------------------
+
+class FrameSplitter:
+    """Feed bytes in, take complete frame payloads out.
+
+    The one length-prefix parser of the buffered data planes: the
+    daemon's and the client's asyncio protocols feed it each chunk the
+    transport delivers, and :class:`FrameReader` feeds it each ``recv``.
+    Chunk boundaries can fall anywhere, a header included; a payload is
+    returned only once all of its bytes have arrived.
+    """
+
+    __slots__ = ("_buf", "_pos")
+
+    def __init__(self) -> None:
+        #: Unconsumed bytes: the received chunk itself while it is the
+        #: only one pending (no copy), a bytearray once chunks accumulate.
+        self._buf: Any = b""
+        self._pos = 0          #: start of the first unconsumed frame
+
+    def feed(self, data: bytes) -> None:
+        """Append bytes received from the peer."""
+        buf = self._buf
+        if self._pos == len(buf):
+            self._buf = data
+        elif isinstance(buf, bytearray):
+            if self._pos:
+                del buf[:self._pos]
+            buf += data
+        else:
+            self._buf = bytearray(memoryview(buf)[self._pos:])
+            self._buf += data
+        self._pos = 0
+
+    @property
+    def buffered(self) -> int:
+        """Bytes received but not yet returned as a payload."""
+        return len(self._buf) - self._pos
+
+    def need(self) -> Tuple[int, str]:
+        """(bytes the next frame needs in all, the part still short)."""
+        if self.buffered < _LEN.size:
+            return _LEN.size, "header"
+        (length,) = _LEN.unpack_from(self._buf, self._pos)
+        return _LEN.size + length, "frame"
+
+    def next(self) -> Optional[bytes]:
+        """The next complete payload, or None until more bytes arrive.
+
+        Raises :class:`FrameError` for an announced length above
+        :data:`MAX_FRAME` (the stream cannot be resynchronized).
+        """
+        buf, pos = self._buf, self._pos
+        start = pos + _LEN.size
+        if len(buf) < start:
+            return None
+        (length,) = _LEN.unpack_from(buf, pos)
+        if length > MAX_FRAME:
+            raise FrameError(f"announced frame of {length} bytes exceeds "
+                             f"MAX_FRAME ({MAX_FRAME})")
+        end = start + length
+        if len(buf) < end:
+            return None
+        payload = bytes(buf[start:end])
+        self._pos = end
+        return payload
+
+    def truncation(self) -> Optional[FrameError]:
+        """At the end of the stream: the error for a partial frame.
+
+        None when the stream ended on a frame boundary.
+        """
+        if not self.buffered:
+            return None
+        need, what = self.need()
+        return FrameError(f"connection dropped mid-frame: got "
+                          f"{self.buffered} of {need} {what} bytes")
+
+
+# ---------------------------------------------------------------------------
 # Synchronous framing (blocking sockets)
 # ---------------------------------------------------------------------------
 #
@@ -710,13 +860,14 @@ async def write_message(writer: asyncio.StreamWriter,
 class FrameReader:
     """Buffered blocking frame reader over one socket.
 
-    One ``recv`` pulls as many bytes as the kernel has ready, so a
-    pipelined stretch of frames (a coordination wave) costs one syscall,
-    not two recv loops per frame.  All transport failures surface as
-    :class:`FrameError` with byte offsets; ``EINTR`` is retried.
+    One ``recv`` pulls as many bytes as the kernel has ready, and every
+    complete frame in it is decoded at once, so a pipelined stretch of
+    frames (a coordination wave) costs one syscall and one decode pass.
+    All transport failures surface as :class:`FrameError` with byte
+    offsets; ``EINTR`` is retried.
     """
 
-    __slots__ = ("_sock", "_decoder", "_buf", "_pos")
+    __slots__ = ("_sock", "_decoder", "_splitter", "_ready")
 
     #: recv size — large enough that a whole coalesced wave arrives at once.
     CHUNK = 1 << 16
@@ -724,68 +875,52 @@ class FrameReader:
     def __init__(self, sock, decoder: Optional[WireDecoder] = None):
         self._sock = sock
         self._decoder = decoder if decoder is not None else WireDecoder()
-        self._buf = bytearray()
-        self._pos = 0
-
-    def _available(self) -> int:
-        return len(self._buf) - self._pos
+        self._splitter = FrameSplitter()
+        #: Decoded messages not yet returned (or the error ending them).
+        self._ready: "deque[Any]" = deque()
 
     def has_buffered_frame(self) -> bool:
-        """True when a complete frame is already parseable from the buffer.
+        """True when a complete frame has already been received.
 
         The worker loop uses this to decide when to flush its pending
         replies: only before a read that will actually hit the socket —
         the flush-before-block rule that keeps both ends deadlock-free
         while still coalescing a whole wave's replies into one send.
         """
-        avail = self._available()
-        if avail < _LEN.size:
-            return False
-        (length,) = _LEN.unpack_from(self._buf, self._pos)
-        return avail >= _LEN.size + length
+        return bool(self._ready)
 
-    def _fill(self, need: int, what: str) -> bool:
-        """Ensure ``need`` bytes are buffered; False on clean EOF at 0."""
-        while self._available() < need:
+    def _recv(self) -> bool:
+        """Receive one chunk and decode its frames; False on EOF."""
+        splitter = self._splitter
+        while True:
             try:
-                chunk = self._sock.recv(max(self.CHUNK,
-                                            need - self._available()))
+                chunk = self._sock.recv(self.CHUNK)
             except InterruptedError:  # pragma: no cover - EINTR straggler
                 continue
             except OSError as exc:
+                need, what = splitter.need()
                 raise FrameError(
-                    f"transport failed with {self._available()} of {need} "
+                    f"transport failed with {splitter.buffered} of {need} "
                     f"{what} bytes buffered: {exc}") from None
             if not chunk:
-                if self._available() == 0:
-                    return False
-                raise FrameError(
-                    f"connection dropped mid-frame: got "
-                    f"{self._available()} of {need} {what} bytes")
-            self._buf += chunk
-        return True
+                return False
+            splitter.feed(chunk)
+            self._decoder.decode_frames(splitter, self._ready)
+            return True
 
     def read_frame(self) -> Optional[Dict[str, Any]]:
         """Read one frame; ``None`` on clean EOF at a frame boundary."""
-        if self._pos and self._pos == len(self._buf):
-            del self._buf[:]
-            self._pos = 0
-        elif self._pos > self.CHUNK:
-            del self._buf[:self._pos]
-            self._pos = 0
-        if not self._fill(_LEN.size, "header"):
-            return None
-        (length,) = _LEN.unpack_from(self._buf, self._pos)
-        if length > MAX_FRAME:
-            raise FrameError(f"announced frame of {length} bytes exceeds "
-                             f"MAX_FRAME ({MAX_FRAME})")
-        if not self._fill(_LEN.size + length, "frame"):
-            raise FrameError(  # pragma: no cover - _fill raises first
-                "connection dropped mid-frame")
-        start = self._pos + _LEN.size
-        payload = bytes(self._buf[start:start + length])
-        self._pos = start + length
-        return self._decoder.decode(payload)
+        ready = self._ready
+        while not ready:
+            if not self._recv():
+                error = self._splitter.truncation()
+                if error is not None:
+                    raise error
+                return None
+        message = ready.popleft()
+        if isinstance(message, ProtocolError):
+            raise message
+        return message
 
 
 def write_frame(sock, message: Mapping[str, Any],

@@ -32,26 +32,43 @@ draining); :meth:`CoordinationService.drain` stops accepting, lets
 connected clients finish and say ``bye``, then settles the simulator.
 The ops surface (``/healthz``/``/metrics``) lives in
 :mod:`repro.service.ops`.
+
+The data plane is callback-driven: each connection is one
+:class:`asyncio.Protocol`.  ``data_received`` splits and decodes every
+complete frame of the chunk, then the daemon runs parse, sequencer and
+:meth:`~CoordinationService._apply` synchronously, queueing acks and
+pushed grants on the owning connection's encoder; every connection with
+queued frames is written once at the end of the chunk.  One task per
+connection (``_reader_loop``) holds only the hello and the connection's
+lifetime.  Backpressure maps onto the transport: a connection is not
+read, and its decoded frames are not served, while its out-of-order
+replay entries fill ``max_pending`` or while its peer is not reading its
+acks (the transport paused writing; ``_writer_loop`` waits that out).
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from ..core import CalciomRuntime
 from ..experiments.spec import ExperimentSpec
 from ..platforms import Platform
 from .protocol import (
-    CODECS, ProtocolError, WireDecoder, WireEncoder, decisions_to_json,
-    descriptor_from_dict, encode_message, read_message, write_message,
+    CODECS, FrameSplitter, ProtocolError, WireDecoder, WireEncoder,
+    decisions_to_json, decode_message, descriptor_from_dict, encode_message,
 )
 
 __all__ = ["ServiceConfig", "CoordinationService"]
 
 _OPS = ("inform", "release", "complete", "withdraw")
+
+#: The daemon's per-frame counters, kept as plain ints (``_n_<name>``).
+_FOLDED_COUNTERS = ("service_frames", "service_exchanges_applied",
+                    "service_grants_pushed", "service_reordered_frames")
 
 
 def _finite(value: Any, what: str) -> float:
@@ -83,30 +100,83 @@ class ServiceConfig:
     spec_sha: Optional[str] = None
 
 
-class _Connection:
-    """Per-connection state: sessions, outbox, backpressure accounting."""
+#: Why a connection is not being read (bits of ``_Connection.holds``).
+_SEQUENCER = 1   #: its out-of-order replay entries reached ``max_pending``
+_WRITE = 2       #: its peer stopped reading (the transport paused writing)
 
-    __slots__ = ("cid", "mode", "apps", "writer", "outbox", "buffered",
-                 "unblocked", "closed", "frames", "applied", "encoder",
-                 "decoder")
 
-    def __init__(self, cid: int, mode: str, apps: Set[str],
-                 writer: asyncio.StreamWriter, encoder: WireEncoder,
-                 decoder: WireDecoder):
-        self.cid = cid
-        self.mode = mode
-        self.apps = apps
-        self.writer = writer
-        #: Frames queued for the writer task (acks, grants, errors).
-        self.outbox: "asyncio.Queue[Optional[dict]]" = asyncio.Queue()
-        self.buffered = 0          #: out-of-order entries held by the sequencer
-        self.unblocked = asyncio.Event()
-        self.unblocked.set()
+class _Connection(asyncio.Protocol):
+    """One client connection: the transport callbacks and their state.
+
+    ``data_received`` splits and decodes every complete frame of a chunk
+    into ``inbox`` and hands the connection to the daemon, which serves
+    the inbox synchronously; a held connection (``holds`` != 0) keeps
+    its remaining frames there until the hold is released.
+    """
+
+    __slots__ = ("service", "transport", "splitter", "inbox", "hello",
+                 "ended", "writable", "cid", "mode", "apps", "encoder",
+                 "decoder", "buffered", "holds", "closed", "dirty")
+
+    def __init__(self, service: "CoordinationService"):
+        loop = asyncio.get_running_loop()
+        self.service = service
+        self.transport: Optional[asyncio.Transport] = None
+        self.splitter = FrameSplitter()
+        #: Decoded frames not yet served, or the error that ended them.
+        self.inbox: Deque[Any] = deque()
+        #: The first frame's payload (None when the peer left before it).
+        self.hello: "asyncio.Future[Optional[bytes]]" = loop.create_future()
+        self.ended: "asyncio.Future[None]" = loop.create_future()
+        #: Pending while the transport is paused for writing.
+        self.writable: Optional[asyncio.Future] = None
+        # Set by admission:
+        self.cid = -1
+        self.mode = ""
+        self.apps: Set[str] = set()
+        self.encoder: Optional[WireEncoder] = None  #: negotiated codec
+        self.decoder: Optional[WireDecoder] = None  #: universal
+        self.buffered = 0     #: out-of-order entries held by the sequencer
+        self.holds = 0        #: _SEQUENCER | _WRITE while not read
+        #: No further frame is served; the transport closes at the next
+        #: flush (after a bye-ack or an error frame).
         self.closed = False
-        self.frames = 0
-        self.applied = 0
-        self.encoder = encoder     #: negotiated codec, server->client frames
-        self.decoder = decoder     #: universal (self-describing payloads)
+        self.dirty = False    #: frames queued since the last flush
+
+    # -- asyncio.Protocol --------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.service._accept(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.splitter.feed(data)
+        if self.decoder is not None:
+            self.decoder.decode_frames(self.splitter, self.inbox)
+            self.service._serve(self)
+        elif not self.hello.done():
+            try:
+                payload = self.splitter.next()
+            except ProtocolError as exc:
+                self.hello.set_exception(exc)
+                return
+            if payload is not None:
+                # Nothing more is read until the hello is answered.
+                self.transport.pause_reading()
+                self.hello.set_result(payload)
+
+    def eof_received(self) -> bool:
+        self.service._peer_eof(self)
+        return False
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.service._lost(self, exc)
+
+    def pause_writing(self) -> None:
+        self.service._pause_writes(self)
+
+    def resume_writing(self) -> None:
+        if self.writable is not None and not self.writable.done():
+            self.writable.set_result(None)
 
 
 class CoordinationService:
@@ -125,13 +195,25 @@ class CoordinationService:
         self.sim = self.platform.sim
         self.coordinator = self.runtime.coordinator
         self.perf = self.platform.perf
+        # Per-frame counters: plain ints folded into ``perf`` on read.
+        self._n_service_frames = 0
+        self._n_service_exchanges_applied = 0
+        self._n_service_grants_pushed = 0
+        self._n_service_reordered_frames = 0
+        self.perf.attach(self, _FOLDED_COUNTERS)
 
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._ops_server: Optional[asyncio.AbstractServer] = None
+        #: Every open transport, admitted or not (a hard stop drops all).
+        self._open: Set[_Connection] = set()
+        #: Running per-connection tasks (the loop holds tasks weakly).
+        self._tasks: Set[asyncio.Task] = set()
         self._connections: Dict[int, _Connection] = {}
         self._sessions: Dict[str, int] = {}   #: app -> owning connection id
         self._next_cid = 0
+        #: Connections with frames queued since the last flush.
+        self._dirty: List[_Connection] = []
         #: Replay sequencer: next global seq to apply, plus the buffer of
         #: early arrivals (seq -> (entry, owning connection)).
         self._next_seq = 0
@@ -146,8 +228,9 @@ class CoordinationService:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind the coordination listener (and the ops sidecar, if any)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port)
         if self.config.ops_port is not None:
             from .ops import handle_ops
             self._ops_server = await asyncio.start_server(
@@ -177,13 +260,12 @@ class CoordinationService:
         self.draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         clean = True
         try:
             await asyncio.wait_for(self._idle.wait(), timeout)
         except asyncio.TimeoutError:
             clean = False
-            await self._drop_all()
+            self._drop_all()
         # Settle the virtual clock: in-flight grant notifications, span
         # chains, hold timers.
         self.sim.run()
@@ -196,16 +278,20 @@ class CoordinationService:
         self.draining = True
         if self._server is not None:
             self._server.close()
+        self._drop_all()
+        if self._server is not None:
             await self._server.wait_closed()
-        await self._drop_all()
         if self._ops_server is not None:
             self._ops_server.close()
             await self._ops_server.wait_closed()
         self._drained.set()
 
-    async def _drop_all(self) -> None:
-        for conn in list(self._connections.values()):
-            await self._finish_connection(conn, abnormal=True)
+    def _drop_all(self) -> None:
+        for conn in list(self._open):
+            self._finish_connection(conn, abnormal=True)
+            conn.closed = True
+            conn.transport.abort()
+        self._flush()
 
     # ------------------------------------------------------------------
     # Introspection (shared with the ops endpoints)
@@ -252,48 +338,43 @@ class CoordinationService:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn: Optional[_Connection] = None
-        writer_task: Optional[asyncio.Task] = None
-        try:
-            conn = await self._admit(reader, writer)
-            if conn is None:
-                return
-            writer_task = asyncio.ensure_future(self._writer_loop(conn))
-            await self._reader_loop(conn, reader)
-        except (ProtocolError, ConnectionError, asyncio.CancelledError) as exc:
-            self.perf.bump("service_protocol_errors")
-            error = {"type": "error", "reason": str(exc)}
-            if conn is not None and not conn.closed:
-                try:
-                    conn.outbox.put_nowait(error)
-                except Exception:  # pragma: no cover - raced shutdown
-                    pass
-            elif conn is None and isinstance(exc, ProtocolError):
-                # A malformed hello: no session yet, answer on the socket.
-                writer.write(encode_message(error))
-        finally:
-            if conn is not None:
-                await self._finish_connection(conn, abnormal=not conn.closed)
-                if writer_task is not None:
-                    conn.outbox.put_nowait(None)
-                    try:
-                        await writer_task
-                    except Exception:  # pragma: no cover - peer vanished
-                        pass
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # pragma: no cover - peer vanished
-                pass
+    def _accept(self, conn: _Connection) -> None:
+        """A transport opened: track it and start its lifetime task."""
+        self._open.add(conn)
+        self._spawn(self._reader_loop(conn))
 
-    async def _admit(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> Optional[_Connection]:
+    def _spawn(self, coro) -> None:
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _reader_loop(self, conn: _Connection) -> None:
+        """Run the connection's hello, then wait for the connection to end.
+
+        Every frame after the hello is served from ``data_received``; this
+        task only holds the handshake and the connection's lifetime.
+        """
+        transport = conn.transport
+        try:
+            payload = await conn.hello
+            if payload is not None and not conn.ended.done():
+                self._admit(conn, decode_message(payload))
+        except ProtocolError as exc:
+            # A malformed hello: no session yet, answer on the socket.
+            self.perf.bump("service_protocol_errors")
+            transport.write(encode_message({"type": "error",
+                                            "reason": str(exc)}))
+        if conn.decoder is None:
+            transport.close()
+        else:
+            transport.resume_reading()
+            # Frames the client sent behind its hello.
+            conn.decoder.decode_frames(conn.splitter, conn.inbox)
+            self._serve(conn)
+        await conn.ended
+
+    def _admit(self, conn: _Connection, hello: dict) -> None:
         """The hello handshake: admission control and codec negotiation."""
-        hello = await read_message(reader)
-        if hello is None:
-            return None
         if hello.get("type") != "hello":
             raise ProtocolError(f"expected hello, got {hello.get('type')!r}")
         apps = hello.get("apps", [])
@@ -324,87 +405,159 @@ class CoordinationService:
             reason = "spec-mismatch"
         if reason is not None:
             self.perf.bump("service_rejections")
-            await write_message(writer, {"type": "rejected",
-                                         "reason": reason})
-            return None
-        cid = self._next_cid
+            conn.transport.write(encode_message({"type": "rejected",
+                                                 "reason": reason}))
+            return
+        conn.cid = cid = self._next_cid
         self._next_cid += 1
-        conn = _Connection(cid, mode, set(apps), writer,
-                           WireEncoder(codec, perf=self.perf),
-                           WireDecoder(perf=self.perf))
+        conn.mode = mode
+        conn.apps = set(apps)
+        conn.encoder = WireEncoder(codec, perf=self.perf)
+        conn.decoder = WireDecoder(perf=self.perf)
         self._connections[cid] = conn
         for app in apps:
             self._sessions[app] = cid
         self._idle.clear()
         self.perf.bump("service_connections")
         self.perf.bump("service_sessions", len(apps))
-        await write_message(writer, {"type": "welcome", "mode": mode,
-                                     "next_seq": self._next_seq,
-                                     "codec": codec})
-        return conn
+        conn.transport.write(encode_message({
+            "type": "welcome", "mode": mode, "next_seq": self._next_seq,
+            "codec": codec}))
+
+    def _serve(self, conn: _Connection) -> None:
+        """Serve the connection's decoded frames until a hold, then flush."""
+        inbox = conn.inbox
+        try:
+            while inbox and not conn.holds and not conn.closed:
+                message = inbox.popleft()
+                if isinstance(message, ProtocolError):
+                    raise message
+                self._handle(conn, message)
+        except ProtocolError as exc:
+            self._fail(conn, exc)
+        self._flush()
+
+    def _handle(self, conn: _Connection, message: dict) -> None:
+        self._n_service_frames += 1
+        mtype = message.get("type")
+        if mtype == "bye":
+            conn.closed = True
+            self._finish_connection(conn, abnormal=False)
+            self._push(conn, {"type": "bye-ack"})
+            return
+        if mtype == "decision-digest":
+            sha, count = self.decision_digest()
+            self._push(conn, {"type": "decision-digest", "sha256": sha,
+                              "decisions": count})
+            return
+        if mtype not in _OPS:
+            raise ProtocolError(f"unknown message type {mtype!r}")
+        self._ingest(conn, self._parse(conn, message))
+
+    def _fail(self, conn: _Connection, exc: ProtocolError) -> None:
+        """Answer a protocol fault with an error frame and drop the peer."""
+        self.perf.bump("service_protocol_errors")
+        self._push(conn, {"type": "error", "reason": str(exc)})
+        conn.closed = True
+        self._finish_connection(conn, abnormal=True)
+
+    def _push(self, conn: _Connection, message: dict) -> None:
+        """Queue one frame for the connection's next flush."""
+        conn.encoder.queue(message)
+        if not conn.dirty:
+            conn.dirty = True
+            self._dirty.append(conn)
+
+    def _flush(self) -> None:
+        """One write per connection with queued frames.
+
+        Coalescing happens here: the acks and grants a chunk produced —
+        a pipelined replay wave, a grant burst — leave in one buffer per
+        connection, written once at the end of the chunk.
+        """
+        for conn in self._dirty:
+            conn.dirty = False
+            data = conn.encoder.flush()
+            if not conn.transport.is_closing():
+                conn.transport.write(data)
+                if conn.closed:
+                    conn.transport.close()
+        self._dirty.clear()
+
+    # -- backpressure -------------------------------------------------------
+    def _hold(self, conn: _Connection, why: int) -> None:
+        """Stop reading the connection and serving its decoded frames."""
+        if not conn.holds:
+            conn.transport.pause_reading()
+        conn.holds |= why
+        self.perf.bump("service_backpressure_stalls")
+
+    def _release(self, conn: _Connection, why: int) -> None:
+        if not conn.holds & why:
+            return
+        conn.holds &= ~why
+        if conn.holds or conn.closed:
+            return
+        conn.transport.resume_reading()
+        if conn.inbox:
+            # Not re-entrantly: this runs inside another connection's apply.
+            asyncio.get_running_loop().call_soon(self._serve, conn)
+
+    def _pause_writes(self, conn: _Connection) -> None:
+        """The transport passed its write high-water mark."""
+        conn.writable = asyncio.get_running_loop().create_future()
+        self._hold(conn, _WRITE)
+        self._spawn(self._writer_loop(conn))
 
     async def _writer_loop(self, conn: _Connection) -> None:
-        """Drain the connection's outbox in order; None is the sentinel.
+        """Wait out a paused write, then read the connection again.
 
-        Coalescing happens here: every frame already queued is encoded
-        into one buffer and shipped with a single ``write``/``drain`` —
-        the replies of a whole coordination wave (a pipelined replay
-        round's acks, a grant burst) cost one syscall, not one each.
+        The peer is not reading its acks, and every frame served queues
+        another, so the connection is held until its transport drains
+        below the low-water mark (or the connection ends).
         """
-        outbox = conn.outbox
-        writer = conn.writer
-        encoder = conn.encoder
-        while True:
-            frame = await outbox.get()
-            if frame is None:
-                return
-            batch = bytearray(encoder.encode(frame))
-            batched = 1
-            done = False
-            while not outbox.empty():
-                frame = outbox.get_nowait()
-                if frame is None:
-                    done = True
-                    break
-                batch += encoder.encode(frame)
-                batched += 1
-            writer.write(bytes(batch))
-            await writer.drain()
-            self._note_flush(batched)
-            if done:
-                return
+        await conn.writable
+        conn.writable = None
+        self._release(conn, _WRITE)
 
-    def _note_flush(self, batched: int) -> None:
-        self.perf.bump("wire_flushes")
-        if batched > 1:
-            self.perf.bump("wire_coalesced_frames", batched - 1)
+    # -- the end of a connection --------------------------------------------
+    def _peer_eof(self, conn: _Connection) -> None:
+        """The peer closed its side: a partial frame is its fault."""
+        if conn.decoder is None:
+            if not conn.hello.done():
+                error = conn.splitter.truncation()
+                if error is None:
+                    conn.hello.set_result(None)
+                else:
+                    conn.hello.set_exception(error)
+            return
+        if conn.closed:
+            return
+        error = conn.splitter.truncation()
+        if error is not None:
+            self._fail(conn, error)
+        else:
+            # EOF without bye: abnormal (peer vanished).
+            conn.closed = True
+            self._finish_connection(conn, abnormal=True)
+        self._flush()
 
-    async def _reader_loop(self, conn: _Connection,
-                           reader: asyncio.StreamReader) -> None:
-        while True:
-            # Backpressure: a connection whose out-of-order entries fill
-            # the buffer is not read again until the sequencer drains it.
-            await conn.unblocked.wait()
-            message = await read_message(reader, conn.decoder)
-            if message is None:
-                # EOF without bye: abnormal (peer vanished).
-                return
-            conn.frames += 1
-            self.perf.bump("service_frames")
-            mtype = message.get("type")
-            if mtype == "bye":
-                conn.closed = True
-                await self._finish_connection(conn, abnormal=False)
-                conn.outbox.put_nowait({"type": "bye-ack"})
-                return
-            if mtype == "decision-digest":
-                sha, count = self.decision_digest()
-                conn.outbox.put_nowait({"type": "decision-digest",
-                                        "sha256": sha, "decisions": count})
-                continue
-            if mtype not in _OPS:
-                raise ProtocolError(f"unknown message type {mtype!r}")
-            self._ingest(conn, self._parse(conn, message))
+    def _lost(self, conn: _Connection, exc: Optional[Exception]) -> None:
+        """The transport closed; release everything the connection held."""
+        self._open.discard(conn)
+        if not conn.hello.done():
+            conn.hello.set_result(None)
+        if conn.writable is not None and not conn.writable.done():
+            conn.writable.set_result(None)
+        if conn.cid in self._connections:
+            if exc is not None:
+                self.perf.bump("service_protocol_errors")
+            conn.closed = True
+            self._finish_connection(conn, abnormal=True)
+            self._flush()
+        if conn.encoder is not None:
+            self.perf.detach(conn.encoder, conn.decoder)
+        conn.ended.set_result(None)
 
     # ------------------------------------------------------------------
     # The sequencer and the virtual clock
@@ -460,10 +613,9 @@ class CoordinationService:
         else:
             self._pending[seq] = (entry, conn)
             conn.buffered += 1
-            self.perf.bump("service_reordered_frames")
+            self._n_service_reordered_frames += 1
             if conn.buffered >= self.config.max_pending:
-                conn.unblocked.clear()
-                self.perf.bump("service_backpressure_stalls")
+                self._hold(conn, _SEQUENCER)
 
     def _drain_pending(self) -> None:
         """Apply every buffered entry the sequencer has caught up to."""
@@ -471,7 +623,7 @@ class CoordinationService:
             entry, owner = self._pending.pop(self._next_seq)
             owner.buffered -= 1
             if owner.buffered < self.config.max_pending:
-                owner.unblocked.set()
+                self._release(owner, _SEQUENCER)
             self._apply(owner, entry)
             self._next_seq += 1
 
@@ -480,7 +632,7 @@ class CoordinationService:
 
         Synchronous — the arbiter's ``on_*`` entry points decide
         immediately (round partitioning does not change decisions), and
-        running inside one event-loop task step makes each apply atomic.
+        running inside one transport callback makes each apply atomic.
         """
         op = entry["type"]
         app = entry["app"]
@@ -504,9 +656,8 @@ class CoordinationService:
         else:  # complete / withdraw
             self.coordinator.withdraw(app)
             self._settle(conn)
-        conn.applied += 1
-        self.perf.bump("service_exchanges_applied")
-        conn.outbox.put_nowait(ack)
+        self._n_service_exchanges_applied += 1
+        self._push(conn, ack)
 
     def _settle(self, conn: _Connection) -> None:
         """Drive the simulator after an exchange, mode-appropriately.
@@ -535,9 +686,9 @@ class CoordinationService:
             self._granted_subs.discard(app)
             owner = self._connections.get(self._sessions.get(app, -1))
             if owner is not None and not owner.closed:
-                self.perf.bump("service_grants_pushed")
-                owner.outbox.put_nowait(
-                    {"type": "grant", "app": app, "t": self.sim.now})
+                self._n_service_grants_pushed += 1
+                self._push(owner,
+                           {"type": "grant", "app": app, "t": self.sim.now})
 
         if event.processed:
             _on_grant(event)
@@ -547,8 +698,12 @@ class CoordinationService:
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
-    async def _finish_connection(self, conn: _Connection,
-                                 abnormal: bool) -> None:
+    def _finish_connection(self, conn: _Connection, abnormal: bool) -> None:
+        """Close the connection's sessions (withdrawn if it crashed live).
+
+        Frames it still has queued (a bye-ack, an error) are flushed by
+        the caller's flush; crash withdrawals may queue grants for others.
+        """
         if conn.cid not in self._connections:
             return
         del self._connections[conn.cid]

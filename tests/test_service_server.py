@@ -9,17 +9,20 @@ dependencies) and talks to it over genuine sockets.
 import asyncio
 import json
 import math
+import socket
 
 import pytest
 
 from repro.core.metrics import AccessDescriptor
 from repro.experiments.scenarios import build_scenario
 from repro.service.client import AdmissionRejected, ServiceClient
+from repro.service.loadgen import _entry_message
 from repro.service.protocol import (
-    descriptor_to_dict, read_message, write_message,
+    FrameSplitter, WireDecoder, WireEncoder, decisions_to_json,
+    descriptor_to_dict, encode_message, read_message, write_message,
 )
 from repro.service.server import CoordinationService, ServiceConfig
-from repro.service.trace import spec_fingerprint
+from repro.service.trace import record_trace, spec_fingerprint
 
 _TIMEOUT = 30.0
 
@@ -198,6 +201,34 @@ def test_live_disconnect_withdraws_sessions():
     _run(go())
 
 
+def test_hello_frames_and_eof_in_one_write():
+    """A client that sends its hello, an inform and EOF at once is
+    admitted, served and then treated as vanished."""
+    async def go():
+        service = await _start()
+        host, port = service.address
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(encode_message({"type": "hello", "apps": ["w1"],
+                                     "mode": "live"})
+                     + encode_message({
+                         "type": "inform",
+                         "descriptor": descriptor_to_dict(_descriptor("w1"))}))
+        writer.write_eof()
+        try:
+            assert (await read_message(reader))["type"] == "welcome"
+            assert (await read_message(reader))["type"] == "inform-ack"
+            assert await _eventually(lambda: not service._connections)
+            counters = service.perf.as_dict()
+            assert counters["service_crash_withdrawals"] == 1
+            assert not service.coordinator.is_authorized("w1")
+            assert await service.drain(timeout=5.0) is True
+        finally:
+            writer.close()
+            await service.close()
+
+    _run(go())
+
+
 def test_clean_bye_keeps_authorizations():
     async def go():
         service = await _start()
@@ -291,6 +322,76 @@ def test_sequencer_rejects_duplicate_seq():
         finally:
             writer.close()
             await service.close()
+
+    _run(go())
+
+
+def test_peer_that_stops_reading_is_not_read_until_it_drains():
+    """A client that sends its whole replay and reads nothing: once the
+    daemon's unsent acks pass the transport's high-water mark the daemon
+    stops reading that connection, and it resumes when the client drains.
+    """
+    spec = _spec(napps=16, phases=12)
+    trace, result = record_trace(spec)
+
+    async def go():
+        service = await _start(spec=spec)
+        host, port = service.address
+        loop = asyncio.get_running_loop()
+        # A bare socket: nothing reads it until the test does.
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        await loop.sock_connect(sock, (host, port))
+        splitter, decoder, frames = FrameSplitter(), WireDecoder(), []
+
+        async def next_frame():
+            while not frames:
+                splitter.feed(await loop.sock_recv(sock, 65536))
+                decoder.decode_frames(splitter, frames)
+            return frames.pop(0)
+
+        await loop.sock_sendall(sock, encode_message({
+            "type": "hello", "apps": trace.apps, "mode": "replay",
+            "spec_sha": None}))
+        assert (await next_frame())["type"] == "welcome"
+        conn, = service._connections.values()
+        conn.transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        conn.transport.set_write_buffer_limits(high=4096)
+        encoder = WireEncoder("json")
+        for entry in trace.entries:
+            message = _entry_message(entry)
+            message.update(seq=entry["seq"], t=entry["t"])
+            encoder.queue(message)
+        sending = asyncio.ensure_future(
+            loop.sock_sendall(sock, encoder.flush()))
+        try:
+            assert await _eventually(lambda: not conn.transport.is_reading())
+            assert service.perf.get("service_backpressure_stalls") >= 1
+            # Held: nothing more of the client's replay is applied.
+            paused_at = service.health()["next_seq"]
+            await asyncio.sleep(0.05)
+            assert service.health()["next_seq"] == paused_at
+
+            acked = []
+            while len(acked) < len(trace.entries):
+                frame = await next_frame()
+                assert frame["type"] != "error", frame
+                if frame["type"] != "grant":
+                    acked.append(frame["seq"])
+            assert acked == list(range(len(trace.entries)))
+            await sending
+            assert conn.transport.is_reading()
+            await loop.sock_sendall(sock, encode_message({"type": "bye"}))
+            while (await next_frame())["type"] != "bye-ack":
+                pass
+        finally:
+            sending.cancel()
+            sock.close()
+            await service.close()
+        assert (decisions_to_json(service.decision_log)
+                == decisions_to_json(result.decisions))
 
     _run(go())
 

@@ -15,8 +15,9 @@ Two layers of guarantee:
   ``REPRO_WIRE_CODEC`` says, and its log equals the inline one.
 
 Plus the framing satellites: `FrameError` with byte offsets out of every
-truncation path of the async reader and the blocking `FrameReader`, codec
-negotiation, and the shared canonical-JSON helper.
+truncation path of the async reader and the blocking `FrameReader`, the
+push-style `FrameSplitter` under every chunking of a recorded replay,
+codec negotiation, and the shared canonical-JSON helper.
 """
 
 import asyncio
@@ -31,10 +32,10 @@ from repro.core.metrics import AccessDescriptor
 from repro.core.sharding import ShardRouter
 from repro.perf import PerfCounters
 from repro.service.protocol import (
-    CODECS, MAX_FRAME, FrameError, FrameReader, ProtocolError, WireDecoder,
-    WireEncoder, canonical_json, decisions_to_json, default_wire_codec,
-    descriptor_from_dict, descriptor_to_dict, encode_message, read_message,
-    write_frame,
+    CODECS, MAX_FRAME, FrameError, FrameReader, FrameSplitter, ProtocolError,
+    WireDecoder, WireEncoder, canonical_json, decisions_to_json,
+    default_wire_codec, descriptor_from_dict, descriptor_to_dict,
+    encode_message, read_message, write_frame,
 )
 from repro.simcore import Simulator
 
@@ -342,6 +343,101 @@ def test_frame_reader_mixed_codecs_one_stream():
     finally:
         a.close()
         b.close()
+
+
+# ---------------------------------------------------------------------------
+# FrameSplitter: any chunking of a stream splits into the same frames
+# ---------------------------------------------------------------------------
+
+def _replay_stream(codec):
+    """A recorded replay's client frames: (stream bytes, frame offsets)."""
+    from repro.experiments.scenarios import build_scenario
+    from repro.service.loadgen import _entry_message
+    from repro.service.trace import record_trace
+
+    spec, = build_scenario("service-many-writers", napps=16, nservers=4,
+                           phases=3, seed=5, strategy="dynamic")
+    trace, _result = record_trace(spec)
+    encoder = WireEncoder(codec)
+    for entry in trace.entries:
+        message = _entry_message(entry)
+        message.update(seq=entry["seq"], t=entry["t"])
+        encoder.queue(message)
+    stream = encoder.flush()
+    offsets, pos = [], 0
+    while pos < len(stream):
+        offsets.append(pos)
+        (length,) = struct.unpack_from(">I", stream, pos)
+        pos += 4 + length
+    assert pos == len(stream) and len(offsets) == len(trace.entries)
+    return stream, offsets
+
+
+def _split_decode(chunks):
+    splitter, decoder, out = FrameSplitter(), WireDecoder(), []
+    for chunk in chunks:
+        splitter.feed(chunk)
+        decoder.decode_frames(splitter, out)
+    assert splitter.buffered == 0 and splitter.truncation() is None
+    return out
+
+
+def _cut(stream, cuts):
+    bounds = [0] + sorted(set(cuts) - {0, len(stream)}) + [len(stream)]
+    return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_splitter_any_chunking_decodes_like_whole_buffer(codec):
+    stream, offsets = _replay_stream(codec)
+    whole = _split_decode([stream])
+    assert len(whole) == len(offsets) > 64
+    assert not any(isinstance(m, ProtocolError) for m in whole)
+    chunkings = {
+        "1-byte": [stream[i:i + 1] for i in range(len(stream))],
+        "mid-header": _cut(stream, [o + 2 for o in offsets]),
+        "mid-payload": _cut(stream, [o + 4 + (struct.unpack_from(
+            ">I", stream, o)[0] // 2) for o in offsets]),
+        "64-frames": _cut(stream, offsets[::64]),
+    }
+    for name, chunks in chunkings.items():
+        assert _split_decode(chunks) == whole, name
+
+
+def test_splitter_returns_payloads_only_when_complete():
+    frame = WireEncoder("json").encode({"type": "bye"})
+    splitter = FrameSplitter()
+    splitter.feed(frame[:3])
+    assert splitter.next() is None
+    assert splitter.need() == (4, "header")
+    splitter.feed(frame[3:6])
+    assert splitter.next() is None
+    assert splitter.need() == (len(frame), "frame")
+    error = splitter.truncation()
+    assert isinstance(error, FrameError)
+    assert f"got 6 of {len(frame)} frame bytes" in str(error)
+    splitter.feed(frame[6:] + frame)
+    assert splitter.next() == frame[4:]
+    assert splitter.next() == frame[4:]
+    assert splitter.next() is None and splitter.buffered == 0
+
+
+def test_splitter_oversized_announcement_is_frame_error():
+    splitter = FrameSplitter()
+    splitter.feed(struct.pack(">I", MAX_FRAME + 1))
+    with pytest.raises(FrameError, match="exceeds MAX_FRAME"):
+        splitter.next()
+
+
+def test_decode_frames_keeps_stream_order_up_to_a_bad_frame():
+    """Frames before a bad one are delivered; the error comes last."""
+    encoder = WireEncoder("json")
+    good = encoder.encode({"type": "bye"})
+    splitter, out = FrameSplitter(), []
+    splitter.feed(good + struct.pack(">I", 3) + b"{x}" + good)
+    WireDecoder().decode_frames(splitter, out)
+    assert out[0] == {"type": "bye"}
+    assert isinstance(out[1], ProtocolError) and len(out) == 2
 
 
 # ---------------------------------------------------------------------------
