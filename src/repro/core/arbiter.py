@@ -50,6 +50,11 @@ from .strategies import Action, Decision, Strategy, make_strategy
 
 __all__ = ["AccessState", "Arbiter", "CoordinationRound", "DecisionRecord"]
 
+#: The arbiter's counters, folded into its ``perf`` bag on read.
+_COORD_COUNTERS = ("coord_decisions", "coord_rounds", "coord_exchanges",
+                   "coord_grants", "coord_preemptions", "coord_seconds",
+                   "coord_wall_seconds")
+
 
 class AccessState(Enum):
     IDLE = "idle"
@@ -175,9 +180,12 @@ class Arbiter:
         don't retain 10^5 snapshots.
     perf:
         Optional :class:`~repro.perf.PerfCounters`; when set the arbiter
-        bumps ``coord_decisions`` / ``coord_rounds`` / ``coord_exchanges``
+        counts ``coord_decisions`` / ``coord_rounds`` / ``coord_exchanges``
         / ``coord_grants`` / ``coord_preemptions`` and accumulates
-        ``coord_seconds`` of host wall-clock spent in the decision loop.
+        ``coord_seconds`` of host wall-clock spent in the decision loop,
+        timed per entry point.  The counts are plain integer attributes
+        folded into ``perf`` when it is read
+        (:meth:`~repro.perf.PerfCounters.attach`).
     """
 
     def __init__(self, sim: Simulator, strategy, grant_latency: float = 0.0,
@@ -187,6 +195,10 @@ class Arbiter:
         self.strategy: Strategy = make_strategy(strategy)
         self.grant_latency = float(grant_latency)
         self.perf = perf
+        for name in _COORD_COUNTERS:
+            setattr(self, "_n_" + name, 0)
+        if perf is not None:
+            perf.attach(self, _COORD_COUNTERS)
         self._state: Dict[str, AccessState] = {}
         self._desc: Dict[str, AccessDescriptor] = {}
         self._auth_events: Dict[str, Event] = {}
@@ -293,9 +305,9 @@ class Arbiter:
         if observer is not None:
             observer(app, state)
 
-    def _bump_seconds(self, dt: float) -> None:
-        self.perf.bump("coord_seconds", dt)
-        self.perf.bump("coord_wall_seconds", dt)
+    def _add_seconds(self, dt: float) -> None:
+        self._n_coord_seconds += dt
+        self._n_coord_wall_seconds += dt
 
     # -- protocol entry points (synchronous) -------------------------------
     def on_inform(self, descriptor: AccessDescriptor) -> bool:
@@ -315,7 +327,7 @@ class Arbiter:
         else:
             authorized = self._decide_fresh([descriptor], events=None)[0]
         if self.perf is not None:
-            self._bump_seconds(time.perf_counter() - t0)
+            self._add_seconds(time.perf_counter() - t0)
         return authorized
 
     def submit_inform(self, descriptor: AccessDescriptor) -> Event:
@@ -335,13 +347,12 @@ class Arbiter:
             # are the decisions coordination rounds batch.
             self._merge_descriptor(app, descriptor)
             ev.succeed(self.state_of(app) is AccessState.ACTIVE)
-            if self.perf is not None:
-                self.perf.bump("coord_exchanges")
+            self._n_coord_exchanges += 1
         else:
             self._open_round().entries.append(_Exchange(
                 _Exchange.INFORM, app, descriptor=descriptor, event=ev))
         if self.perf is not None:
-            self._bump_seconds(time.perf_counter() - t0)
+            self._add_seconds(time.perf_counter() - t0)
         return ev
 
     def on_release(self, app: str, remaining_bytes: Optional[float] = None) -> None:
@@ -352,7 +363,7 @@ class Arbiter:
         if desc is not None and remaining_bytes is not None:
             desc.remaining_bytes = max(0.0, float(remaining_bytes))
         if self.perf is not None:
-            self._bump_seconds(time.perf_counter() - t0)
+            self._add_seconds(time.perf_counter() - t0)
 
     def submit_release(self, app: str,
                        remaining_bytes: Optional[float] = None) -> None:
@@ -367,13 +378,12 @@ class Arbiter:
             desc = self._desc.get(app)
             if desc is not None and remaining_bytes is not None:
                 desc.remaining_bytes = max(0.0, float(remaining_bytes))
-            if self.perf is not None:
-                self.perf.bump("coord_exchanges")
+            self._n_coord_exchanges += 1
         else:
             self._open_round().entries.append(_Exchange(
                 _Exchange.RELEASE, app, remaining=remaining_bytes))
         if self.perf is not None:
-            self._bump_seconds(time.perf_counter() - t0)
+            self._add_seconds(time.perf_counter() - t0)
 
     def on_complete(self, app: str) -> None:
         """The whole access finished: free the slot, grant successors."""
@@ -397,7 +407,7 @@ class Arbiter:
         self._desc.pop(app, None)
         self._grant_next()
         if self.perf is not None:
-            self._bump_seconds(time.perf_counter() - t0)
+            self._add_seconds(time.perf_counter() - t0)
 
     def withdraw(self, app: str) -> None:
         """Remove an application entirely (job end, error paths)."""
@@ -424,9 +434,8 @@ class Arbiter:
         entries = rnd.entries
         perf = self.perf
         t0 = time.perf_counter() if perf is not None else 0.0
-        if perf is not None:
-            perf.bump("coord_rounds")
-            perf.bump("coord_exchanges", len(entries))
+        self._n_coord_rounds += 1
+        self._n_coord_exchanges += len(entries)
         i, n = 0, len(entries)
         while i < n:
             e = entries[i]
@@ -461,7 +470,7 @@ class Arbiter:
                                events=[b.event for b in batch])
             i = j
         if perf is not None:
-            self._bump_seconds(time.perf_counter() - t0)
+            self._add_seconds(time.perf_counter() - t0)
 
     def _decide_fresh(self, descriptors: List[AccessDescriptor],
                       events: Optional[List[Event]]) -> List[bool]:
@@ -519,8 +528,7 @@ class Arbiter:
                 self._note_transition(victim, AccessState.PREEMPTED)
                 self._active.pop(victim, None)
                 self._preempted.add(victim)
-                if self.perf is not None:
-                    self.perf.bump("coord_preemptions")
+                self._n_coord_preemptions += 1
         self._activate(app)
         return True
 
@@ -572,8 +580,7 @@ class Arbiter:
             time=self.sim.now, app=app, action=decision.action,
             active=active, waiting=waiting, costs=dict(decision.costs),
         ))
-        if self.perf is not None:
-            self.perf.bump("coord_decisions")
+        self._n_coord_decisions += 1
 
     def _merge_descriptor(self, app: str, incoming: AccessDescriptor) -> None:
         current = self._desc.get(app)
@@ -593,8 +600,7 @@ class Arbiter:
         desc = self._desc.get(app)
         if desc is not None and desc.access_started is None:
             desc.access_started = self.sim.now
-        if self.perf is not None:
-            self.perf.bump("coord_grants")
+        self._n_coord_grants += 1
         ev = self._auth_events.pop(app, None)
         if ev is not None and not ev.triggered:
             ev.succeed(None, delay=self.grant_latency)

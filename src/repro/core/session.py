@@ -62,6 +62,10 @@ class CalciomSession(IOGuard):
         self._descriptor: Optional[AccessDescriptor] = None
         self.total_wait_time = 0.0
         self.coordination_messages = 0
+        #: Messages not yet folded into ``perf`` (see ``PerfCounters.attach``).
+        self._n_coord_messages = 0
+        if perf is not None:
+            perf.attach(self, ("coord_messages",))
 
     # ------------------------------------------------------------------
     # The paper's API (§III-C)
@@ -105,8 +109,7 @@ class CalciomSession(IOGuard):
             # ranks: latency-dominated, so charge the log-tree term only.
             cost += self.comm.gather_time(0.0)
         self.coordination_messages += 1
-        if self.perf is not None:
-            self.perf.bump("coord_messages")
+        self._n_coord_messages += 1
         yield self.sim.timeout(cost)
         # Join the same-timestamp coordination round; the result event
         # fires (still at this timestamp) when the round is flushed.
@@ -127,8 +130,7 @@ class CalciomSession(IOGuard):
     def release(self) -> Generator[object, object, None]:
         """``Release()`` — end a step; let the strategy be re-evaluated."""
         self.coordination_messages += 1
-        if self.perf is not None:
-            self.perf.bump("coord_messages")
+        self._n_coord_messages += 1
         yield self.sim.timeout(self.coordination_latency)
         remaining = (self._descriptor.remaining_bytes
                      if self._descriptor is not None else None)

@@ -77,11 +77,13 @@ class ShardWorkerError(SimulationError):
 
 
 class _ShardPerf:
-    """Per-shard perf proxy: bumps the global counter and a per-shard one.
+    """Per-shard perf proxy: each counter counts globally and per shard.
 
     ``coord_decisions`` stays the machine-wide total (so sharded and
     unsharded runs read the same way) while ``coord_decisions_shard3``
-    makes per-shard load visible in ``ExperimentResult.perf``.
+    makes per-shard load visible in ``ExperimentResult.perf``.  The
+    shard's arbiter attaches its counters through the proxy, so every
+    read folds each one into both names.
     """
 
     __slots__ = ("_perf", "_suffix")
@@ -90,9 +92,8 @@ class _ShardPerf:
         self._perf = perf
         self._suffix = f"_shard{index}"
 
-    def bump(self, name: str, n: float = 1) -> None:
-        self._perf.bump(name, n)
-        self._perf.bump(name + self._suffix, n)
+    def attach(self, source, names) -> None:
+        self._perf.attach(source, names, suffix=self._suffix)
 
 
 class ArbiterShard:

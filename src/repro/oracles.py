@@ -225,13 +225,12 @@ class UnbatchedArbiter(Arbiter):
                     self._state[victim] = AccessState.PREEMPTED
                     self._note_transition(victim, AccessState.PREEMPTED)
                     self._preempted.append(victim)
-                    if self.perf is not None:
-                        self.perf.bump("coord_preemptions")
+                    self._n_coord_preemptions += 1
             self._activate(app)
             return True
         finally:
             if self.perf is not None:
-                self._bump_seconds(time.perf_counter() - t0)
+                self._add_seconds(time.perf_counter() - t0)
 
     def submit_inform(self, descriptor: AccessDescriptor) -> Event:
         """Decided on the spot; the returned event is already triggered."""
@@ -260,7 +259,7 @@ class UnbatchedArbiter(Arbiter):
         self._desc.pop(app, None)
         self._grant_next()
         if self.perf is not None:
-            self._bump_seconds(time.perf_counter() - t0)
+            self._add_seconds(time.perf_counter() - t0)
 
     # -- internals ---------------------------------------------------------
     def _leave_waiting(self, app: str) -> None:

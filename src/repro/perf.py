@@ -56,14 +56,23 @@ counter                    meaning
 ``wall_seconds``           host wall-clock of the run (attached by the engine)
 =========================  ====================================================
 
-The simulator's dispatch counters (``events_*``, ``timer_fastpath_hits``,
-``timers_cancelled``) and the flow network's per-flow, per-refill and
-per-wake ones (``flow_*``, ``reallocations``, ``rate_recomputations``,
-``flows_touched``, ``components_refilled``, ``wakes``, ``wake_*``) are
-plain integer attributes of their owner, folded into the bag whenever it
-is read (:meth:`PerfCounters.attach`), so every reader, the service's
-live ``/metrics`` included, sees the same numbers as if each had been
-bumped.
+Every counter of a per-event path is a plain integer attribute of its
+owner, folded into the bag whenever it is read
+(:meth:`PerfCounters.attach`), so every reader, the service's live
+``/metrics`` included, sees the same numbers as if each had been
+bumped.  The folded families are the simulator's dispatch counters
+(``events_*``, ``timer_fastpath_hits``, ``timers_cancelled``), the flow
+network's per-flow, per-refill and per-wake ones (``flow_*``,
+``reallocations``, ``rate_recomputations``, ``flows_touched``,
+``components_refilled``, ``wakes``, ``wake_*``), the storage servers'
+``io_requests`` and the file systems' ``pfs_writes``/``pfs_reads``, the
+arbiter's ``coord_decisions``/``coord_rounds``/``coord_exchanges``/
+``coord_grants``/``coord_preemptions`` and its ``coord_seconds``/
+``coord_wall_seconds`` timers (still timed per entry point), the
+sessions' ``coord_messages``, and the wire and daemon families below.
+``bump`` remains for the daemon's admissions, drains and errors, monitor
+samples, the process-shard router's blocking time, and counts merged
+from another bag.
 
 The coordination service daemon (:mod:`repro.service`) bumps its own
 family into the same bag: ``service_connections`` / ``service_sessions``
@@ -123,8 +132,9 @@ other counter.
 
 Under sharded coordination (see :mod:`repro.core.sharding`) every
 ``coord_*`` counter above stays the machine-wide total, and each arbiter
-shard additionally bumps a ``coord_*_shard<i>`` twin so per-shard load
-(balance, hot shards) is visible in the same ``ExperimentResult.perf``.
+shard's counters are attached with a suffix, so every read also folds
+them into a ``coord_*_shard<i>`` twin: per-shard load (balance, hot
+shards) is visible in the same ``ExperimentResult.perf``.
 
 Derived ratios are what you read: ``flows_touched / rate_recomputations``
 is the mean dirty-component size (≈ per-bottleneck flow count; the
@@ -151,33 +161,37 @@ __all__ = ["PerfCounters", "WallTimer", "merge_counts"]
 class PerfCounters:
     """A bag of named monotonic counters.
 
-    Deliberately tiny: ``bump`` is called on the simulator's hot path, so
-    there is no per-counter object, no locking, no timestamps — just a dict
-    of numbers.  All values are plain ints/floats and therefore
-    JSON-serializable as-is.
+    Deliberately tiny: no per-counter object, no locking, no timestamps —
+    just a dict of numbers.  All values are plain ints/floats and
+    therefore JSON-serializable as-is.
 
-    The hottest sites (the event core per dispatch batch, the flow network
-    per flow, refill and wake) skip even ``bump``: they increment plain
-    integer attributes registered with :meth:`attach`, which every read
-    folds into the bag first, so ``get``/``as_dict`` see the same numbers
-    as if each increment had been a bump.
+    Per-event sites (the event core, the flow network, storage, the
+    arbiter and sessions, the wire codec and the daemon) skip even
+    ``bump``: they increment plain integer attributes registered with
+    :meth:`attach`, which every read folds into the bag first, so
+    ``get``/``as_dict`` see the same numbers as if each increment had
+    been a bump.
     """
 
     __slots__ = ("_counts", "_sources")
 
     def __init__(self) -> None:
         self._counts: Dict[str, float] = {}
-        self._sources: List[Tuple[Any, Tuple[Tuple[str, str], ...]]] = []
+        self._sources: List[Tuple[Any, Tuple[Tuple[str, str, Optional[str]],
+                                             ...]]] = []
 
-    def attach(self, source: Any, names: Iterable[str]) -> None:
+    def attach(self, source: Any, names: Iterable[str],
+               suffix: str = "") -> None:
         """Fold ``source._n_<name>`` into counter ``name`` on every read.
 
         Each attribute is a number the source adds to (an event count, or
         seconds for a ``*_seconds`` timer); a read adds every non-zero one
-        to its counter and resets it to zero.
+        to its counter and resets it to zero.  With a ``suffix`` it is
+        added to ``name + suffix`` as well (a shard's twin counters).
         """
-        self._sources.append(
-            (source, tuple((name, "_n_" + name) for name in names)))
+        self._sources.append((source, tuple(
+            (name, "_n_" + name, name + suffix if suffix else None)
+            for name in names)))
 
     def detach(self, *sources: Any) -> None:
         """Fold ``sources`` one last time and stop reading them.
@@ -193,11 +207,13 @@ class PerfCounters:
     def _fold(self) -> None:
         counts = self._counts
         for source, fields in self._sources:
-            for name, attr in fields:
+            for name, attr, twin in fields:
                 n = getattr(source, attr)
                 if n:
                     setattr(source, attr, 0)
                     counts[name] = counts.get(name, 0) + n
+                    if twin is not None:
+                        counts[twin] = counts.get(twin, 0) + n
 
     def bump(self, name: str, n: float = 1) -> None:
         """Add ``n`` to counter ``name`` (creating it at zero)."""

@@ -219,8 +219,10 @@ class ServiceClient(asyncio.Protocol):
                        t: Optional[float] = None) -> "asyncio.Future":
         """Queue one frame without sending; the pipelined half of request.
 
-        The frame is queued on the client's encoder and its ack future
-        returned; nothing hits the socket until :meth:`flush`.
+        A shallow copy of ``message``, with ``seq``/``t`` added, is queued
+        on the client's encoder and its ack future returned; nothing hits
+        the socket until :meth:`flush`.  The caller's dict is not changed,
+        and keys it gains or loses later are not sent.
         Queue a whole wave, flush once, then await the futures — one
         syscall per wave instead of one write per exchange.  Valid
         whenever exchanges need no interleaved responses: replay traces
@@ -229,6 +231,7 @@ class ServiceClient(asyncio.Protocol):
         """
         if self._broken is not None:
             raise ConnectionError(f"connection is broken: {self._broken}")
+        message = dict(message)
         if seq is not None:
             message["seq"] = int(seq)
         if t is not None:

@@ -24,14 +24,13 @@ exchange order while exercising real interleaving on the wire.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..experiments.spec import ExperimentSpec
 from .client import ServiceClient
-from .protocol import decisions_to_json
+from .protocol import decisions_digest
 from .server import CoordinationService, ServiceConfig
 from .trace import CoordinationTrace, record_trace, spec_fingerprint
 
@@ -182,10 +181,7 @@ async def replay_trace(trace: CoordinationTrace, host: str, port: int,
     decisions = int(digest.get("decisions", 0))
     equivalent = True
     if reference_decisions is not None:
-        reference_sha = hashlib.sha256(
-            decisions_to_json(reference_decisions).encode("utf-8")
-        ).hexdigest()
-        equivalent = (sha == reference_sha
+        equivalent = (sha == decisions_digest(reference_decisions)
                       and decisions == len(reference_decisions))
 
     ordered = sorted(latencies)

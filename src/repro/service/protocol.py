@@ -80,10 +80,12 @@ previously-queued app's authorization fires (the wire analogue of
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import struct
 from collections import deque
+from json.encoder import encode_basestring_ascii as _json_str
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -97,7 +99,7 @@ __all__ = [
     "encode_message", "decode_message", "read_message", "write_message",
     "write_frame",
     "descriptor_to_dict", "descriptor_from_dict",
-    "decision_to_dict", "decisions_to_json",
+    "decision_to_dict", "decisions_to_json", "decisions_digest",
 ]
 
 _LEN = struct.Struct(">I")
@@ -178,20 +180,33 @@ def decode_message(payload: bytes) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Binary codec internals
+# Binary codec: one precompiled layout per frame shape
 # ---------------------------------------------------------------------------
+#
+# Payloads are big-endian.  ``app`` is a u16 byte count and the UTF-8
+# bytes; ``started`` is ``0`` (None) or ``1`` and a double.
+#
+#   inform    0x81 flags [seq:Q] [t:d] descriptor
+#   release   0x82 flags [seq:Q] [t:d] app [remaining:d, if flags & 4]
+#   complete  0x83 flags [seq:Q] [t:d] app           (withdraw: 0x84)
+#   ack       0x85 kind:B flags t:d [seq:Q, if flags & 1] app
+#             (flags & 2: ``authorized`` present; flags & 4: its value)
+#   grant     0x86 t:d app
+#   generic   0x80 canonical JSON
+#
+# A request's flags say which of ``seq`` (bit 1) and ``t`` (bit 2)
+# follow.  A descriptor is an interned reference, ``1 id:I remaining:d
+# started``, or a full body, ``0 id:I app nprocs:q files:q rounds:q
+# npart:H part:i*npart total:d t_alone:d remaining:d started``.
+#
+# Each layout is one precompiled Struct covering the fixed-size fields up
+# to the next variable-length one.  The encoding layouts begin with the
+# 4-byte length prefix, so most frames are one ``pack`` plus the app
+# bytes.  Request layouts come four to a tuple, indexed by ``flags & 3``.
 
 class _Unrepresentable(Exception):
     """Internal: this message needs the generic JSON fallback."""
 
-
-_U8 = struct.Struct(">B")
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_I32 = struct.Struct(">i")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
 
 _TAG_GENERIC = 0x80
 _TAG_INFORM = 0x81
@@ -213,8 +228,29 @@ _NO_ID = 0xFFFFFFFF
 #: Per-direction intern table bound (ids are assigned densely below it).
 _MAX_INTERNED = 1 << 16
 
-_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-_I32_MIN, _I32_MAX = -(1 << 31), (1 << 31) - 1
+def _seq_t_layouts(head: str, tail: str) -> Tuple[struct.Struct, ...]:
+    return tuple(struct.Struct(">" + head + seq + t + tail)
+                 for seq, t in (("", ""), ("Q", ""), ("", "d"), ("Q", "d")))
+
+
+# Encoding layouts: length prefix, tag, then the fixed fields.
+_E_REF = _seq_t_layouts("IBB", "BIdB")           # started None
+_E_REF_STARTED = _seq_t_layouts("IBB", "BIdBd")
+_E_FULL = _seq_t_layouts("IBB", "BIH")   # + app, ints, parts, floats
+_E_APP = _seq_t_layouts("IBB", "H")              # + app [+ remaining]
+_E_ACK = (struct.Struct(">IBBBdH"), struct.Struct(">IBBBdQH"))  # + app
+_E_GRANT = struct.Struct(">IBdH")                # + app
+# Decoding layouts: read from the payload's first byte (the tag).
+_D_HEAD = _seq_t_layouts("2x", "")
+_D_REF = _seq_t_layouts("2x", "xIdB")
+_D_FULL = _seq_t_layouts("2x", "xIH")
+_D_APP = _seq_t_layouts("2x", "H")
+_D_ACK = (struct.Struct(">3xdH"), struct.Struct(">3xdQH"))
+_D_GRANT = struct.Struct(">xdH")
+# Shared by both directions.
+_DESC_INTS = struct.Struct(">qqqH")              # nprocs files rounds npart
+_DESC_FLOATS = struct.Struct(">dddB")            # total t_alone remaining has
+_F64 = struct.Struct(">d")
 
 
 def _is_int(v: Any) -> bool:
@@ -225,42 +261,36 @@ def _is_num(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _pstr(out: bytearray, s: Any) -> None:
-    if not isinstance(s, str):
+def _app_bytes(app: Any) -> bytes:
+    # A name over 0xFFFF bytes fails its layout's ``H`` field instead.
+    if not isinstance(app, str):
         raise _Unrepresentable
-    data = s.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise _Unrepresentable
-    out += _U16.pack(len(data))
-    out += data
+    return app.encode("utf-8")
 
 
-def _put_opt_float(out: bytearray, v: Any) -> None:
-    if v is None:
-        out += b"\x00"
-    elif _is_num(v):
-        out += b"\x01"
-        out += _F64.pack(v)
-    else:
-        raise _Unrepresentable
+def _seq_t(m: Mapping[str, Any], nkeys: int) -> Tuple[int, tuple]:
+    """Flag bits and values of request ``m``'s optional ``seq``/``t``.
 
-
-def _put_seq_t(out: bytearray, m: Mapping[str, Any]) -> int:
-    """Append the optional ``seq``/``t`` fields; return their flag bits."""
-    flags = 0
+    ``m`` may hold nothing but these and ``nkeys`` required keys, which
+    the caller reads (so a missing one raises ``KeyError``).  Range
+    limits are the layouts' own: ``pack`` refuses an out-of-range field.
+    """
+    # Each check tests the common exact type first.
+    flags, values = 0, ()
     if "seq" in m:
         seq = m["seq"]
-        if not _is_int(seq) or not 0 <= seq <= 0xFFFFFFFFFFFFFFFF:
+        if type(seq) is not int and not _is_int(seq):
             raise _Unrepresentable
-        flags |= 1
-        out += _U64.pack(seq)
+        flags, values = 1, (seq,)
     if "t" in m:
         t = m["t"]
-        if not _is_num(t):
+        if type(t) is not float and not _is_num(t):
             raise _Unrepresentable
         flags |= 2
-        out += _F64.pack(t)
-    return flags
+        values += (t,)
+    if len(m) != nkeys + len(values):
+        raise _Unrepresentable
+    return flags, values
 
 
 _ENCODER_COUNTERS = (
@@ -313,15 +343,15 @@ class WireEncoder:
     def encode(self, message: Mapping[str, Any]) -> bytes:
         if self.codec == "binary":
             try:
-                payload = self._binary_payload(message)
+                # An unknown type is a KeyError: generic, like a bad field.
+                frame = self._BINARY[message.get("type")](self, message)
             except (_Unrepresentable, struct.error, OverflowError,
                     UnicodeEncodeError, TypeError, KeyError, ValueError):
-                payload = (_U8.pack(_TAG_GENERIC)
-                           + canonical_json(message).encode("utf-8"))
+                frame = _frame(b"\x80" + canonical_json(message).encode(
+                    "utf-8"))
                 self._n_wire_generic_frames += 1
         else:
-            payload = canonical_json(message).encode("utf-8")
-        frame = _frame(payload)
+            frame = _frame(canonical_json(message).encode("utf-8"))
         self._n_wire_frames_encoded += 1
         self._n_wire_bytes_encoded += len(frame)
         return frame
@@ -356,142 +386,126 @@ class WireEncoder:
         self._n_wire_coalesced_frames += len(messages) - 1
         return data
 
-    # -- binary fast paths --------------------------------------------------
-    def _binary_payload(self, m: Mapping[str, Any]) -> bytes:
-        mtype = m.get("type")
-        if mtype == "inform":
-            return self._enc_inform(m)
-        if mtype == "release":
-            return self._enc_release(m)
-        if mtype in ("complete", "withdraw"):
-            return self._enc_complete(m)
-        if mtype in _ACK_CODES:
-            return self._enc_ack(m)
-        if mtype == "grant":
-            return self._enc_grant(m)
-        raise _Unrepresentable
-
+    # -- binary fast paths: each returns a whole frame ----------------------
     def _enc_inform(self, m: Mapping[str, Any]) -> bytes:
-        if set(m) - {"seq", "t"} != {"type", "descriptor"}:
+        flags, st = _seq_t(m, 2)
+        d = m["descriptor"]
+        if (type(d) is not dict and not isinstance(d, Mapping)
+                or d.keys() != _DESC_KEYS):
             raise _Unrepresentable
-        out = bytearray((_TAG_INFORM, 0))
-        out[1] = _put_seq_t(out, m)
-        self._put_descriptor(out, m["descriptor"])
-        return bytes(out)
-
-    def _enc_release(self, m: Mapping[str, Any]) -> bytes:
-        if set(m) - {"seq", "t"} != {"type", "app", "remaining"}:
+        app, nprocs, files, rounds = (d["app"], d["nprocs"], d["files"],
+                                      d["rounds"])
+        parts, total, t_alone = d["partitions"], d["total_bytes"], d["t_alone"]
+        remaining, started = d["remaining_bytes"], d["access_started"]
+        # Type checks run on the reference path too: a bool or float equal
+        # to an interned int must not match its key.
+        if not (type(nprocs) is type(files) is type(rounds) is int
+                and type(total) is type(t_alone) is type(remaining) is float
+                and (started is None or type(started) is float)
+                or _is_int(nprocs) and _is_int(files) and _is_int(rounds)
+                and _is_num(total) and _is_num(t_alone) and _is_num(remaining)
+                and (started is None or _is_num(started))):
             raise _Unrepresentable
-        out = bytearray((_TAG_RELEASE, 0))
-        flags = _put_seq_t(out, m)
-        remaining = m["remaining"]
-        _pstr(out, m["app"])
-        if remaining is not None:
-            if not _is_num(remaining):
-                raise _Unrepresentable
-            flags |= 4
-            out += _F64.pack(remaining)
-        out[1] = flags
-        return bytes(out)
-
-    def _enc_complete(self, m: Mapping[str, Any]) -> bytes:
-        if set(m) - {"seq", "t"} != {"type", "app"}:
-            raise _Unrepresentable
-        tag = _TAG_COMPLETE if m["type"] == "complete" else _TAG_WITHDRAW
-        out = bytearray((tag, 0))
-        out[1] = _put_seq_t(out, m)
-        _pstr(out, m["app"])
-        return bytes(out)
-
-    def _enc_ack(self, m: Mapping[str, Any]) -> bytes:
-        mtype = m["type"]
-        expected = ({"type", "t", "app", "authorized"}
-                    if mtype == "inform-ack" else {"type", "t", "app"})
-        if set(m) - {"seq"} != expected:
-            raise _Unrepresentable
-        t = m["t"]
-        if not _is_num(t):
-            raise _Unrepresentable
-        flags = 0
-        if "authorized" in m:
-            if not isinstance(m["authorized"], bool):
-                raise _Unrepresentable
-            flags |= 2
-            if m["authorized"]:
-                flags |= 4
-        out = bytearray((_TAG_ACK, _ACK_CODES[mtype], flags))
-        out += _F64.pack(t)
-        if "seq" in m:
-            seq = m["seq"]
-            if not _is_int(seq) or not 0 <= seq <= 0xFFFFFFFFFFFFFFFF:
-                raise _Unrepresentable
-            out[2] = flags | 1
-            out += _U64.pack(seq)
-        _pstr(out, m["app"])
-        return bytes(out)
-
-    def _enc_grant(self, m: Mapping[str, Any]) -> bytes:
-        if set(m) != {"type", "app", "t"} or not _is_num(m["t"]):
-            raise _Unrepresentable
-        out = bytearray((_TAG_GRANT,))
-        out += _F64.pack(m["t"])
-        _pstr(out, m["app"])
-        return bytes(out)
-
-    def _put_descriptor(self, out: bytearray, d: Any) -> None:
-        if not isinstance(d, Mapping) or set(d) != _DESC_KEYS:
-            raise _Unrepresentable
-        app = d["app"]
-        nprocs, files, rounds = d["nprocs"], d["files"], d["rounds"]
-        parts = d["partitions"]
         if not isinstance(parts, (list, tuple)):
             raise _Unrepresentable
-        parts_t = tuple(parts)
-        for v in (nprocs, files, rounds):
-            if not _is_int(v) or not _I64_MIN <= v <= _I64_MAX:
-                raise _Unrepresentable
-        if len(parts_t) > 0xFFFF or not all(
-                _is_int(p) and _I32_MIN <= p <= _I32_MAX for p in parts_t):
+        parts = tuple(parts)
+        if not all(map(_is_int, parts)):
             raise _Unrepresentable
-        total, t_alone = d["total_bytes"], d["t_alone"]
-        remaining, started = d["remaining_bytes"], d["access_started"]
-        if not (_is_num(total) and _is_num(t_alone) and _is_num(remaining)):
-            raise _Unrepresentable
-
         ids = self._desc_ids
-        key = (app, nprocs, files, rounds, parts_t,
-               float(total), float(t_alone))
+        key = (app, nprocs, files, rounds, parts, float(total),
+               float(t_alone))
         did = ids.get(key)
         if did is not None:
-            out += b"\x01"
-            out += _U32.pack(did)
-            out += _F64.pack(remaining)
-            _put_opt_float(out, started)
+            if started is None:
+                layout = _E_REF[flags]
+                frame = layout.pack(layout.size - 4, _TAG_INFORM, flags, *st,
+                                    1, did, remaining, 0)
+            else:
+                layout = _E_REF_STARTED[flags]
+                frame = layout.pack(layout.size - 4, _TAG_INFORM, flags, *st,
+                                    1, did, remaining, 1, started)
             self._n_wire_desc_refs += 1
-            return
-        # Build the full body before committing the intern id: a failing
-        # field must not leave the encoder table ahead of the decoder's.
-        body = bytearray()
-        _pstr(body, app)
-        body += _I64.pack(nprocs)
-        body += _I64.pack(files)
-        body += _I64.pack(rounds)
-        body += _U16.pack(len(parts_t))
-        for p in parts_t:
-            body += _I32.pack(p)
-        body += _F64.pack(total)
-        body += _F64.pack(t_alone)
-        body += _F64.pack(remaining)
-        _put_opt_float(body, started)
-        if len(ids) < _MAX_INTERNED:
-            did = len(ids)
+            return frame
+        # Pack the whole frame before committing the intern id: a field
+        # that fails to pack must not leave this table ahead of the
+        # decoder's.
+        did = len(ids) if len(ids) < _MAX_INTERNED else _NO_ID
+        name = _app_bytes(app)
+        body = [b"", name,
+                _DESC_INTS.pack(nprocs, files, rounds, len(parts)),
+                struct.pack(">%di" % len(parts), *parts),
+                _DESC_FLOATS.pack(total, t_alone, remaining,
+                                  started is not None)]
+        if started is not None:
+            body.append(_F64.pack(started))
+        layout = _E_FULL[flags]
+        body[0] = layout.pack(
+            layout.size - 4 + sum(map(len, body)), _TAG_INFORM, flags, *st,
+            0, did, len(name))
+        frame = b"".join(body)
+        if did != _NO_ID:
             ids[key] = did
             self._n_wire_desc_interned += 1
-        else:
-            did = _NO_ID
-        out += b"\x00"
-        out += _U32.pack(did)
-        out += body
+        return frame
+
+    def _enc_release(self, m: Mapping[str, Any]) -> bytes:
+        flags, st = _seq_t(m, 3)
+        name = _app_bytes(m["app"])
+        remaining = m["remaining"]
+        layout = _E_APP[flags]
+        if remaining is None:
+            return layout.pack(layout.size - 4 + len(name), _TAG_RELEASE,
+                               flags, *st, len(name)) + name
+        if type(remaining) is not float and not _is_num(remaining):
+            raise _Unrepresentable
+        return (layout.pack(layout.size + 4 + len(name), _TAG_RELEASE,
+                            flags | 4, *st, len(name))
+                + name + _F64.pack(remaining))
+
+    def _enc_complete(self, m: Mapping[str, Any]) -> bytes:
+        flags, st = _seq_t(m, 2)
+        name = _app_bytes(m["app"])
+        tag = _TAG_COMPLETE if m["type"] == "complete" else _TAG_WITHDRAW
+        layout = _E_APP[flags]
+        return layout.pack(layout.size - 4 + len(name), tag, flags, *st,
+                           len(name)) + name
+
+    def _enc_ack(self, m: Mapping[str, Any]) -> bytes:
+        code = _ACK_CODES[m["type"]]
+        t, name = m["t"], _app_bytes(m["app"])
+        if type(t) is not float and not _is_num(t):
+            raise _Unrepresentable
+        flags, nkeys = 0, 3
+        if code == 0:       # inform-ack: the verdict rides in the flags
+            authorized = m["authorized"]
+            if not isinstance(authorized, bool):
+                raise _Unrepresentable
+            flags, nkeys = (6 if authorized else 2), 4
+        if "seq" in m:
+            seq = m["seq"]
+            if (type(seq) is not int and not _is_int(seq)
+                    or len(m) != nkeys + 1):
+                raise _Unrepresentable
+            layout = _E_ACK[1]
+            return layout.pack(layout.size - 4 + len(name), _TAG_ACK, code,
+                               flags | 1, t, seq, len(name)) + name
+        if len(m) != nkeys:
+            raise _Unrepresentable
+        layout = _E_ACK[0]
+        return layout.pack(layout.size - 4 + len(name), _TAG_ACK, code,
+                           flags, t, len(name)) + name
+
+    def _enc_grant(self, m: Mapping[str, Any]) -> bytes:
+        t, name = m["t"], _app_bytes(m["app"])
+        if len(m) != 3 or not _is_num(t):
+            raise _Unrepresentable
+        return _E_GRANT.pack(_E_GRANT.size - 4 + len(name), _TAG_GRANT, t,
+                             len(name)) + name
+
+    #: Message type -> fast path; every other type is generic.
+    _BINARY = {"inform": _enc_inform, "release": _enc_release,
+               "complete": _enc_complete, "withdraw": _enc_complete,
+               "grant": _enc_grant, **dict.fromkeys(_ACK_TYPES, _enc_ack)}
 
 
 class WireDecoder:
@@ -540,167 +554,76 @@ class WireDecoder:
     def decode(self, payload) -> Dict[str, Any]:
         if not payload:
             raise ProtocolError("empty frame")
-        data = bytes(payload)
-        if data[0] >= 0x80:
+        data = payload if type(payload) is bytes else bytes(payload)
+        size = len(data)
+        fast = self._BINARY.get(data[0])
+        if fast is not None:
             try:
-                message = self._decode_binary(data)
-            except ProtocolError:
-                raise
+                message, end = fast(self, data)
             except (struct.error, IndexError, UnicodeDecodeError,
                     KeyError) as exc:
                 raise ProtocolError(
                     f"undecodable binary frame: {exc}") from None
-        else:
+            # A string cut short shows here too: slicing stops at the end.
+            if end != size:
+                raise ProtocolError(
+                    f"binary frame has {size - end} trailing bytes"
+                    if end < size else
+                    f"binary frame is {end - size} bytes short")
+        elif data[0] < _TAG_GENERIC:
             message = decode_message(data)
+        elif data[0] == _TAG_GENERIC:
+            message = decode_message(data[1:])
+        else:
+            raise ProtocolError(f"unknown binary frame tag 0x{data[0]:02x}")
         self._n_wire_frames_decoded += 1
-        self._n_wire_bytes_decoded += len(data) + _LEN.size
+        self._n_wire_bytes_decoded += size + 4      # + the length prefix
         return message
 
-    # -- binary parsing -----------------------------------------------------
-    def _decode_binary(self, data: bytes) -> Dict[str, Any]:
-        tag = data[0]
-        if tag == _TAG_GENERIC:
-            return decode_message(data[1:])
-        if tag == _TAG_INFORM:
-            message, pos = self._dec_inform(data)
-        elif tag == _TAG_RELEASE:
-            message, pos = self._dec_release(data)
-        elif tag in (_TAG_COMPLETE, _TAG_WITHDRAW):
-            message, pos = self._dec_complete(data, tag)
-        elif tag == _TAG_ACK:
-            message, pos = self._dec_ack(data)
-        elif tag == _TAG_GRANT:
-            message, pos = self._dec_grant(data)
-        else:
-            raise ProtocolError(f"unknown binary frame tag 0x{tag:02x}")
-        if pos != len(data):
-            raise ProtocolError(
-                f"binary frame has {len(data) - pos} trailing bytes")
-        return message
-
-    @staticmethod
-    def _get_str(data: bytes, pos: int) -> Tuple[str, int]:
-        (n,) = _U16.unpack_from(data, pos)
-        pos += 2
-        end = pos + n
-        if end > len(data):
-            raise ProtocolError("truncated string in binary frame")
-        return data[pos:end].decode("utf-8"), end
-
-    @staticmethod
-    def _get_seq_t(data: bytes, pos: int, flags: int,
-                   message: Dict[str, Any]) -> int:
-        if flags & 1:
-            (seq,) = _U64.unpack_from(data, pos)
-            pos += 8
-            message["seq"] = seq
-        if flags & 2:
-            (t,) = _F64.unpack_from(data, pos)
-            pos += 8
-            message["t"] = t
-        return pos
-
+    # -- binary fast paths: each returns (message, end offset) ---------------
     def _dec_inform(self, data: bytes) -> Tuple[Dict[str, Any], int]:
-        flags = data[1]
-        message: Dict[str, Any] = {"type": "inform"}
-        pos = self._get_seq_t(data, 2, flags, message)
-        message["descriptor"], pos = self._get_descriptor(data, pos)
-        return message, pos
-
-    def _dec_release(self, data: bytes) -> Tuple[Dict[str, Any], int]:
-        flags = data[1]
-        message: Dict[str, Any] = {"type": "release"}
-        pos = self._get_seq_t(data, 2, flags, message)
-        message["app"], pos = self._get_str(data, pos)
-        if flags & 4:
-            (remaining,) = _F64.unpack_from(data, pos)
-            pos += 8
-            message["remaining"] = remaining
-        else:
-            message["remaining"] = None
-        return message, pos
-
-    def _dec_complete(self, data: bytes,
-                      tag: int) -> Tuple[Dict[str, Any], int]:
-        flags = data[1]
-        message: Dict[str, Any] = {
-            "type": "complete" if tag == _TAG_COMPLETE else "withdraw"}
-        pos = self._get_seq_t(data, 2, flags, message)
-        message["app"], pos = self._get_str(data, pos)
-        return message, pos
-
-    def _dec_ack(self, data: bytes) -> Tuple[Dict[str, Any], int]:
-        subtype, flags = data[1], data[2]
-        if subtype >= len(_ACK_TYPES):
-            raise ProtocolError(f"unknown ack subtype {subtype}")
-        message: Dict[str, Any] = {"type": _ACK_TYPES[subtype]}
-        (t,) = _F64.unpack_from(data, 3)
-        message["t"] = t
-        pos = 11
-        if flags & 1:
-            (seq,) = _U64.unpack_from(data, pos)
-            pos += 8
-            message["seq"] = seq
-        message["app"], pos = self._get_str(data, pos)
-        if flags & 2:
-            message["authorized"] = bool(flags & 4)
-        return message, pos
-
-    def _dec_grant(self, data: bytes) -> Tuple[Dict[str, Any], int]:
-        (t,) = _F64.unpack_from(data, 1)
-        app, pos = self._get_str(data, 9)
-        return {"type": "grant", "app": app, "t": t}, pos
-
-    def _get_descriptor(self, data: bytes,
-                        pos: int) -> Tuple[Dict[str, Any], int]:
-        kind = data[pos]
-        pos += 1
+        f = data[1] & 3
+        kind = data[_D_HEAD[f].size]
         if kind == 1:
-            (did,) = _U32.unpack_from(data, pos)
-            pos += 4
+            layout = _D_REF[f]
+            fields = layout.unpack_from(data)
+            did, remaining, has = fields[-3:]
             static = self._desc_static.get(did)
             if static is None:
                 raise ProtocolError(
                     f"descriptor ref to unknown intern id {did}")
-            (remaining,) = _F64.unpack_from(data, pos)
-            pos += 8
-            started, pos = self._get_opt_float(data, pos)
             app, nprocs, files, rounds, parts, total, t_alone = static
-            return {
-                "app": app,
-                "nprocs": nprocs,
-                "total_bytes": total,
-                "t_alone": t_alone,
-                "remaining_bytes": remaining,
-                "access_started": started,
-                "files": files,
-                "rounds": rounds,
-                "partitions": list(parts),
-            }, pos
-        if kind != 0:
+            parts = list(parts)
+            end = layout.size
+        elif kind == 0:
+            layout = _D_FULL[f]
+            fields = layout.unpack_from(data)
+            did, n = fields[-2:]
+            start = layout.size
+            end = start + n
+            app = data[start:end].decode("utf-8")
+            nprocs, files, rounds, npart = _DESC_INTS.unpack_from(data, end)
+            end += _DESC_INTS.size
+            parts = list(struct.unpack_from(">%di" % npart, data, end))
+            end += 4 * npart
+            total, t_alone, remaining, has = _DESC_FLOATS.unpack_from(
+                data, end)
+            end += _DESC_FLOATS.size
+            if did != _NO_ID:
+                self._desc_static[did] = (app, nprocs, files, rounds,
+                                          tuple(parts), total, t_alone)
+        else:
             raise ProtocolError(f"unknown descriptor kind {kind}")
-        (did,) = _U32.unpack_from(data, pos)
-        pos += 4
-        app, pos = self._get_str(data, pos)
-        (nprocs,) = _I64.unpack_from(data, pos)
-        (files,) = _I64.unpack_from(data, pos + 8)
-        (rounds,) = _I64.unpack_from(data, pos + 16)
-        (npart,) = _U16.unpack_from(data, pos + 24)
-        pos += 26
-        parts = []
-        for _ in range(npart):
-            (p,) = _I32.unpack_from(data, pos)
-            pos += 4
-            parts.append(p)
-        (total,) = _F64.unpack_from(data, pos)
-        (t_alone,) = _F64.unpack_from(data, pos + 8)
-        (remaining,) = _F64.unpack_from(data, pos + 16)
-        pos += 24
-        started, pos = self._get_opt_float(data, pos)
-        if did != _NO_ID:
-            self._desc_static[did] = (app, nprocs, files, rounds,
-                                      tuple(parts), total, t_alone)
-        return {
+        started = None
+        if has:
+            (started,) = _F64.unpack_from(data, end)
+            end += 8
+        message: Dict[str, Any] = {"type": "inform"}
+        if f & 1:
+            message["seq"] = fields[0]
+        if f & 2:
+            message["t"] = fields[f & 1]
+        message["descriptor"] = {
             "app": app,
             "nprocs": nprocs,
             "total_bytes": total,
@@ -710,16 +633,61 @@ class WireDecoder:
             "files": files,
             "rounds": rounds,
             "partitions": parts,
-        }, pos
+        }
+        return message, end
 
-    @staticmethod
-    def _get_opt_float(data: bytes, pos: int) -> Tuple[Optional[float], int]:
-        has = data[pos]
-        pos += 1
-        if not has:
-            return None, pos
-        (v,) = _F64.unpack_from(data, pos)
-        return v, pos + 8
+    def _dec_app_request(self, data: bytes) -> Tuple[Dict[str, Any], int]:
+        tag, flags = data[0], data[1]
+        f = flags & 3
+        layout = _D_APP[f]
+        fields = layout.unpack_from(data)
+        start = layout.size
+        end = start + fields[-1]
+        message = {"type": _REQUEST_TYPES[tag]}
+        if f & 1:
+            message["seq"] = fields[0]
+        if f & 2:
+            message["t"] = fields[f & 1]
+        message["app"] = data[start:end].decode("utf-8")
+        if tag == _TAG_RELEASE:
+            remaining = None
+            if flags & 4:
+                (remaining,) = _F64.unpack_from(data, end)
+                end += 8
+            message["remaining"] = remaining
+        return message, end
+
+    def _dec_ack(self, data: bytes) -> Tuple[Dict[str, Any], int]:
+        code, flags = data[1], data[2]
+        if code >= len(_ACK_TYPES):
+            raise ProtocolError(f"unknown ack subtype {code}")
+        layout = _D_ACK[flags & 1]
+        fields = layout.unpack_from(data)
+        start = layout.size
+        end = start + fields[-1]
+        message: Dict[str, Any] = {"type": _ACK_TYPES[code], "t": fields[0]}
+        if flags & 1:
+            message["seq"] = fields[1]
+        message["app"] = data[start:end].decode("utf-8")
+        if flags & 2:
+            message["authorized"] = bool(flags & 4)
+        return message, end
+
+    def _dec_grant(self, data: bytes) -> Tuple[Dict[str, Any], int]:
+        t, n = _D_GRANT.unpack_from(data)
+        end = _D_GRANT.size + n
+        return ({"type": "grant", "app": data[_D_GRANT.size:end].decode(
+            "utf-8"), "t": t}, end)
+
+    #: Binary tag -> fast path.
+    _BINARY = {_TAG_INFORM: _dec_inform, _TAG_RELEASE: _dec_app_request,
+               _TAG_COMPLETE: _dec_app_request,
+               _TAG_WITHDRAW: _dec_app_request,
+               _TAG_ACK: _dec_ack, _TAG_GRANT: _dec_grant}
+
+
+_REQUEST_TYPES = {_TAG_RELEASE: "release", _TAG_COMPLETE: "complete",
+                  _TAG_WITHDRAW: "withdraw"}
 
 
 # ---------------------------------------------------------------------------
@@ -992,14 +960,89 @@ def decision_to_dict(record: DecisionRecord) -> Dict[str, Any]:
     }
 
 
+#: The bytes JSON writes unescaped: printable ASCII but ``"`` and ``\\``.
+_JSON_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"\\", b"")
+
+
+def _names_pieces(names) -> Tuple[str, ...]:
+    """A list of app names as pieces of its canonical JSON.
+
+    The common case is joined raw: once joined, one scan shows whether
+    any name needs a JSON escape (non-ASCII, a control character, a
+    backslash, or a quote beyond the separators' own).  Anything else,
+    non-string names included, goes through :func:`canonical_json`.
+    """
+    if not names:
+        return ("[]",)
+    try:
+        raw = '","'.join(names)
+    except TypeError:
+        return (canonical_json(list(names)),)
+    # What is left once the plain bytes are deleted must be exactly the
+    # separators' quotes.
+    if (raw.isascii() and raw.encode().translate(None, _JSON_PLAIN)
+            == b'""' * (len(names) - 1)):
+        return ('["', raw, '"]')
+    return (canonical_json(list(names)),)
+
+
+def _str_json(value: Any) -> str:
+    return (_json_str(value) if isinstance(value, str)
+            else canonical_json(value))
+
+
+def _decision_pieces(record: DecisionRecord) -> Tuple[str, ...]:
+    """One log entry's canonical JSON object, as pieces to join."""
+    t, costs = record.time, record.costs
+    return (
+        '{"action":', _str_json(record.action.value),
+        ',"active":', *_names_pieces(record.active),
+        ',"app":', _str_json(record.app),
+        ',"costs":', canonical_json(dict(costs), sort_keys=True)
+        if costs else "{}",
+        # repr is JSON's own form of a finite float; a non-finite time
+        # or a non-float takes the canonical encoder.
+        ',"time":', repr(t) if type(t) is float and t - t == 0.0
+        else canonical_json(t),
+        ',"waiting":', *_names_pieces(record.waiting),
+        "}")
+
+
 def decisions_to_json(records) -> str:
     """Canonical serialization of a decision log.
 
     Two logs are *bit-identical* iff their canonical serializations are
     equal strings — the equality the service's replay guarantees against
-    the in-process run.  The float/separator policy is
-    :func:`canonical_json`, the same helper every JSON payload on the
-    wire goes through, so the two contracts cannot drift apart.
+    the in-process run.  The string is built from per-record fragments,
+    each written field by field in sorted key order: a list of plain
+    names is joined raw, and every other value goes through
+    :func:`canonical_json`, the float/separator policy of every JSON
+    payload on the wire.  The oracle it must equal exactly is
+    ``canonical_json([decision_to_dict(r) for r in records],
+    sort_keys=True)`` (``tests/test_decision_log_encoder.py``).  The
+    fragments' pieces are joined once, so no per-record string is made.
     """
-    return canonical_json([decision_to_dict(r) for r in records],
-                          sort_keys=True)
+    pieces = ["["]
+    for record in records:
+        pieces += _decision_pieces(record)
+        pieces.append(",")
+    if len(pieces) == 1:
+        return "[]"
+    pieces[-1] = "]"
+    return "".join(pieces)
+
+
+def decisions_digest(records) -> str:
+    """sha256 hex digest of :func:`decisions_to_json` of ``records``.
+
+    Streams one fragment at a time into the hash, so the whole log is
+    never held as one string.
+    """
+    digest = hashlib.sha256(b"[")
+    sep = b""
+    for record in records:
+        digest.update(sep)
+        digest.update("".join(_decision_pieces(record)).encode("utf-8"))
+        sep = b","
+    digest.update(b"]")
+    return digest.hexdigest()

@@ -59,7 +59,7 @@ from ..experiments.spec import ExperimentSpec
 from ..platforms import Platform
 from .protocol import (
     CODECS, FrameSplitter, ProtocolError, WireDecoder, WireEncoder,
-    decisions_to_json, decode_message, descriptor_from_dict, encode_message,
+    decisions_digest, decode_message, descriptor_from_dict, encode_message,
 )
 
 __all__ = ["ServiceConfig", "CoordinationService"]
@@ -302,10 +302,8 @@ class CoordinationService:
 
     def decision_digest(self) -> Tuple[str, int]:
         """(sha256 of the canonical decision-log serialization, count)."""
-        import hashlib
         log = self.decision_log
-        canonical = decisions_to_json(log)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest(), len(log)
+        return decisions_digest(log), len(log)
 
     def health(self) -> Dict[str, Any]:
         return {

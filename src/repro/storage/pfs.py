@@ -59,8 +59,13 @@ class ParallelFileSystem:
         self.servers = list(servers)
         self.stripe_size = int(stripe_size)
         self._files: Dict[str, FileMeta] = {}
-        #: Shared :class:`~repro.perf.PerfCounters` (from the flow network).
+        #: Shared :class:`~repro.perf.PerfCounters` (from the flow network);
+        #: the operation counts are folded into it when it is read.
         self.perf = fabric.net.perf
+        self._n_pfs_writes = 0
+        self._n_pfs_reads = 0
+        if self.perf is not None:
+            self.perf.attach(self, ("pfs_writes", "pfs_reads"))
 
     # -- namespace ------------------------------------------------------------
     def create(self, path: str, stripe_size: Optional[int] = None) -> FileMeta:
@@ -117,8 +122,7 @@ class ParallelFileSystem:
         """
         meta = self.open(path)
         meta.extend(offset, nbytes)
-        if self.perf is not None:
-            self.perf.bump("pfs_writes")
+        self._n_pfs_writes += 1
         return self._issue(client, app, path, offset, nbytes, weight, cap, "write")
 
     def read(self, client: str, app: str, path: str, offset: int, nbytes: int,
@@ -129,8 +133,7 @@ class ParallelFileSystem:
             raise SimulationError(
                 f"read past EOF on {path!r} ({offset + nbytes} > {meta.size})"
             )
-        if self.perf is not None:
-            self.perf.bump("pfs_reads")
+        self._n_pfs_reads += 1
         return self._issue(client, app, path, offset, nbytes, weight, cap, "read")
 
     def _issue(self, client: str, app: str, path: str, offset: int,

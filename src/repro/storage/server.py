@@ -76,15 +76,18 @@ class StorageServer:
         self.scheduler.bind(sim, self._launch)
         self.bytes_written = 0.0
         self.bytes_read = 0.0
-        #: Shared :class:`~repro.perf.PerfCounters` (from the flow network).
+        #: Shared :class:`~repro.perf.PerfCounters` (from the flow network);
+        #: the request count is folded into it when it is read.
         self.perf = net.perf
+        self._n_io_requests = 0
+        if self.perf is not None:
+            self.perf.attach(self, ("io_requests",))
 
     # -- client interface -----------------------------------------------------
     def submit(self, request: IORequest) -> Event:
         """Queue a request under the admission policy; event fires when done."""
         request.submitted = self.sim.now
-        if self.perf is not None:
-            self.perf.bump("io_requests")
+        self._n_io_requests += 1
         return self.scheduler.submit(request)
 
     # -- internals ---------------------------------------------------------------

@@ -648,3 +648,44 @@ def test_drain_times_out_on_stuck_connection():
             await service.close()
 
     _run(go())
+
+
+# ---------------------------------------------------------------------------
+# Client request queueing
+# ---------------------------------------------------------------------------
+
+def test_request_nowait_queues_a_private_copy():
+    """``seq``/``t`` never land in the caller's dict, and the frame sent is
+    the message as it was when queued, whatever the caller does next."""
+    received = []
+
+    async def peer(reader, writer):
+        await read_message(reader)                       # the hello
+        await write_message(writer, {"type": "welcome", "codec": "json"})
+        while True:
+            message = await read_message(reader)
+            if message is None:
+                break
+            received.append(message)
+        writer.close()
+
+    async def go():
+        server = await asyncio.start_server(peer, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        client = await ServiceClient.connect(host, port, ["w1"])
+        message = {"type": "complete", "app": "w1"}
+        client.request_nowait(message, seq=3, t=0.5)
+        assert message == {"type": "complete", "app": "w1"}
+        message["app"] = "w2"                # changed after queueing
+        client.request_nowait(message)       # reused without seq/t
+        await client.flush()
+        await client.abort()
+        assert await _eventually(lambda: len(received) == 2)
+        server.close()
+        await server.wait_closed()
+
+    _run(go())
+    assert received == [
+        {"type": "complete", "app": "w1", "seq": 3, "t": 0.5},
+        {"type": "complete", "app": "w2"},
+    ]

@@ -25,6 +25,7 @@ import json
 import math
 import socket
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +225,51 @@ def test_trailing_bytes_rejected():
 def test_unknown_codec_name_rejected():
     with pytest.raises(ValueError, match="unknown wire codec"):
         WireEncoder("msgpack")
+
+
+# ---------------------------------------------------------------------------
+# Golden frames: the binary layouts are frozen byte for byte
+# ---------------------------------------------------------------------------
+
+_GOLDEN = Path(__file__).parent / "data" / "wire" / "golden_frames.json"
+
+
+def _golden_streams():
+    """(name, [{"message", "frame"}, ...]) per recorded encoder stream.
+
+    ``replay`` holds every binary encoder's frames from a small lockstep
+    ``service-many-writers`` replay (client requests, daemon acks and
+    pushed grants); ``edge`` holds one encoder's frames for the shapes
+    the replay never sends: absent ``seq``/``t``, ``remaining`` None, an
+    inform-ack without ``authorized``, both ``access_started`` forms, a
+    3-partition descriptor and references to it, an int ``t``, a bool
+    ``seq``, non-ASCII and 70,000-byte app names, extra keys, and fields
+    at and just past their layout ranges (the largest ``seq``, signed
+    descriptor ints).
+    """
+    golden = json.loads(_GOLDEN.read_text(encoding="utf-8"))
+    streams = [(f"replay[{i}]", stream)
+               for i, stream in enumerate(golden["replay"]["streams"])]
+    return streams + [("edge", golden["edge"]["stream"])]
+
+
+@pytest.mark.parametrize("name,stream", _golden_streams(),
+                         ids=[name for name, _ in _golden_streams()])
+def test_binary_frames_match_golden(name, stream):
+    # Each stream runs through fresh endpoints: interning is per stream.
+    encoder, decoder = WireEncoder("binary"), WireDecoder()
+    for i, entry in enumerate(stream):
+        frame = encoder.encode(entry["message"])
+        assert frame.hex() == entry["frame"], (name, i, entry["message"])
+        decoded = decoder.decode(bytes.fromhex(entry["frame"])[4:])
+        assert decoded == entry["message"], (name, i)
+
+
+def test_golden_edge_cases_cover_both_paths():
+    """The edge stream exercises fast paths and the generic fallback."""
+    (_, edge), = [s for s in _golden_streams() if s[0] == "edge"]
+    tags = {bytes.fromhex(entry["frame"])[4] for entry in edge}
+    assert {0x80, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86} <= tags
 
 
 # ---------------------------------------------------------------------------
