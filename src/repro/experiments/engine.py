@@ -74,7 +74,11 @@ class BaselineCache:
 
     def get(self, platform: PlatformConfig,
             workload: IORConfig) -> Optional[float]:
-        value = self._values.get(self.key(platform, workload))
+        return self.lookup(self.key(platform, workload))
+
+    def lookup(self, key: tuple) -> Optional[float]:
+        """:meth:`get` by a key :meth:`key` already built."""
+        value = self._values.get(key)
         if value is None:
             self.misses += 1
         else:
@@ -409,39 +413,53 @@ class ExperimentEngine:
             self.cache.put(platform, workload, value)
         return value
 
-    def _prime_baselines(self, specs: Sequence[ExperimentSpec]) -> None:
-        """Compute every missing baseline, fanned out via the executor."""
+    def _prime_baselines(self, specs: Sequence[ExperimentSpec]
+                         ) -> List[Dict[str, tuple]]:
+        """Compute every missing baseline, fanned out via the executor.
+
+        Returns, per spec, the cache key of each workload by name (empty
+        for a spec without ``measure_alone``), so attaching the baselines
+        builds no key twice.
+        """
+        keys: List[Dict[str, tuple]] = []
         needed: List[Tuple[PlatformConfig, IORConfig]] = []
-        seen = set()
+        # One object per distinct key, so equal keys are kept once.
+        interned: Dict[tuple, tuple] = {}
         for spec in specs:
+            named: Dict[str, tuple] = {}
+            keys.append(named)
             if not spec.measure_alone:
                 continue
             for workload in spec.workloads:
                 key = BaselineCache.key(spec.platform, workload)
-                if key in self.cache or key in seen:
-                    continue
-                seen.add(key)
-                needed.append((spec.platform, workload))
-        if not needed:
-            return
-        runs = self.executor.map(
-            execute_spec, [baseline_spec(p, w) for p, w in needed])
-        for (platform, workload), result in zip(needed, runs):
-            self.cache.put(platform, workload,
-                           result.records[BASELINE_NAME].write_time)
+                known = interned.get(key)
+                if known is None:
+                    known = interned[key] = key
+                    if key not in self.cache:
+                        needed.append((spec.platform, workload))
+                named[workload.name] = known
+        if needed:
+            runs = self.executor.map(
+                execute_spec, [baseline_spec(p, w) for p, w in needed])
+            for (platform, workload), result in zip(needed, runs):
+                self.cache.put(platform, workload,
+                               result.records[BASELINE_NAME].write_time)
+        return keys
 
-    def _attach_baselines(self, result: ExperimentResult) -> None:
+    def _attach_baselines(self, result: ExperimentResult,
+                          keys: Dict[str, tuple]) -> None:
+        """Set each record's ``t_alone`` from its workload's cache key."""
+        lookup = self.cache.lookup
         for name, record in result.records.items():
-            record.t_alone = self.cache.get(result.spec.platform,
-                                            result.spec.workload(name))
+            record.t_alone = lookup(keys[name])
 
     # -- execution ---------------------------------------------------------
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
         """Run one experiment (always in-process)."""
         result = execute_spec(spec)
         if spec.measure_alone:
-            self._prime_baselines([spec])
-            self._attach_baselines(result)
+            keys, = self._prime_baselines([spec])
+            self._attach_baselines(result, keys)
         return result
 
     def run_all(self, specs: Iterable[ExperimentSpec]) -> ResultSet:
@@ -452,12 +470,12 @@ class ExperimentEngine:
         run because each spec is an independent deterministic simulation.
         """
         specs = list(specs)
-        self._prime_baselines(specs)
-        results = self.executor.map(execute_spec, specs)
-        for result in results:
+        keys = self._prime_baselines(specs)
+        results = list(self.executor.map(execute_spec, specs))
+        for result, named in zip(results, keys):
             if result.spec.measure_alone:
-                self._attach_baselines(result)
-        return ResultSet(list(results))
+                self._attach_baselines(result, named)
+        return ResultSet(results)
 
     # -- campaign helpers --------------------------------------------------
     def delta_graph(self, platform: PlatformConfig, a: IORConfig,

@@ -160,44 +160,49 @@ class ADIOLayer:
         if grain not in (None, "round", "file"):
             raise ValueError(f"grain must be None, 'round' or 'file', got {grain!r}")
         plan = self.plan(pattern, base_offset)
+        sim = self.sim
+        comm, guard, app, client = self.comm, self.guard, self.app, self.client
+        nprocs = comm.nprocs
+        write = self.pfs.write
         stats = WriteStats(path=path, bytes=plan.total_bytes,
-                           nrounds=plan.nrounds, start=self.sim.now)
+                           nrounds=plan.nrounds, start=sim._now)
         op_info = MPIInfo(
-            app=self.app, nprocs=self.comm.nprocs, files=1,
+            app=app, nprocs=nprocs, files=1,
             total_bytes=plan.total_bytes, rounds=plan.nrounds,
             bytes_per_round=plan.rounds[0].write_bytes if plan.rounds else 0,
         )
-        self.guard.prepare(op_info)
+        guard.prepare(op_info)
         if grain == "file":
-            t0 = self.sim.now
-            yield from self.guard.begin_access(op_info)
-            stats.wait_time += self.sim.now - t0
+            t0 = sim._now
+            yield from guard.begin_access(op_info)
+            stats.wait_time += sim._now - t0
+        per_round = grain == "round"
+        marks = stats.round_marks
         try:
             for rnd in plan.rounds:
                 if rnd.shuffle_bytes > 0:
-                    t0 = self.sim.now
-                    yield self.comm.shuffle(rnd.shuffle_bytes)
-                    stats.comm_time += self.sim.now - t0
-                if grain == "round":
-                    t0 = self.sim.now
-                    yield from self.guard.begin_access(MPIInfo(
-                        app=self.app, nprocs=self.comm.nprocs,
-                        round=rnd.index,
+                    t0 = sim._now
+                    yield comm.shuffle(rnd.shuffle_bytes)
+                    stats.comm_time += sim._now - t0
+                if per_round:
+                    t0 = sim._now
+                    yield from guard.begin_access(MPIInfo(
+                        app=app, nprocs=nprocs, round=rnd.index,
                     ))
-                    stats.wait_time += self.sim.now - t0
-                t0 = self.sim.now
-                yield self.pfs.write(self.client, self.app, path,
-                                     rnd.offset, rnd.write_bytes,
-                                     weight=self.comm.nprocs)
-                stats.write_time += self.sim.now - t0
-                stats.round_marks.append(self.sim.now)
-                if grain == "round":
-                    yield from self.guard.end_access()
+                    stats.wait_time += sim._now - t0
+                t0 = sim._now
+                yield write(client, app, path, rnd.offset, rnd.write_bytes,
+                            weight=nprocs)
+                now = sim._now
+                stats.write_time += now - t0
+                marks.append(now)
+                if per_round:
+                    yield from guard.end_access()
             if grain == "file":
-                yield from self.guard.end_access()
+                yield from guard.end_access()
         finally:
-            self.guard.complete()
-        stats.end = self.sim.now
+            guard.complete()
+        stats.end = sim._now
         self.history.append(stats)
         return stats
 

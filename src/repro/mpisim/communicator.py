@@ -49,6 +49,13 @@ class Communicator:
         self.alpha = float(alpha)
         self.per_proc_bandwidth = float(per_proc_bandwidth)
         self.name = name
+        #: ceil(log2 P) tree depth (at least 1 for P > 1, 0 for P == 1).
+        self._log2p = (max(1, math.ceil(math.log2(self.nprocs)))
+                       if self.nprocs > 1 else 0)
+        #: The last fully remote shuffle's byte count and time: a
+        #: collective write shuffles the same round size round after round.
+        self._shuffle_bytes: Optional[float] = None
+        self._shuffle_time = 0.0
 
     # -- size/rank bookkeeping --------------------------------------------------
     @property
@@ -60,23 +67,20 @@ class Communicator:
         """Total injection bandwidth of the group, B/s."""
         return self.nprocs * self.per_proc_bandwidth
 
-    def _log2p(self) -> int:
-        return max(1, math.ceil(math.log2(self.nprocs))) if self.nprocs > 1 else 0
-
     # -- collective cost models (seconds) -------------------------------------
     def barrier_time(self) -> float:
         """Dissemination barrier: ceil(log2 P) rounds of latency."""
-        return self._log2p() * self.alpha
+        return self._log2p * self.alpha
 
     def bcast_time(self, nbytes: float) -> float:
         """Binomial-tree broadcast."""
-        steps = self._log2p()
+        steps = self._log2p
         return steps * (self.alpha + nbytes / self.per_proc_bandwidth)
 
     def gather_time(self, nbytes_per_proc: float) -> float:
         """Binomial gather; bandwidth term dominated by the root's link."""
         total = nbytes_per_proc * max(0, self.nprocs - 1)
-        return self._log2p() * self.alpha + total / self.per_proc_bandwidth
+        return self._log2p * self.alpha + total / self.per_proc_bandwidth
 
     def alltoall_time(self, nbytes_total: float) -> float:
         """Personalized all-to-all moving ``nbytes_total`` across the group.
@@ -86,7 +90,7 @@ class Communicator:
         pipelined in log P phases.
         """
         bw = self.aggregate_bandwidth
-        return self._log2p() * self.alpha + nbytes_total / bw
+        return self._log2p * self.alpha + nbytes_total / bw
 
     def shuffle_time(self, nbytes_total: float, fraction_remote: float = 1.0) -> float:
         """Two-phase-I/O data exchange: procs -> aggregators.
@@ -108,7 +112,13 @@ class Communicator:
         return self.sim.timeout(self.bcast_time(nbytes))
 
     def shuffle(self, nbytes_total: float, fraction_remote: float = 1.0) -> Timeout:
-        return self.sim.timeout(self.shuffle_time(nbytes_total, fraction_remote))
+        if fraction_remote != 1.0:
+            return Timeout(self.sim,
+                           self.shuffle_time(nbytes_total, fraction_remote))
+        if nbytes_total != self._shuffle_bytes:
+            self._shuffle_time = self.shuffle_time(nbytes_total)
+            self._shuffle_bytes = nbytes_total
+        return Timeout(self.sim, self._shuffle_time)
 
     def split(self, nprocs: int, name: Optional[str] = None) -> "Communicator":
         """A sub-communicator of ``nprocs`` ranks (MPI_Comm_split analogue)."""

@@ -18,9 +18,10 @@ exactly where it should.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..simcore import FluidLink, FlowNetwork, SimulationError, Simulator
+from ..simcore import Event, FluidLink, FlowNetwork, SimulationError, Simulator
 
 __all__ = ["Fabric", "FabricGraph"]
 
@@ -112,7 +113,9 @@ class Fabric:
         self.latency = float(latency)
         self.graph = FabricGraph()
         self._links: Dict[Tuple[Hashable, Hashable], FluidLink] = {}
-        self._path_cache: Dict[Tuple[Hashable, Hashable], List[FluidLink]] = {}
+        #: Flow paths by (src, dst, extra links): the route's links, then
+        #: the extra links (see :meth:`_path`).
+        self._routes: Dict[tuple, Tuple[FluidLink, ...]] = {}
 
     # -- construction --------------------------------------------------------
     def add_endpoint(self, name: Hashable) -> Hashable:
@@ -132,7 +135,7 @@ class Fabric:
         self.graph.add_edge(a, b)
         self._links[(a, b)] = FluidLink(bandwidth, name=f"{a}->{b}")
         self._links[(b, a)] = FluidLink(bandwidth, name=f"{b}->{a}")
-        self._path_cache.clear()
+        self._routes.clear()
 
     @classmethod
     def star(cls, sim: Simulator, net: FlowNetwork, endpoints: Dict[Hashable, float],
@@ -177,13 +180,21 @@ class Fabric:
     # -- routing --------------------------------------------------------------
     def path_links(self, src: Hashable, dst: Hashable) -> List[FluidLink]:
         """Directed links along the shortest path from ``src`` to ``dst``."""
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
-        nodes = self.graph.shortest_path(src, dst)
-        links = [self._links[(a, b)] for a, b in zip(nodes, nodes[1:])]
-        self._path_cache[key] = links
+        return list(self._path(src, dst))
+
+    def _path(self, src: Hashable, dst: Hashable,
+              extra: Tuple[FluidLink, ...] = ()) -> Tuple[FluidLink, ...]:
+        """The route's links from ``src`` to ``dst``, then ``extra``.
+
+        Built once per ``(src, dst, extra)`` and shared by every later
+        caller; :meth:`add_edge` drops them all.
+        """
+        key = (src, dst, extra)
+        links = self._routes.get(key)
+        if links is None:
+            nodes = self.graph.shortest_path(src, dst)
+            links = self._routes[key] = tuple(
+                self._links[hop] for hop in zip(nodes, nodes[1:])) + extra
         return links
 
     def link(self, a: Hashable, b: Hashable) -> FluidLink:
@@ -193,13 +204,18 @@ class Fabric:
     # -- data movement -----------------------------------------------------------
     def transfer(self, src: Hashable, dst: Hashable, nbytes: float,
                  weight: float = 1.0, cap: Optional[float] = None,
-                 extra_links: Optional[List[FluidLink]] = None,
+                 extra_links: Optional[Sequence[FluidLink]] = None,
                  label: str = "transfer"):
         """Move ``nbytes`` from ``src`` to ``dst``; returns the completion event.
 
         ``extra_links`` appends resources beyond the fabric (e.g. a storage
         server's cache-modulated ingest pipe) to the flow's path.  The flow
         starts after one propagation latency.
+
+        The flow's path (the route's links, then ``extra_links``) is built
+        once per ``(src, dst, extra_links)`` and kept as one tuple that
+        every later flow on that route adopts without a copy;
+        :meth:`add_edge` drops the cached paths.
 
         The returned event is the flow's own completion event: it is made
         here, handed to the flow when it launches, and succeeds with the
@@ -208,21 +224,18 @@ class Fabric:
         one completion event, plus one launch timer when the latency is
         positive.
         """
-        links = list(self.path_links(src, dst))
-        if extra_links:
-            links.extend(extra_links)
-        done = self.sim.event()
-
-        def _launch() -> None:
-            self.net.start_flow(nbytes, links, weight=weight, cap=cap,
-                                label=label, done=done)
-
+        links = self._path(src, dst,
+                           tuple(extra_links) if extra_links else ())
+        sim = self.sim
+        done = Event(sim)
+        launch = partial(self.net.start_flow, nbytes, links, weight, cap,
+                         label, done)
         if self.latency > 0:
             # The Timer handle is dropped deliberately: a launched transfer
             # is never revoked (cancel_flow is the post-launch abort path).
-            self.sim.call_at(self.sim.now + self.latency, _launch)
+            sim.call_at(sim._now + self.latency, launch)
         else:
-            _launch()
+            launch()
         return done
 
     def message_delay(self, src: Hashable, dst: Hashable, nbytes: float = 0.0) -> float:

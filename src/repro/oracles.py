@@ -40,7 +40,7 @@ import heapq
 import math
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, List
+from typing import Callable, Iterator, List, Sequence
 
 from . import platforms
 from .core import sharding
@@ -371,11 +371,16 @@ class WholePopulationDynamic(DynamicStrategy):
 class GlobalFlowNetwork(FlowNetwork):
     """:class:`~repro.simcore.FlowNetwork` that re-prices every flow, fresh.
 
-    Overrides the one refill hook: instead of walking the dirty
-    components, every change syncs every flow and re-runs progressive
-    filling over all unpaused ones.  Lazy integration, completion
-    horizons and wakes are the production ones.
+    Overrides the refill hook: instead of walking the dirty components,
+    every change syncs every flow and re-runs progressive filling over all
+    unpaused ones.  It also overrides the departure hook to mark a
+    departed flow's whole path, so a completion, cancellation or pause
+    re-prices the network even when it leaves every link empty.  Lazy
+    integration, completion horizons and wakes are the production ones.
     """
+
+    def _mark_released(self, path: Sequence[FluidLink]) -> None:
+        self._mark_dirty(path)
 
     def _refill(self, seeds: List[FluidLink], now: float) -> None:
         self._n_components_refilled += 1

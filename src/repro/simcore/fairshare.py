@@ -49,14 +49,33 @@ Lone flows
 ----------
 The paper's campaigns are a few large applications, each one weighted flow
 per collective-buffering round, so most dirty components hold a single
-flow.  Such a component skips progressive filling: its flow's rate is the
-smallest of ``capacity / weight`` over its finite links and ``cap /
-weight``, times ``weight`` — the very float expressions the generic fill
-evaluates for one flow, with the same strict ``<`` (a link wins a tie
-against the cap), so the rate is bit-identical.  A path that crosses one
-link twice keeps the generic fill, which counts such a flow once per
-crossing.  The oracle always fills generically, so the equivalence suites
-compare the closed form against progressive filling.
+flow.  Both ends of such a flow's life take a fast lane:
+
+* **Arrival.**  :meth:`FlowNetwork._refill` recognizes a seed whose only
+  flow is alone on every link of its path and refills that component of
+  one on the spot, with no walk.  Its rate is the closed form
+  :meth:`FlowNetwork._fill_lone`: the smallest of ``capacity / weight``
+  over its finite links and ``cap / weight``, times ``weight`` — the very
+  float expressions the generic fill evaluates for one flow, with the
+  same strict ``<`` (a link wins a tie against the cap), so the rate is
+  bit-identical.  A path that crosses one link twice keeps the generic
+  fill, which counts such a flow once per crossing.
+* **Departure.**  A completion, cancellation or pause marks dirty only the
+  links of the departed flow that still carry flows
+  (:meth:`FlowNetwork._mark_released`).  A lone flow's departure leaves
+  nothing dirty, so the reallocation that follows only re-arms the wake
+  (and notifies observers, if any); a flow left alone by the departure is
+  re-priced by the arrival lane's closed form.
+
+Every completion still goes through :meth:`FlowNetwork._finish_flow`, and
+every change through :meth:`FlowNetwork._reallocate`, so the flow counters
+and anything wrapping those methods see each flow exactly as before.
+
+The oracle contract: :class:`repro.oracles.GlobalFlowNetwork` overrides
+both hooks of the lane, ``_refill`` (re-price every flow with the generic
+fill) and ``_mark_released`` (mark the departed flow's whole path), so it
+re-prices the whole network on every arrival and every departure, and the
+equivalence suites compare the fast lane against progressive filling.
 
 What matches the oracle
 -----------------------
@@ -304,20 +323,24 @@ class FlowNetwork:
             raise SimulationError(f"flow weight must be positive, got {weight}")
         if cap is not None and cap <= 0:
             raise SimulationError(f"flow cap must be positive, got {cap}")
-        path = list(path)
+        path = tuple(path)
         for link in path:
-            if link.network is None:
+            owner = link.network
+            if owner is not self:
+                if owner is not None:
+                    raise SimulationError(
+                        f"{link!r} belongs to a different network")
                 link.network = self
-            elif link.network is not self:
-                raise SimulationError(f"{link!r} belongs to a different network")
-        flow = FluidFlow(self.sim, size, path, weight, cap, label)
-        flow.start_time = self.sim.now
-        flow._synced = self.sim.now
+        sim = self.sim
+        now = sim._now
+        flow = FluidFlow(sim, size, path, weight, cap, label)
+        flow.start_time = now
+        flow._synced = now
         flow._seq = next(self._seq)
         self._n_flow_starts += 1
         if size <= _EPS_BYTES:
             flow.remaining = 0.0
-            flow.finish_time = self.sim.now
+            flow.finish_time = now
             self._n_flow_completions += 1
             flow._outcome = flow
             if done is not None:
@@ -325,9 +348,10 @@ class FlowNetwork:
             return flow
         flow._done = done
         self._flows[flow] = None
-        for link in flow.path:
+        dirty = self._dirty
+        for link in path:
             link._active[flow] = None
-        self._mark_dirty(flow.path)
+            dirty[link] = None
         return flow
 
     def start_flow(self, size: float, path: Iterable[FluidLink],
@@ -342,8 +366,7 @@ class FlowNetwork:
         its completion event, so a caller that already handed an event to
         its waiters needs no second event to relay the outcome.
         """
-        flow = self._register_flow(size, path, weight=weight, cap=cap,
-                                   label=label, done=done)
+        flow = self._register_flow(size, path, weight, cap, label, done)
         if flow in self._flows:
             self._reallocate()
         return flow
@@ -380,7 +403,7 @@ class FlowNetwork:
             # completion wake): it is done, not paused — exactly what a
             # whole-network completion sweep would conclude.
             self._finish_flow(flow, self.sim.now)
-            self._mark_dirty(flow.path)
+            self._mark_released(flow.path)
             self._reallocate()
             return
         flow.paused = True
@@ -388,7 +411,7 @@ class FlowNetwork:
         flow._gen += 1
         for link in flow.path:
             link._active.pop(flow, None)
-        self._mark_dirty(flow.path)
+        self._mark_released(flow.path)
         self._reallocate()
 
     def resume_flow(self, flow: FluidFlow) -> None:
@@ -434,7 +457,7 @@ class FlowNetwork:
                 ev.fail(exc)
             else:
                 ev.succeed(None)
-        self._mark_dirty(flow.path)
+        self._mark_released(flow.path)
         self._reallocate()
 
     def add_observer(self, fn: Callable[[float, List[FluidFlow]], None]) -> None:
@@ -571,34 +594,20 @@ class FlowNetwork:
         for link in links:
             self._dirty[link] = None
 
-    def _components(self, seeds: List[FluidLink]) -> List[List[FluidFlow]]:
-        """Connected components of the link/flow graph reachable from seeds.
+    def _mark_released(self, path: Sequence[FluidLink]) -> None:
+        """Mark dirty the links of a departed flow that still carry flows.
 
-        Returns each non-empty component's flows sorted by registration
-        order, which keeps the filling's bottleneck tie-breaks and residual
-        arithmetic identical to a whole-network fill.
+        Called after a flow leaves its links (completion, cancellation,
+        pause).  A link left empty has nothing to re-price, so a lone
+        flow's departure leaves nothing dirty and the reallocation that
+        follows only re-arms the wake.  The whole-network oracle overrides
+        this to mark the whole path, so it still re-prices on every
+        departure.
         """
-        visited: Set[FluidLink] = set()
-        out = []
-        for seed in seeds:
-            if seed in visited:
-                continue
-            visited.add(seed)
-            stack = [seed]
-            flows: Dict[FluidFlow, None] = {}
-            while stack:
-                link = stack.pop()
-                for f in link._active:
-                    if f in flows:
-                        continue
-                    flows[f] = None
-                    for other in f.path:
-                        if other not in visited:
-                            visited.add(other)
-                            stack.append(other)
-            if flows:
-                out.append(_by_registration(flows))
-        return out
+        dirty = self._dirty
+        for link in path:
+            if link._active:
+                dirty[link] = None
 
     def _finish_flow(self, f: FluidFlow, now: float) -> None:
         del self._flows[f]
@@ -617,10 +626,45 @@ class FlowNetwork:
     def _refill(self, seeds: List[FluidLink], now: float) -> None:
         """Sync, complete and re-price the components reachable from seeds.
 
-        The one refill hook :meth:`_reallocate` calls per dirty batch.
+        The one refill hook :meth:`_reallocate` calls per dirty batch.  It
+        walks the connected components of the link/flow graph reachable
+        from the seeds and refills each as it is found.  A seed that
+        carries no flow is skipped.  A seed's only flow that is alone on
+        every link of its path is a component of one: it is refilled on
+        the spot, with no walk and no progressive filling.  Larger
+        components are refilled with their flows in registration order,
+        which keeps the filling's bottleneck tie-breaks and residual
+        arithmetic identical to a whole-network fill.
         """
-        for flows in self._components(seeds):
-            self._refill_component(flows, now)
+        visited: Set[FluidLink] = set()
+        for seed in seeds:
+            active = seed._active
+            if not active or seed in visited:
+                continue
+            if len(active) == 1:
+                (f,) = active
+                path = f.path
+                for link in path:
+                    if len(link._active) != 1:
+                        break
+                else:
+                    visited.update(path)
+                    self._refill_component([f], now)
+                    continue
+            visited.add(seed)
+            stack = [seed]
+            flows: Dict[FluidFlow, None] = {}
+            while stack:
+                link = stack.pop()
+                for f in link._active:
+                    if f in flows:
+                        continue
+                    flows[f] = None
+                    for other in f.path:
+                        if other not in visited:
+                            visited.add(other)
+                            stack.append(other)
+            self._refill_component(_by_registration(flows), now)
 
     def _refill_component(self, flows: List[FluidFlow], now: float) -> None:
         """Sync, complete, and re-price one dirty component."""
@@ -651,14 +695,19 @@ class FlowNetwork:
         """Refill every dirty component, schedule the wake, notify observers."""
         if self._in_reallocate:
             return
-        self._in_reallocate = True
         self._n_reallocations += 1
+        dirty = self._dirty
+        if not dirty and not self._observers:
+            # A lone flow's departure: nothing to re-price, nobody to tell.
+            self._schedule_next_wake()
+            return
+        self._in_reallocate = True
         try:
             while True:
-                while self._dirty:
-                    seeds = list(self._dirty)
-                    self._dirty.clear()
-                    self._refill(seeds, self.sim.now)
+                while dirty:
+                    seeds = list(dirty)
+                    dirty.clear()
+                    self._refill(seeds, self.sim._now)
                 self._schedule_next_wake()
                 if not self._observers:
                     break
@@ -668,7 +717,7 @@ class FlowNetwork:
                 # Observers mark links dirty through set_capacity (the
                 # re-entrant call no-ops under the guard); loop until the
                 # system is clean.
-                if not self._dirty:
+                if not dirty:
                     break
         finally:
             self._in_reallocate = False
@@ -731,13 +780,14 @@ class FlowNetwork:
                 self._n_wake_stale_pops += 1
         for _, _, f in due:
             self._sync_flow(f, now)
-            self._mark_dirty(f.path)
             if f.remaining <= _EPS_BYTES:
                 self._finish_flow(f, now)
+                self._mark_released(f.path)
             else:
                 # Float residue: the horizon rounded just short of the final
                 # byte.  Bump the generation (no duplicate heap entries) and
                 # let the refill push a fresh, one-ulp horizon.
+                self._mark_dirty(f.path)
                 f._gen += 1
         if due:
             self._reallocate()

@@ -120,10 +120,13 @@ class ParallelFileSystem:
         of their events, whose value maps each to its outcome.  A zero-byte
         write returns an event that already succeeded with ``None``.
         """
-        meta = self.open(path)
+        meta = self._files.get(path)
+        if meta is None:
+            meta = self.create(path)
         meta.extend(offset, nbytes)
         self._n_pfs_writes += 1
-        return self._issue(client, app, path, offset, nbytes, weight, cap, "write")
+        return self._issue(meta, client, app, path, offset, nbytes, weight,
+                           cap, "write")
 
     def read(self, client: str, app: str, path: str, offset: int, nbytes: int,
              weight: float = 1.0, cap: Optional[float] = None) -> Event:
@@ -134,20 +137,17 @@ class ParallelFileSystem:
                 f"read past EOF on {path!r} ({offset + nbytes} > {meta.size})"
             )
         self._n_pfs_reads += 1
-        return self._issue(client, app, path, offset, nbytes, weight, cap, "read")
+        return self._issue(meta, client, app, path, offset, nbytes, weight,
+                           cap, "read")
 
-    def _issue(self, client: str, app: str, path: str, offset: int,
-               nbytes: int, weight: float, cap: Optional[float],
+    def _issue(self, meta: FileMeta, client: str, app: str, path: str,
+               offset: int, nbytes: int, weight: float, cap: Optional[float],
                kind: str) -> Event:
-        meta = self._files[path]
-        parts = meta.layout.partition(offset, nbytes)
-        events = []
-        for server_idx, server_bytes in parts.items():
-            req = IORequest(
-                app=app, client=client, path=path, offset=offset,
-                size=server_bytes, kind=kind, weight=weight, cap=cap,
-            )
-            events.append(self.servers[server_idx].submit(req))
+        servers = self.servers
+        events = [servers[server_idx].submit(IORequest(
+            app, client, path, offset, server_bytes, kind, weight, cap))
+            for server_idx, server_bytes
+            in meta.layout.partition(offset, nbytes).items()]
         if len(events) == 1:
             return events[0]
         if not events:  # zero-byte op completes immediately

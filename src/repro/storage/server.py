@@ -58,6 +58,9 @@ class StorageServer:
         fabric.add_endpoint(name)
         self.ingest_link = FluidLink(disk.bandwidth, name=f"{name}.ingest")
         self.egress_link = FluidLink(disk.bandwidth, name=f"{name}.egress")
+        #: The links a transfer crosses past the fabric, per direction.
+        self._ingest_path = (self.ingest_link,)
+        self._egress_path = (self.egress_link,)
         self.cache: Optional[WriteBackCache] = None
         if (cache_bandwidth is None) != (cache_capacity is None):
             raise ValueError(
@@ -86,28 +89,23 @@ class StorageServer:
     # -- client interface -----------------------------------------------------
     def submit(self, request: IORequest) -> Event:
         """Queue a request under the admission policy; event fires when done."""
-        request.submitted = self.sim.now
+        request.submitted = self.sim._now
         self._n_io_requests += 1
         return self.scheduler.submit(request)
 
     # -- internals ---------------------------------------------------------------
     def _launch(self, request: IORequest) -> Event:
         """Start the fluid transfer for a request (called by the scheduler)."""
+        size = request.size
         if request.kind == "write":
-            self.bytes_written += request.size
+            self.bytes_written += size
             return self.fabric.transfer(
-                request.client, self.name, request.size,
-                weight=request.weight, cap=request.cap,
-                extra_links=[self.ingest_link],
-                label=request.app,
-            )
-        self.bytes_read += request.size
+                request.client, self.name, size, request.weight, request.cap,
+                self._ingest_path, request.app)
+        self.bytes_read += size
         return self.fabric.transfer(
-            self.name, request.client, request.size,
-            weight=request.weight, cap=request.cap,
-            extra_links=[self.egress_link],
-            label=request.app,
-        )
+            self.name, request.client, size, request.weight, request.cap,
+            self._egress_path, request.app)
 
     def _update_seek_penalty(self, time: float, flows) -> None:
         """Degrade the ingest pipe as distinct applications interleave."""

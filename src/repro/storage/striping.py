@@ -58,13 +58,15 @@ class StripeLayout:
         """Total bytes landing on each server for a byte range.
 
         Computed in closed form (no per-stripe loop) so million-stripe
-        ranges cost O(nservers).
+        ranges cost O(nservers), and O(1) on a single server.
         """
         if offset < 0 or size < 0:
             raise ValueError("offset and size must be >= 0")
         if size == 0:
             return {}
         ss, n = self.stripe_size, self.nservers
+        if n == 1:
+            return {0: size}
         first_unit = offset // ss
         last_unit = (offset + size - 1) // ss
         nunits = last_unit - first_unit + 1

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.network import Fabric
-from repro.simcore import FlowNetwork, SimulationError, Simulator
+from repro.simcore import FlowNetwork, FluidLink, SimulationError, Simulator
 
 
 def star_fabric(latency=0.0):
@@ -151,11 +151,21 @@ def test_unknown_and_disconnected_nodes_raise():
 
 
 def test_add_edge_invalidates_cached_routes():
-    _sim, _net, fab = star_fabric()
+    sim, _net, fab = star_fabric()
+    extra = FluidLink(1000.0, "extra")
     assert route(fab, "a", "b") == ["a->switch", "switch->b"]
+    done = fab.transfer("a", "b", 100.0, extra_links=[extra])
+    flow = sim.run(until=done)
+    assert [link.name for link in flow.path] == \
+        ["a->switch", "switch->b", "extra"]
     fab.add_edge("a", "b", 10.0)
     assert route(fab, "a", "b") == ["a->b"]
     assert fab.path_links("a", "b") == [fab.link("a", "b")]
+    # A transfer after the new edge takes the new route, extra links kept.
+    done = fab.transfer("a", "b", 100.0, extra_links=[extra])
+    flow = sim.run(until=done)
+    assert flow.path == (fab.link("a", "b"), extra)
+    assert flow.elapsed == pytest.approx(10.0)  # 100 B at 10 B/s
 
 
 def test_graph_counts_match_built_fabric():
