@@ -423,21 +423,19 @@ class ExperimentEngine:
         """
         keys: List[Dict[str, tuple]] = []
         needed: List[Tuple[PlatformConfig, IORConfig]] = []
-        # One object per distinct key, so equal keys are kept once.
-        interned: Dict[tuple, tuple] = {}
+        seen = set()
         for spec in specs:
             named: Dict[str, tuple] = {}
             keys.append(named)
             if not spec.measure_alone:
                 continue
             for workload in spec.workloads:
-                key = BaselineCache.key(spec.platform, workload)
-                known = interned.get(key)
-                if known is None:
-                    known = interned[key] = key
-                    if key not in self.cache:
-                        needed.append((spec.platform, workload))
-                named[workload.name] = known
+                key = named[workload.name] = BaselineCache.key(
+                    spec.platform, workload)
+                if key in self.cache or key in seen:
+                    continue
+                seen.add(key)
+                needed.append((spec.platform, workload))
         if needed:
             runs = self.executor.map(
                 execute_spec, [baseline_spec(p, w) for p, w in needed])

@@ -52,10 +52,6 @@ class Communicator:
         #: ceil(log2 P) tree depth (at least 1 for P > 1, 0 for P == 1).
         self._log2p = (max(1, math.ceil(math.log2(self.nprocs)))
                        if self.nprocs > 1 else 0)
-        #: The last fully remote shuffle's byte count and time: a
-        #: collective write shuffles the same round size round after round.
-        self._shuffle_bytes: Optional[float] = None
-        self._shuffle_time = 0.0
 
     # -- size/rank bookkeeping --------------------------------------------------
     @property
@@ -112,13 +108,7 @@ class Communicator:
         return self.sim.timeout(self.bcast_time(nbytes))
 
     def shuffle(self, nbytes_total: float, fraction_remote: float = 1.0) -> Timeout:
-        if fraction_remote != 1.0:
-            return Timeout(self.sim,
-                           self.shuffle_time(nbytes_total, fraction_remote))
-        if nbytes_total != self._shuffle_bytes:
-            self._shuffle_time = self.shuffle_time(nbytes_total)
-            self._shuffle_bytes = nbytes_total
-        return Timeout(self.sim, self._shuffle_time)
+        return Timeout(self.sim, self.shuffle_time(nbytes_total, fraction_remote))
 
     def split(self, nprocs: int, name: Optional[str] = None) -> "Communicator":
         """A sub-communicator of ``nprocs`` ranks (MPI_Comm_split analogue)."""

@@ -113,9 +113,7 @@ class Fabric:
         self.latency = float(latency)
         self.graph = FabricGraph()
         self._links: Dict[Tuple[Hashable, Hashable], FluidLink] = {}
-        #: Flow paths by (src, dst, extra links): the route's links, then
-        #: the extra links (see :meth:`_path`).
-        self._routes: Dict[tuple, Tuple[FluidLink, ...]] = {}
+        self._path_cache: Dict[Tuple[Hashable, Hashable], List[FluidLink]] = {}
 
     # -- construction --------------------------------------------------------
     def add_endpoint(self, name: Hashable) -> Hashable:
@@ -135,7 +133,7 @@ class Fabric:
         self.graph.add_edge(a, b)
         self._links[(a, b)] = FluidLink(bandwidth, name=f"{a}->{b}")
         self._links[(b, a)] = FluidLink(bandwidth, name=f"{b}->{a}")
-        self._routes.clear()
+        self._path_cache.clear()
 
     @classmethod
     def star(cls, sim: Simulator, net: FlowNetwork, endpoints: Dict[Hashable, float],
@@ -180,21 +178,13 @@ class Fabric:
     # -- routing --------------------------------------------------------------
     def path_links(self, src: Hashable, dst: Hashable) -> List[FluidLink]:
         """Directed links along the shortest path from ``src`` to ``dst``."""
-        return list(self._path(src, dst))
-
-    def _path(self, src: Hashable, dst: Hashable,
-              extra: Tuple[FluidLink, ...] = ()) -> Tuple[FluidLink, ...]:
-        """The route's links from ``src`` to ``dst``, then ``extra``.
-
-        Built once per ``(src, dst, extra)`` and shared by every later
-        caller; :meth:`add_edge` drops them all.
-        """
-        key = (src, dst, extra)
-        links = self._routes.get(key)
-        if links is None:
-            nodes = self.graph.shortest_path(src, dst)
-            links = self._routes[key] = tuple(
-                self._links[hop] for hop in zip(nodes, nodes[1:])) + extra
+        key = (src, dst)
+        cached = self._path_cache.get(key)
+        if cached is not None:
+            return cached
+        nodes = self.graph.shortest_path(src, dst)
+        links = [self._links[(a, b)] for a, b in zip(nodes, nodes[1:])]
+        self._path_cache[key] = links
         return links
 
     def link(self, a: Hashable, b: Hashable) -> FluidLink:
@@ -212,10 +202,10 @@ class Fabric:
         server's cache-modulated ingest pipe) to the flow's path.  The flow
         starts after one propagation latency.
 
-        The flow's path (the route's links, then ``extra_links``) is built
-        once per ``(src, dst, extra_links)`` and kept as one tuple that
-        every later flow on that route adopts without a copy;
-        :meth:`add_edge` drops the cached paths.
+        The route comes from :meth:`path_links` (cached per ``(src, dst)``
+        until :meth:`add_edge` drops the cache); the flow's path is one
+        tuple of the route's links, then ``extra_links``, which the flow
+        adopts without a further copy.
 
         The returned event is the flow's own completion event: it is made
         here, handed to the flow when it launches, and succeeds with the
@@ -224,8 +214,8 @@ class Fabric:
         one completion event, plus one launch timer when the latency is
         positive.
         """
-        links = self._path(src, dst,
-                           tuple(extra_links) if extra_links else ())
+        route = self.path_links(src, dst)
+        links = (*route, *extra_links) if extra_links else tuple(route)
         sim = self.sim
         done = Event(sim)
         launch = partial(self.net.start_flow, nbytes, links, weight, cap,

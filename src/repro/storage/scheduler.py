@@ -55,12 +55,6 @@ class ServerScheduler(ABC):
 class SharedScheduler(ServerScheduler):
     """Start every request immediately — bandwidth is max-min shared."""
 
-    def bind(self, sim: Simulator, launch: LaunchFn) -> None:
-        super().bind(sim, launch)
-        # Admission is the launch itself: a bound scheduler's ``submit``
-        # is the server's launch function, with no relay frame between.
-        self.submit = launch
-
     def submit(self, request: IORequest) -> Event:
         return self._launch(request)
 

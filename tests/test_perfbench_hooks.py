@@ -67,3 +67,27 @@ def test_install_uninstall_round_trips():
     for (owner, attr), fn in originals.items():
         assert vars(owner)[attr] is fn, f"{owner.__name__}.{attr}"
     assert PerfCounters.bump is bump and WireEncoder.encode is encode
+
+
+def test_every_transfer_reaches_the_route_hook():
+    # ``network.route_repeat_ratio`` and the benchmark's slowdown self-test
+    # count route lookups through the ``Fabric.path_links`` hook, so every
+    # transfer must resolve its route through that method.
+    from repro.network import Fabric
+    from repro.simcore import FlowNetwork, FluidLink, Simulator
+
+    sim = Simulator()
+    fab = Fabric.star(sim, FlowNetwork(sim), {"a": 100.0, "b": 100.0})
+    extra = FluidLink(100.0, "extra")
+    hooks = tracer.Tracer()
+    hooks.install()
+    try:
+        hooks.begin_repeat()
+        for _ in range(3):
+            sim.run(until=fab.transfer("a", "b", 10.0, extra_links=[extra]))
+        sim.run(until=fab.transfer("b", "a", 10.0))
+        hooks.end_repeat()
+    finally:
+        hooks.uninstall()
+    assert hooks.route_calls == 4
+    assert hooks.route_repeats == 2
