@@ -14,21 +14,23 @@ collective-buffering plans against the simulated PFS and invokes an
 * ``grain=None`` — no hooks (callers manage guarding themselves, e.g. for
   phase-level placement around multiple files).
 
-The guard interface is deliberately tiny so that both the no-op baseline
-(:class:`NullGuard`) and the CALCioM session satisfy it.
+Every operation is a list of I/O steps run by one guarded loop
+(:meth:`ADIOLayer._run`).  The guard interface is deliberately tiny so that
+both the no-op baseline (:class:`NullGuard`) and the CALCioM session satisfy it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Tuple)
 
 from ..simcore import Simulator
 from ..storage import ParallelFileSystem
 from .communicator import Communicator
 from .datatypes import AccessPattern
 from .info import MPIInfo
-from .sieving import SievePlan, plan_data_sieving
+from .sieving import plan_data_sieving
 from .twophase import CollectivePlan, plan_collective_write
 
 __all__ = ["IOGuard", "NullGuard", "ADIOLayer", "WriteStats"]
@@ -69,6 +71,15 @@ class NullGuard(IOGuard):
     def end_access(self):
         return
         yield  # pragma: no cover
+
+
+#: Stands in for the guard of an operation run with ``guarded=False``.
+_UNGUARDED = NullGuard()
+
+#: One I/O step: the PFS call (``pfs.write`` or ``pfs.read``), offset, byte
+#: count, and the shuffle bytes gathered to the aggregators before it (a
+#: collective write) and scattered to their owners after it (a read).
+Step = Tuple[Callable[..., Any], int, int, int, int]
 
 
 @dataclass
@@ -128,7 +139,8 @@ class ADIOLayer:
         self.procs_per_node = int(procs_per_node)
         self.guard = guard if guard is not None else NullGuard()
         self.history: List[WriteStats] = []
-        self._plans: Dict[Tuple[AccessPattern, int], CollectivePlan] = {}
+        self._plans: Dict[Tuple[AccessPattern, int],
+                          Tuple[CollectivePlan, Tuple[Step, ...]]] = {}
 
     # -- operations -------------------------------------------------------------
     def plan(self, pattern: AccessPattern, base_offset: int = 0) -> CollectivePlan:
@@ -137,17 +149,26 @@ class ADIOLayer:
         Plans are pure in their inputs and immutable, so each
         ``(pattern, base_offset)`` is planned once per ADIO layer.
         """
+        return self._planned(pattern, base_offset)[0]
+
+    def _planned(self, pattern: AccessPattern, base_offset: int
+                 ) -> Tuple[CollectivePlan, Tuple[Step, ...]]:
+        """The memoized plan and the write steps that execute it."""
         key = (pattern, base_offset)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = plan_collective_write(
+        entry = self._plans.get(key)
+        if entry is None:
+            plan = plan_collective_write(
                 pattern, self.comm.nprocs,
                 cb_buffer_size=self.cb_buffer_size,
                 naggregators=self.naggregators,
                 procs_per_node=self.procs_per_node,
                 base_offset=base_offset,
             )
-        return plan
+            write = self.pfs.write
+            entry = self._plans[key] = (plan, tuple(
+                (write, rnd.offset, rnd.write_bytes, rnd.shuffle_bytes, 0)
+                for rnd in plan.rounds))
+        return entry
 
     def write_collective(self, path: str, pattern: AccessPattern,
                          grain: Optional[str] = "round",
@@ -157,54 +178,15 @@ class ADIOLayer:
         Use as ``stats = yield from adio.write_collective(...)`` inside a
         simulation process.  Returns :class:`WriteStats`.
         """
-        if grain not in (None, "round", "file"):
-            raise ValueError(f"grain must be None, 'round' or 'file', got {grain!r}")
-        plan = self.plan(pattern, base_offset)
-        sim = self.sim
-        comm, guard, app, client = self.comm, self.guard, self.app, self.client
-        nprocs = comm.nprocs
-        write = self.pfs.write
+        plan, steps = self._planned(pattern, base_offset)
         stats = WriteStats(path=path, bytes=plan.total_bytes,
-                           nrounds=plan.nrounds, start=sim._now)
-        op_info = MPIInfo(
-            app=app, nprocs=nprocs, files=1,
-            total_bytes=plan.total_bytes, rounds=plan.nrounds,
-            bytes_per_round=plan.rounds[0].write_bytes if plan.rounds else 0,
-        )
-        guard.prepare(op_info)
-        if grain == "file":
-            t0 = sim._now
-            yield from guard.begin_access(op_info)
-            stats.wait_time += sim._now - t0
-        per_round = grain == "round"
-        marks = stats.round_marks
-        try:
-            for rnd in plan.rounds:
-                if rnd.shuffle_bytes > 0:
-                    t0 = sim._now
-                    yield comm.shuffle(rnd.shuffle_bytes)
-                    stats.comm_time += sim._now - t0
-                if per_round:
-                    t0 = sim._now
-                    yield from guard.begin_access(MPIInfo(
-                        app=app, nprocs=nprocs, round=rnd.index,
-                    ))
-                    stats.wait_time += sim._now - t0
-                t0 = sim._now
-                yield write(client, app, path, rnd.offset, rnd.write_bytes,
-                            weight=nprocs)
-                now = sim._now
-                stats.write_time += now - t0
-                marks.append(now)
-                if per_round:
-                    yield from guard.end_access()
-            if grain == "file":
-                yield from guard.end_access()
-        finally:
-            guard.complete()
-        stats.end = sim._now
-        self.history.append(stats)
-        return stats
+                           nrounds=plan.nrounds, start=self.sim._now)
+        info = MPIInfo(app=self.app, nprocs=self.comm.nprocs, files=1,
+                       total_bytes=plan.total_bytes, rounds=plan.nrounds,
+                       bytes_per_round=plan.rounds[0].write_bytes
+                       if plan.rounds else 0)
+        return (yield from self._run(stats, info, steps, grain, self.guard,
+                                     info if grain == "file" else None))
 
     def write_independent(self, path: str, nbytes: int, offset: int = 0,
                           guarded: bool = True):
@@ -214,27 +196,13 @@ class ADIOLayer:
         :class:`WriteStats` (with zero comm time and a single round).
         """
         stats = WriteStats(path=path, bytes=nbytes, nrounds=1,
-                           start=self.sim.now)
+                           start=self.sim._now)
         info = MPIInfo(app=self.app, nprocs=self.comm.nprocs, files=1,
                        total_bytes=nbytes, rounds=1, bytes_per_round=nbytes)
-        if guarded:
-            self.guard.prepare(info)
-            t0 = self.sim.now
-            yield from self.guard.begin_access(info)
-            stats.wait_time += self.sim.now - t0
-        try:
-            t0 = self.sim.now
-            yield self.pfs.write(self.client, self.app, path, offset, nbytes,
-                                 weight=self.comm.nprocs)
-            stats.write_time += self.sim.now - t0
-            if guarded:
-                yield from self.guard.end_access()
-        finally:
-            if guarded:
-                self.guard.complete()
-        stats.end = self.sim.now
-        self.history.append(stats)
-        return stats
+        steps = ((self.pfs.write, offset, nbytes, 0, 0),)
+        return (yield from self._run(stats, info, steps, "file",
+                                     self.guard if guarded else _UNGUARDED,
+                                     info))
 
     def read_collective(self, path: str, pattern: AccessPattern,
                         grain: Optional[str] = "round",
@@ -246,60 +214,17 @@ class ADIOLayer:
         owners over the compute fabric.  Returns :class:`WriteStats` (the
         same breakdown applies; ``write_time`` holds the read-phase time).
         """
-        if grain not in (None, "round", "file"):
-            raise ValueError(f"grain must be None, 'round' or 'file', got {grain!r}")
         plan = self.plan(pattern, base_offset)
         stats = WriteStats(path=path, bytes=plan.total_bytes,
-                           nrounds=plan.nrounds, start=self.sim.now)
-        op_info = MPIInfo(
-            app=self.app, nprocs=self.comm.nprocs, files=1,
-            total_bytes=plan.total_bytes, rounds=plan.nrounds,
-            kind="read",
-        )
-        self.guard.prepare(op_info)
-        if grain == "file":
-            t0 = self.sim.now
-            yield from self.guard.begin_access(op_info)
-            stats.wait_time += self.sim.now - t0
-        try:
-            for rnd in plan.rounds:
-                if grain == "round":
-                    t0 = self.sim.now
-                    yield from self.guard.begin_access(MPIInfo(
-                        app=self.app, nprocs=self.comm.nprocs,
-                        round=rnd.index,
-                    ))
-                    stats.wait_time += self.sim.now - t0
-                t0 = self.sim.now
-                yield self.pfs.read(self.client, self.app, path,
-                                    rnd.offset, rnd.write_bytes,
-                                    weight=self.comm.nprocs)
-                stats.write_time += self.sim.now - t0
-                stats.round_marks.append(self.sim.now)
-                if grain == "round":
-                    yield from self.guard.end_access()
-                if rnd.shuffle_bytes > 0:
-                    # Scatter phase follows the read of each round.
-                    t0 = self.sim.now
-                    yield self.comm.shuffle(rnd.shuffle_bytes)
-                    stats.comm_time += self.sim.now - t0
-            if grain == "file":
-                yield from self.guard.end_access()
-        finally:
-            self.guard.complete()
-        stats.end = self.sim.now
-        self.history.append(stats)
-        return stats
-
-    def plan_sieved(self, pattern: AccessPattern,
-                    buffer_size: Optional[int] = None,
-                    base_offset: int = 0) -> SievePlan:
-        """The per-process data-sieving plan for an independent access."""
-        return plan_data_sieving(
-            pattern, self.comm.nprocs,
-            buffer_size=buffer_size or self.cb_buffer_size,
-            base_offset=base_offset,
-        )
+                           nrounds=plan.nrounds, start=self.sim._now)
+        info = MPIInfo(app=self.app, nprocs=self.comm.nprocs, files=1,
+                       total_bytes=plan.total_bytes, rounds=plan.nrounds,
+                       kind="read")
+        read = self.pfs.read
+        steps = [(read, rnd.offset, rnd.write_bytes, 0, rnd.shuffle_bytes)
+                 for rnd in plan.rounds]
+        return (yield from self._run(stats, info, steps, grain, self.guard,
+                                     info if grain == "file" else None))
 
     def write_independent_sieved(self, path: str, pattern: AccessPattern,
                                  buffer_size: Optional[int] = None,
@@ -312,51 +237,75 @@ class ADIOLayer:
         aggregate requests (weight = process count).  Cheap for contiguous
         patterns; for strided ones this moves ``~2 x nprocs`` times the
         payload — the optimization whose economics interference inverts.
+        The guard brackets every request.
         """
-        plan = self.plan_sieved(pattern, buffer_size, base_offset)
-        stats = WriteStats(path=path,
-                           bytes=pattern.total_bytes(self.comm.nprocs),
-                           nrounds=plan.nrequests, start=self.sim.now)
-        info = MPIInfo(app=self.app, nprocs=self.comm.nprocs, files=1,
+        scale = self.comm.nprocs
+        plan = plan_data_sieving(pattern, scale, base_offset=base_offset,
+                                 buffer_size=buffer_size or self.cb_buffer_size)
+        stats = WriteStats(path=path, bytes=pattern.total_bytes(scale),
+                           nrounds=plan.nrequests, start=self.sim._now)
+        info = MPIInfo(app=self.app, nprocs=scale, files=1,
                        total_bytes=plan.aggregate_transferred,
                        rounds=plan.nrequests)
-        if guarded:
-            self.guard.prepare(info)
-            t0 = self.sim.now
-            yield from self.guard.begin_access(info)
-            stats.wait_time += self.sim.now - t0
+        # The plan is per process and all nprocs processes sieve at once:
+        # scale volume and addressing by nprocs (under uniform striping only
+        # the byte volume counts).  Reads need backing bytes (PVFS reads
+        # holes as allocated space), so extend the file over the extent.
+        extent = sum(n for _o, n, w in plan.operations if w)
+        self.pfs.open(path).extend(base_offset * scale, extent * scale)
+        write, read = self.pfs.write, self.pfs.read
+        steps = [(write if is_write else read, offset * scale, nbytes * scale,
+                  0, 0) for offset, nbytes, is_write in plan.operations]
+        return (yield from self._run(stats, info, steps, "round",
+                                     self.guard if guarded else _UNGUARDED,
+                                     info))
+
+    def _run(self, stats: WriteStats, info: MPIInfo, steps: Iterable[Step],
+             grain: Optional[str], guard: IOGuard, lead: Optional[MPIInfo]):
+        """Execute ``steps`` under ``guard``: the loop of every operation.
+
+        ``guard`` is prepared with ``info`` and brackets every step
+        (``grain="round"``), the whole operation (``"file"``) or nothing
+        (``None``).  The first ``begin_access`` carries ``lead``, later
+        ones carry nothing.  A step's gather shuffle runs before its
+        guarded I/O, its scatter shuffle after.  Returns ``stats``.
+        """
+        if grain not in (None, "round", "file"):
+            raise ValueError(f"grain must be None, 'round' or 'file', got {grain!r}")
+        sim, comm, client, app = self.sim, self.comm, self.client, self.app
+        path, weight, marks = stats.path, comm.nprocs, stats.round_marks
+        per_step = grain == "round"
+        guard.prepare(info)
         try:
-            # The plan is per process; all nprocs processes sieve the same
-            # region concurrently.  Model the aggregate traffic by scaling
-            # both volume and addressing by nprocs (under uniform striping
-            # the layout fiction is free; the byte volume is what counts).
-            # Reads need backing bytes (holes read as allocated space in
-            # PVFS), so extend the file over the scaled extent first.
-            scale = self.comm.nprocs
-            extent = sum(n for _o, n, w in plan.operations if w)
-            self.pfs.open(path).extend(base_offset * scale, extent * scale)
-            for offset, nbytes, is_write in plan.operations:
-                agg_offset = offset * scale
-                aggregate = nbytes * scale
-                t0 = self.sim.now
-                if is_write:
-                    yield self.pfs.write(self.client, self.app, path,
-                                         agg_offset, aggregate,
-                                         weight=self.comm.nprocs)
-                else:
-                    yield self.pfs.read(self.client, self.app, path,
-                                        agg_offset, aggregate,
-                                        weight=self.comm.nprocs)
-                stats.write_time += self.sim.now - t0
-                if guarded:
-                    yield from self.guard.end_access()
-                    if (offset, nbytes, is_write) != plan.operations[-1]:
-                        t0 = self.sim.now
-                        yield from self.guard.begin_access()
-                        stats.wait_time += self.sim.now - t0
+            if grain == "file":
+                t0 = sim._now
+                yield from guard.begin_access(lead)
+                stats.wait_time += sim._now - t0
+            for io, offset, nbytes, gather, scatter in steps:
+                if gather:
+                    t0 = sim._now
+                    yield comm.shuffle(gather)
+                    stats.comm_time += sim._now - t0
+                if per_step:
+                    t0 = sim._now
+                    yield from guard.begin_access(lead)
+                    lead = None
+                    stats.wait_time += sim._now - t0
+                t0 = sim._now
+                yield io(client, app, path, offset, nbytes, weight=weight)
+                now = sim._now
+                stats.write_time += now - t0
+                marks.append(now)
+                if per_step:
+                    yield from guard.end_access()
+                if scatter:
+                    t0 = sim._now
+                    yield comm.shuffle(scatter)
+                    stats.comm_time += sim._now - t0
+            if grain == "file":
+                yield from guard.end_access()
         finally:
-            if guarded:
-                self.guard.complete()
-        stats.end = self.sim.now
+            guard.complete()
+        stats.end = sim._now
         self.history.append(stats)
         return stats

@@ -2,7 +2,7 @@
 
 An application's processes are modelled as one :class:`Communicator` rather
 than N kernel processes: the quantities the reproduction needs (how long a
-barrier, broadcast, or collective-buffering shuffle takes; how much
+barrier, gather, or collective-buffering shuffle takes; how much
 bandwidth the group wields) are closed-form functions of the process count
 and link speeds, so simulating each rank would add cost without adding
 fidelity.
@@ -68,11 +68,6 @@ class Communicator:
         """Dissemination barrier: ceil(log2 P) rounds of latency."""
         return self._log2p * self.alpha
 
-    def bcast_time(self, nbytes: float) -> float:
-        """Binomial-tree broadcast."""
-        steps = self._log2p
-        return steps * (self.alpha + nbytes / self.per_proc_bandwidth)
-
     def gather_time(self, nbytes_per_proc: float) -> float:
         """Binomial gather; bandwidth term dominated by the root's link."""
         total = nbytes_per_proc * max(0, self.nprocs - 1)
@@ -103,9 +98,6 @@ class Communicator:
     def barrier(self) -> Timeout:
         """Event covering one barrier."""
         return self.sim.timeout(self.barrier_time())
-
-    def bcast(self, nbytes: float) -> Timeout:
-        return self.sim.timeout(self.bcast_time(nbytes))
 
     def shuffle(self, nbytes_total: float, fraction_remote: float = 1.0) -> Timeout:
         return Timeout(self.sim, self.shuffle_time(nbytes_total, fraction_remote))

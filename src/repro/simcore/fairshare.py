@@ -751,13 +751,14 @@ class FlowNetwork:
             # resulting dt moves at least rate * ulp >= remaining bytes, so
             # the flow completes instead of spinning at `now` forever.
             target = now + math.ulp(now if now > 0 else 1.0)
-        if self._wake_at is not None and self._wake_at <= target:
-            return  # an earlier (or equal) wake is already pending
+        if self._wake_at == target:
+            return  # this very wake is already pending
         self._wake_at = target
         timer = self._wake_timer
         if timer is not None:
-            # Supersede the pending wake (or re-arm the fired handle) in
-            # place: one queue push, no allocation.
+            # Move the pending wake, earlier or later (a refill can push
+            # every horizon later), or re-arm the fired handle in place:
+            # one queue push, no allocation.
             timer.reschedule(target)
         else:
             self._wake_timer = self.sim.call_at(target, self._wake_fired)

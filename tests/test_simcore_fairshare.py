@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.perf import PerfCounters
 from repro.simcore import FluidLink, FlowNetwork, SimulationError, Simulator
 
 
@@ -323,3 +324,38 @@ def test_many_flows_with_epsilon_tails_terminate():
     p = sim.process(producer())
     sim.run(until=p)
     assert not net.active_flows
+
+
+def test_no_wake_fires_with_nothing_due():
+    """An arrival that pushes every horizon later moves the pending wake.
+
+    The first flow's horizon is t=10; a second flow arriving at t=5
+    halves its rate, so the horizons become 15 and 20.  The wake must
+    follow: firing at t=10 would find no flow due and only re-arm.
+    """
+    sim = Simulator()
+    perf = PerfCounters()
+    net = FlowNetwork(sim, perf=perf)
+    link = FluidLink(100.0, "pipe")
+    idle_wakes = []
+    on_wake = net._on_wake
+
+    def checked_wake():
+        now = sim.now
+        if not any(when <= now and gen == f._gen
+                   for when, _seq, gen, f in net._heap):
+            idle_wakes.append(now)
+        on_wake()
+
+    net._on_wake = checked_wake
+    first = net.start_flow(1000.0, [link])
+
+    def arrive():
+        yield sim.timeout(5.0)
+        net.start_flow(1000.0, [link])
+
+    sim.process(arrive())
+    sim.run()
+    assert first.finish_time == pytest.approx(15.0)
+    assert idle_wakes == []
+    assert perf.get("wakes") == 2
