@@ -185,8 +185,7 @@ class ADIOLayer:
                        total_bytes=plan.total_bytes, rounds=plan.nrounds,
                        bytes_per_round=plan.rounds[0].write_bytes
                        if plan.rounds else 0)
-        return (yield from self._run(stats, info, steps, grain, self.guard,
-                                     info if grain == "file" else None))
+        return (yield from self._run(stats, info, steps, grain, self.guard))
 
     def write_independent(self, path: str, nbytes: int, offset: int = 0,
                           guarded: bool = True):
@@ -201,8 +200,7 @@ class ADIOLayer:
                        total_bytes=nbytes, rounds=1, bytes_per_round=nbytes)
         steps = ((self.pfs.write, offset, nbytes, 0, 0),)
         return (yield from self._run(stats, info, steps, "file",
-                                     self.guard if guarded else _UNGUARDED,
-                                     info))
+                                     self.guard if guarded else _UNGUARDED))
 
     def read_collective(self, path: str, pattern: AccessPattern,
                         grain: Optional[str] = "round",
@@ -223,8 +221,7 @@ class ADIOLayer:
         read = self.pfs.read
         steps = [(read, rnd.offset, rnd.write_bytes, 0, rnd.shuffle_bytes)
                  for rnd in plan.rounds]
-        return (yield from self._run(stats, info, steps, grain, self.guard,
-                                     info if grain == "file" else None))
+        return (yield from self._run(stats, info, steps, grain, self.guard))
 
     def write_independent_sieved(self, path: str, pattern: AccessPattern,
                                  buffer_size: Optional[int] = None,
@@ -261,14 +258,16 @@ class ADIOLayer:
                                      info))
 
     def _run(self, stats: WriteStats, info: MPIInfo, steps: Iterable[Step],
-             grain: Optional[str], guard: IOGuard, lead: Optional[MPIInfo]):
+             grain: Optional[str], guard: IOGuard,
+             lead: Optional[MPIInfo] = None):
         """Execute ``steps`` under ``guard``: the loop of every operation.
 
         ``guard`` is prepared with ``info`` and brackets every step
-        (``grain="round"``), the whole operation (``"file"``) or nothing
-        (``None``).  The first ``begin_access`` carries ``lead``, later
-        ones carry nothing.  A step's gather shuffle runs before its
-        guarded I/O, its scatter shuffle after.  Returns ``stats``.
+        (``grain="round"``; the first ``begin_access`` carries ``lead``,
+        later ones nothing), the whole operation (``"file"``; its
+        ``begin_access`` carries ``info``) or nothing (``None``).  A step's
+        gather shuffle runs before its guarded I/O, its scatter shuffle
+        after.  Returns ``stats``.
         """
         if grain not in (None, "round", "file"):
             raise ValueError(f"grain must be None, 'round' or 'file', got {grain!r}")
@@ -279,7 +278,7 @@ class ADIOLayer:
         try:
             if grain == "file":
                 t0 = sim._now
-                yield from guard.begin_access(lead)
+                yield from guard.begin_access(info)
                 stats.wait_time += sim._now - t0
             for io, offset, nbytes, gather, scatter in steps:
                 if gather:

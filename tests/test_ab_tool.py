@@ -31,6 +31,10 @@ def test_verdict_unresolved_when_base_spread_exceeds_bound():
     # IQR 0.4 on a median of 1.0 is wider than a 25% bound.
     base = [0.7, 0.8, 1.0, 1.2, 1.3]
     assert ab.verdict(base, [5.0] * 5, "lower", 0.25) == "unresolved"
+    # Unless every run of the change beats every base run.
+    assert ab.verdict(base, [0.6] * 5, "lower", 0.25) == "better"
+    assert ab.verdict(base, [0.6] * 4 + [0.75], "lower", 0.25) == "unresolved"
+    assert ab.verdict(base, [1.4] * 5, "higher", 0.25) == "better"
 
 
 def test_verdict_worse_beyond_bound_either_direction():

@@ -13,7 +13,8 @@ quartiles, the pairs the change won (the direction is the metric's
 ``better``) and a verdict:
 
 * ``unresolved`` - the base runs' interquartile range exceeds the
-  metric's bound, so these runs cannot tell a change that size, or there
+  metric's bound, so these runs cannot tell a change that size (unless
+  every run of the change beats every base run: ``better``), or there
   are fewer than 3 pairs, too few to have a spread;
 * ``worse`` - the change's median is worse than the base's by more than
   the bound;
@@ -72,7 +73,9 @@ def verdict(base: Sequence[float], change: Sequence[float], better: str,
     change_med = statistics.median(change)
     scale = abs(base_med)
     if q3 - q1 > bound * scale:
-        return "unresolved"
+        beats_all = (max(change) < min(base) if better == "lower"
+                     else min(change) > max(base))
+        return "better" if beats_all else "unresolved"
     # Positive when the change is worse, in the metric's own unit.
     loss = change_med - base_med if better == "lower" else base_med - change_med
     if loss > bound * scale:
