@@ -22,8 +22,7 @@ both the no-op baseline (:class:`NullGuard`) and the CALCioM session satisfy it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
-                    Tuple)
+from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..simcore import Simulator
 from ..storage import ParallelFileSystem
@@ -76,10 +75,10 @@ class NullGuard(IOGuard):
 #: Stands in for the guard of an operation run with ``guarded=False``.
 _UNGUARDED = NullGuard()
 
-#: One I/O step: the PFS call (``pfs.write`` or ``pfs.read``), offset, byte
-#: count, and the shuffle bytes gathered to the aggregators before it (a
-#: collective write) and scattered to their owners after it (a read).
-Step = Tuple[Callable[..., Any], int, int, int, int]
+#: One I/O step: whether it writes (else it reads), offset, byte count, and
+#: the shuffle bytes gathered to the aggregators before it (a collective
+#: write) and scattered to their owners after it (a collective read).
+Step = Tuple[bool, int, int, int, int]
 
 
 @dataclass
@@ -139,8 +138,7 @@ class ADIOLayer:
         self.procs_per_node = int(procs_per_node)
         self.guard = guard if guard is not None else NullGuard()
         self.history: List[WriteStats] = []
-        self._plans: Dict[Tuple[AccessPattern, int],
-                          Tuple[CollectivePlan, Tuple[Step, ...]]] = {}
+        self._plans: Dict[Tuple[AccessPattern, int], CollectivePlan] = {}
 
     # -- operations -------------------------------------------------------------
     def plan(self, pattern: AccessPattern, base_offset: int = 0) -> CollectivePlan:
@@ -149,26 +147,17 @@ class ADIOLayer:
         Plans are pure in their inputs and immutable, so each
         ``(pattern, base_offset)`` is planned once per ADIO layer.
         """
-        return self._planned(pattern, base_offset)[0]
-
-    def _planned(self, pattern: AccessPattern, base_offset: int
-                 ) -> Tuple[CollectivePlan, Tuple[Step, ...]]:
-        """The memoized plan and the write steps that execute it."""
         key = (pattern, base_offset)
-        entry = self._plans.get(key)
-        if entry is None:
-            plan = plan_collective_write(
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = plan_collective_write(
                 pattern, self.comm.nprocs,
                 cb_buffer_size=self.cb_buffer_size,
                 naggregators=self.naggregators,
                 procs_per_node=self.procs_per_node,
                 base_offset=base_offset,
             )
-            write = self.pfs.write
-            entry = self._plans[key] = (plan, tuple(
-                (write, rnd.offset, rnd.write_bytes, rnd.shuffle_bytes, 0)
-                for rnd in plan.rounds))
-        return entry
+        return plan
 
     def write_collective(self, path: str, pattern: AccessPattern,
                          grain: Optional[str] = "round",
@@ -178,13 +167,15 @@ class ADIOLayer:
         Use as ``stats = yield from adio.write_collective(...)`` inside a
         simulation process.  Returns :class:`WriteStats`.
         """
-        plan, steps = self._planned(pattern, base_offset)
+        plan = self.plan(pattern, base_offset)
         stats = WriteStats(path=path, bytes=plan.total_bytes,
                            nrounds=plan.nrounds, start=self.sim._now)
         info = MPIInfo(app=self.app, nprocs=self.comm.nprocs, files=1,
                        total_bytes=plan.total_bytes, rounds=plan.nrounds,
                        bytes_per_round=plan.rounds[0].write_bytes
                        if plan.rounds else 0)
+        steps = [(True, rnd.offset, rnd.write_bytes, rnd.shuffle_bytes, 0)
+                 for rnd in plan.rounds]
         return (yield from self._run(stats, info, steps, grain, self.guard))
 
     def write_independent(self, path: str, nbytes: int, offset: int = 0,
@@ -198,7 +189,7 @@ class ADIOLayer:
                            start=self.sim._now)
         info = MPIInfo(app=self.app, nprocs=self.comm.nprocs, files=1,
                        total_bytes=nbytes, rounds=1, bytes_per_round=nbytes)
-        steps = ((self.pfs.write, offset, nbytes, 0, 0),)
+        steps = ((True, offset, nbytes, 0, 0),)
         return (yield from self._run(stats, info, steps, "file",
                                      self.guard if guarded else _UNGUARDED))
 
@@ -218,8 +209,7 @@ class ADIOLayer:
         info = MPIInfo(app=self.app, nprocs=self.comm.nprocs, files=1,
                        total_bytes=plan.total_bytes, rounds=plan.nrounds,
                        kind="read")
-        read = self.pfs.read
-        steps = [(read, rnd.offset, rnd.write_bytes, 0, rnd.shuffle_bytes)
+        steps = [(False, rnd.offset, rnd.write_bytes, 0, rnd.shuffle_bytes)
                  for rnd in plan.rounds]
         return (yield from self._run(stats, info, steps, grain, self.guard))
 
@@ -250,9 +240,8 @@ class ADIOLayer:
         # holes as allocated space), so extend the file over the extent.
         extent = sum(n for _o, n, w in plan.operations if w)
         self.pfs.open(path).extend(base_offset * scale, extent * scale)
-        write, read = self.pfs.write, self.pfs.read
-        steps = [(write if is_write else read, offset * scale, nbytes * scale,
-                  0, 0) for offset, nbytes, is_write in plan.operations]
+        steps = [(is_write, offset * scale, nbytes * scale, 0, 0)
+                 for offset, nbytes, is_write in plan.operations]
         return (yield from self._run(stats, info, steps, "round",
                                      self.guard if guarded else _UNGUARDED,
                                      info))
@@ -272,6 +261,7 @@ class ADIOLayer:
         if grain not in (None, "round", "file"):
             raise ValueError(f"grain must be None, 'round' or 'file', got {grain!r}")
         sim, comm, client, app = self.sim, self.comm, self.client, self.app
+        write, read = self.pfs.write, self.pfs.read
         path, weight, marks = stats.path, comm.nprocs, stats.round_marks
         per_step = grain == "round"
         guard.prepare(info)
@@ -280,7 +270,7 @@ class ADIOLayer:
                 t0 = sim._now
                 yield from guard.begin_access(info)
                 stats.wait_time += sim._now - t0
-            for io, offset, nbytes, gather, scatter in steps:
+            for is_write, offset, nbytes, gather, scatter in steps:
                 if gather:
                     t0 = sim._now
                     yield comm.shuffle(gather)
@@ -291,6 +281,7 @@ class ADIOLayer:
                     lead = None
                     stats.wait_time += sim._now - t0
                 t0 = sim._now
+                io = write if is_write else read
                 yield io(client, app, path, offset, nbytes, weight=weight)
                 now = sim._now
                 stats.write_time += now - t0

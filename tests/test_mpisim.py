@@ -320,6 +320,33 @@ def test_adio_stats_with_shared_plans():
     )
 
 
+def test_adio_sees_pfs_hooks_installed_after_planning(monkeypatch):
+    """A class-level hook on the PFS's I/O calls, installed after a layer has
+    planned a pattern, still sees that layer's later operations."""
+    platform, adio = adio_fixture()
+    pattern = Strided(block_size=500, nblocks=4)
+    pfs_cls = type(platform.pfs)
+    seen = []
+
+    def hooked(name):
+        original = getattr(pfs_cls, name)
+
+        def call(self, *args, **kwargs):
+            seen.append(name)
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(pfs_cls, name, call)
+
+    def body():
+        yield from adio.write_collective("/f", pattern)
+        hooked("write")
+        hooked("read")
+        yield from adio.write_collective("/f", pattern)
+        yield from adio.read_collective("/f", pattern)
+
+    platform.sim.run(until=platform.sim.process(body()))
+    assert seen == ["write", "write", "read", "read"]
+
+
 # -- MPI-IO facade ---------------------------------------------------------------------
 
 def test_mpiio_file_advances_offset():

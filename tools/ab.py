@@ -5,8 +5,8 @@ Usage, from anywhere inside the checkout::
     python3 tools/ab.py --base HEAD~1 --pairs 10 --seconds 10
 
 The base revision is checked out into a temporary ``git worktree``.  For
-each workload, ``--pairs`` pairs of ``perfbench/run.py --trace 0`` runs
-alternate between the base checkout and this one (base first in even
+each workload, ``--pairs`` pairs of ``perfbench/run.py --seed 7 --trace 0``
+runs alternate between the base checkout and this one (base first in even
 pairs, the change first in odd ones).  For every end-to-end metric that
 ``BENCHMARK.json`` declares, the report prints both medians with their
 quartiles, the pairs the change won (the direction is the metric's
@@ -122,12 +122,12 @@ def _git(*args: str) -> None:
                    stdout=subprocess.DEVNULL)
 
 
-def _run_once(checkout: Path, workload: str, seed: int,
+def _run_once(checkout: Path, workload: str,
               seconds: float) -> Optional[dict]:
-    """One ``perfbench/run.py --trace 0`` run: its last-line JSON, if any."""
+    """One ``perfbench/run.py --seed 7 --trace 0`` run: its last JSON line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", "7", "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -144,7 +144,6 @@ def main(argv=None) -> int:
                         help="git revision to compare the working tree with")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; default: all)")
     args = parser.parse_args(argv)
@@ -164,8 +163,7 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    run = _run_once(checkouts[side], workload, args.seed,
-                                    args.seconds)
+                    run = _run_once(checkouts[side], workload, args.seconds)
                     for problem in run_problems(run):
                         bad += 1
                         print(f"{workload} pair {i} {side}: {problem}")
