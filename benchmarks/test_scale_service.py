@@ -24,9 +24,12 @@ regime** at the largest client count: the same trace replayed through the
 lockstep JSON data plane (one in-flight exchange per connection — the
 wire as it stood before the binary codec landed) versus the binary
 pipelined plane (windowed ``request_nowait``/``flush`` waves, struct-
-packed frames, interned descriptors, coalesced server replies).  Both
-sides must stay bit-identical to the reference; the committed speedup is
-what ``check_perf_regression --kind service`` guards against collapse.
+packed frames, interned descriptors, coalesced server replies).  The
+service plane always encodes binary; the JSON side substitutes the
+oracle encoder (``WireEncoder("json")``) for the daemon's and the
+clients' encoders inside this benchmark only.  Both sides must stay
+bit-identical to the reference; the committed speedup is what
+``check_perf_regression --kind service`` guards against collapse.
 ``json_rate_pipelined`` additionally records JSON at the binary plane's
 pipeline depth, decomposing the win into codec vs coalescing shares.
 
@@ -40,8 +43,9 @@ import json
 import os
 
 from repro.experiments import build_scenario
+from repro.service import client, server
 from repro.service.loadgen import run_service_benchmark
-from repro.service.protocol import decisions_to_json
+from repro.service.protocol import WireEncoder, decisions_to_json
 from repro.service.trace import record_trace
 
 
@@ -60,7 +64,13 @@ CODEC_PIPELINE = 64
 CODEC_REPEATS = 3
 
 
-def test_scale_service_throughput_and_equivalence(bench_dir, report):
+def _json_oracle(_codec, perf=None):
+    """Stands in for the service plane's binary ``WireEncoder``."""
+    return WireEncoder("json", perf=perf)
+
+
+def test_scale_service_throughput_and_equivalence(bench_dir, report,
+                                                  monkeypatch):
     """Over-the-wire replay: bit-identical logs, sustained decision rate."""
     spec, = build_scenario("service-many-writers", napps=NAPPS,
                            nservers=NSERVERS, phases=PHASES, seed=SEED,
@@ -104,16 +114,26 @@ def test_scale_service_throughput_and_equivalence(bench_dir, report):
 
     def _codec_rate(codec, pipeline, repeats=CODEC_REPEATS):
         best = 0.0
-        for _ in range(repeats):
-            stats, service = asyncio.run(run_service_benchmark(
-                spec, nclients,
-                trace_and_reference=(trace, reference, inproc_wall),
-                codec=codec, pipeline=pipeline))
-            assert stats.equivalent, (
-                f"decision digest diverged under {codec}/{pipeline}")
-            assert decisions_to_json(service.decision_log) == reference_json, (
-                f"decision logs diverged under {codec}/{pipeline}")
-            best = max(best, stats.service_rate)
+        with monkeypatch.context() as patch:
+            if codec == "json":
+                patch.setattr(server, "WireEncoder", _json_oracle)
+                patch.setattr(client, "WireEncoder", _json_oracle)
+            for _ in range(repeats):
+                stats, service = asyncio.run(run_service_benchmark(
+                    spec, nclients,
+                    trace_and_reference=(trace, reference, inproc_wall),
+                    pipeline=pipeline))
+                assert stats.equivalent, (
+                    f"decision digest diverged under {codec}/{pipeline}")
+                assert (decisions_to_json(service.decision_log)
+                        == reference_json), (
+                    f"decision logs diverged under {codec}/{pipeline}")
+                # Only the binary encoder sends generic frames (the
+                # daemon's bye-acks): they show which codec was measured.
+                generic = service.metrics_snapshot().get(
+                    "wire_generic_frames", 0)
+                assert (generic > 0) == (codec == "binary"), (codec, generic)
+                best = max(best, stats.service_rate)
         return best
 
     json_rate = _codec_rate("json", 1)

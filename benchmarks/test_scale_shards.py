@@ -17,9 +17,10 @@ The benchmark
 * verifies the **single-shard router is bit-identical to the plain
   arbiter** (decision logs and completion times) — the router's general
   path is transparent at ``shards=1``,
-* measures the decision-loop cost (``coord_seconds``) of the same offered
-  workload under 1 / 4 / 8 shards at 500 / 1000 / 2000 applications
-  (>= 3x asserted at 1000 applications / 8 shards), and
+* measures the decision-loop cost (``coord_seconds``, best of ``REPEATS``
+  runs) of the same offered workload under 1 / 4 / 8 shards at
+  500 / 1000 / 2000 applications (>= 3x asserted at 1000 applications /
+  8 shards), and
 * persists a machine-readable record to
   ``benchmarks/results/BENCH_shard.json`` under ``pytest --record``,
   to a temporary directory otherwise (gated against regressions by
@@ -69,6 +70,7 @@ NPARTITIONS = 8     #: partitions the workload is pinned over
 PHASES = 3          #: guarded accesses per application
 DT_ARRIVAL = 0.05   #: inter-arrival spacing (deep machine-wide backlog)
 SEED = 20140519
+REPEATS = 3         #: timed runs per scale and shard count; the fastest counts
 
 #: Process-parallel wall-clock regime: scale and wave spacing.
 PROC_APPS = int(os.environ.get("SCALE_SHARD_PROC_APPS", "2000"))
@@ -268,7 +270,11 @@ def test_scale_shards_speedup(bench_dir, report):
         base_cost = None
         base_wall = None
         for nshards in SHARD_COUNTS:
-            perf, log, _done = _drive(napps, nshards=nshards)
+            # Best of the repeats: a host hiccup (GC pause, a noisy
+            # neighbour) only ever adds time to one run.
+            perf, log, _done = min(
+                (_drive(napps, nshards=nshards) for _ in range(REPEATS)),
+                key=lambda run: run[0]["coord_seconds"])
             cost = perf["coord_seconds"]
             wall = perf.get("coord_wall_seconds", 0.0)
             if nshards == 1:

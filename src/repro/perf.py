@@ -88,8 +88,8 @@ The per-frame ones (``service_frames``, ``service_exchanges_applied``,
 ``service_grants_pushed``, ``service_reordered_frames``) are plain
 integers of the daemon, folded like the simulator's.
 
-Both inter-process data planes — the service daemon and the
-``workers="process"`` shard pool (JSON only) — meter the wire layer
+Both inter-process data planes — the service daemon (binary) and the
+``workers="process"`` shard pool (JSON) — meter the wire layer
 (:mod:`repro.service.protocol`) through the ``wire_*`` family; the
 ``wire_desc_*`` and ``wire_generic_frames`` counters come from the binary
 codec, so they count the service plane only:
@@ -97,8 +97,8 @@ codec, so they count the service plane only:
 ==========================  ==================================================
 counter                     meaning
 ==========================  ==================================================
-``wire_frames_encoded``     frames serialized (either codec)
-``wire_frames_decoded``     frames parsed (either codec)
+``wire_frames_encoded``     frames serialized (both planes)
+``wire_frames_decoded``     frames parsed (both planes)
 ``wire_bytes_encoded``      bytes produced, length prefixes included
 ``wire_bytes_decoded``      bytes consumed, length prefixes included
 ``wire_encode_seconds``     host CPU spent serializing frames, timed

@@ -6,9 +6,10 @@ the deployment shape the paper implies for a production machine, where
 applications are separate jobs and the arbiter is machine infrastructure:
 
 * :mod:`repro.service.protocol` — length-prefixed message framing with
-  two negotiated payload codecs (canonical JSON, the oracle, and a
-  struct-packed binary codec with descriptor interning) plus the wire
-  schemas for :class:`~repro.core.metrics.AccessDescriptor` and
+  two self-describing payload codecs (canonical JSON, the oracle the
+  shard workers speak, and the struct-packed binary codec with
+  descriptor interning the daemon speaks) plus the wire schemas for
+  :class:`~repro.core.metrics.AccessDescriptor` and
   :class:`~repro.core.arbiter.DecisionRecord`;
 * :mod:`repro.service.trace` — :class:`RecordingRouter`, a transparent
   coordinator proxy recording every Inform/Release/Complete exchange of
@@ -36,10 +37,9 @@ randomized traces in ``tests/test_service_equivalence.py``).
 
 from .client import RemoteSession, ServiceClient
 from .protocol import (
-    CODECS, FrameError, FrameReader, FrameSplitter, ProtocolError,
-    WireDecoder, WireEncoder, canonical_json, decision_to_dict,
-    default_wire_codec, descriptor_from_dict, descriptor_to_dict,
-    read_message, write_message,
+    FrameError, FrameReader, FrameSplitter, ProtocolError, WireDecoder,
+    WireEncoder, canonical_json, decision_to_dict, descriptor_from_dict,
+    descriptor_to_dict,
 )
 from .server import CoordinationService, ServiceConfig
 from .trace import CoordinationTrace, RecordingRouter, record_trace
@@ -48,8 +48,8 @@ __all__ = [
     "CoordinationService", "ServiceConfig",
     "ServiceClient", "RemoteSession",
     "CoordinationTrace", "RecordingRouter", "record_trace",
-    "ProtocolError", "FrameError", "read_message", "write_message",
-    "CODECS", "WireEncoder", "WireDecoder", "FrameSplitter", "FrameReader",
-    "canonical_json", "default_wire_codec",
+    "ProtocolError", "FrameError",
+    "WireEncoder", "WireDecoder", "FrameSplitter", "FrameReader",
+    "canonical_json",
     "descriptor_to_dict", "descriptor_from_dict", "decision_to_dict",
 ]

@@ -30,7 +30,6 @@ import sys
 
 from ..experiments.scenarios import build_scenario
 from .loadgen import replay_trace, run_service_benchmark
-from .protocol import CODECS
 from .server import CoordinationService, ServiceConfig
 from .trace import record_trace, spec_fingerprint
 
@@ -57,9 +56,6 @@ def _build_spec(args: argparse.Namespace):
 
 
 def _add_wire_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--codec", choices=list(CODECS), default=None,
-                        help="wire codec to propose in the hello (default: "
-                             "REPRO_WIRE_CODEC, json when unset)")
     parser.add_argument("--pipeline", type=int, default=1,
                         help="exchanges queued per flush; 1 = lockstep")
 
@@ -101,10 +97,10 @@ async def _loadgen(args: argparse.Namespace) -> int:
         trace, host, port, args.nclients,
         reference_decisions=result.decisions,
         inproc_wall_seconds=float(result.perf.get("wall_seconds", 0.0)),
-        codec=args.codec, pipeline=args.pipeline)
+        pipeline=args.pipeline)
     record = stats.as_record()
     record.update({"event": "loadgen", "nclients": stats.nclients,
-                   "codec": args.codec, "pipeline": args.pipeline,
+                   "pipeline": args.pipeline,
                    "equivalent": stats.equivalent})
     print(json.dumps(record), flush=True)
     if not stats.equivalent:
@@ -132,10 +128,9 @@ async def _smoke(args: argparse.Namespace) -> int:
     """Daemon + loadgen + drain in one process; asserts the whole loop."""
     spec = _build_spec(args)
     stats, service = await run_service_benchmark(
-        spec, args.nclients, codec=args.codec, pipeline=args.pipeline)
+        spec, args.nclients, pipeline=args.pipeline)
     ok = stats.equivalent and service._drained.is_set()
     print(json.dumps({"event": "smoke", "ok": ok,
-                      "codec": args.codec,
                       "decisions": stats.decisions,
                       "exchanges": stats.exchanges,
                       "service_rate": stats.service_rate,

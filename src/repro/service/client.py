@@ -36,7 +36,7 @@ from typing import Any, Deque, Dict, List, Optional, Union
 from ..core.metrics import AccessDescriptor
 from .protocol import (
     FrameSplitter, ProtocolError, WireDecoder, WireEncoder, decode_message,
-    default_wire_codec, descriptor_to_dict, encode_message,
+    descriptor_to_dict, encode_message,
 )
 
 __all__ = ["ServiceClient", "RemoteSession", "AdmissionRejected"]
@@ -120,7 +120,6 @@ class ServiceClient(asyncio.Protocol):
         self._loop = asyncio.get_running_loop()
         self.apps = list(apps)
         self.mode = mode
-        self.codec = "json"         #: what the daemon granted in welcome
         self._perf = perf
         self._transport: Optional[asyncio.Transport] = None
         self._splitter = FrameSplitter()
@@ -145,22 +144,14 @@ class ServiceClient(asyncio.Protocol):
     async def connect(cls, host: str, port: int, apps: List[str],
                       mode: str = "live",
                       spec_sha: Optional[str] = None,
-                      codec: Optional[str] = None,
                       perf=None) -> "ServiceClient":
-        """Open a connection; ``codec`` proposes the wire codec.
-
-        ``None`` asks for the process default (``REPRO_WIRE_CODEC``, JSON
-        when unset).  The daemon's ``welcome`` names the codec it
-        actually granted — ``client.codec`` after connect.
-        """
-        if codec is None:
-            codec = default_wire_codec()
+        """Open a connection: a JSON hello, then binary frames."""
         client = cls(apps, mode, perf=perf)
         transport, _ = await client._loop.create_connection(
             lambda: client, host, port)
         transport.write(encode_message({
             "type": "hello", "apps": list(apps), "mode": mode,
-            "spec_sha": spec_sha, "codec": codec}))
+            "spec_sha": spec_sha}))
         try:
             answer = await client._welcome
             if answer is None:
@@ -172,8 +163,7 @@ class ServiceClient(asyncio.Protocol):
         except BaseException:
             transport.close()
             raise
-        client.codec = answer.get("codec", "json")
-        client._encoder = WireEncoder(client.codec, perf=perf)
+        client._encoder = WireEncoder("binary", perf=perf)
         client._decoder = WireDecoder(perf=perf)
         client._pump = asyncio.ensure_future(client._pump_loop())
         client._route()     # frames that arrived behind the welcome

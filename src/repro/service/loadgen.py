@@ -108,7 +108,6 @@ def _entry_message(entry: dict) -> dict:
 async def _client_worker(host: str, port: int, apps: List[str],
                          entries: List[dict], spec_sha: Optional[str],
                          latencies: List[float],
-                         codec: Optional[str] = None,
                          pipeline: int = 1) -> None:
     """One connection's replay: its sub-trace, in seq order.
 
@@ -117,11 +116,11 @@ async def _client_worker(host: str, port: int, apps: List[str],
     ``n`` exchanges per flush and awaits the acks as a wave — valid in
     replay mode because a connection's sub-trace is seq-ascending and
     acks stay FIFO; throughput becomes wire/codec-bound instead of
-    RTT-bound, which is what the codec-comparison regime measures.
+    RTT-bound.
     Wave latencies are recorded per exchange from the wave's start.
     """
     client = await ServiceClient.connect(host, port, apps, mode="replay",
-                                         spec_sha=spec_sha, codec=codec)
+                                         spec_sha=spec_sha)
     try:
         if pipeline <= 1:
             for entry in entries:
@@ -149,13 +148,11 @@ async def replay_trace(trace: CoordinationTrace, host: str, port: int,
                        nclients: int,
                        reference_decisions: Optional[list] = None,
                        inproc_wall_seconds: float = 0.0,
-                       codec: Optional[str] = None,
                        pipeline: int = 1) -> LoadgenStats:
     """Replay a recorded trace through ``nclients`` concurrent clients.
 
-    ``codec`` proposes the wire codec in each client's hello (``None`` =
-    the process default); ``pipeline`` > 1 switches clients from lockstep
-    to windowed pipelining (see :func:`_client_worker`).
+    ``pipeline`` > 1 switches clients from lockstep to windowed
+    pipelining (see :func:`_client_worker`).
     """
     if nclients < 1:
         raise ValueError(f"nclients must be >= 1, got {nclients}")
@@ -166,7 +163,7 @@ async def replay_trace(trace: CoordinationTrace, host: str, port: int,
     wall_t0 = time.perf_counter()
     await asyncio.gather(*[
         _client_worker(host, port, hand, trace.entries_for(hand), spec_sha,
-                       latencies, codec=codec, pipeline=pipeline)
+                       latencies, pipeline=pipeline)
         for hand in hands])
     wall = time.perf_counter() - wall_t0
 
@@ -208,7 +205,7 @@ async def run_service_benchmark(
         config: Optional[ServiceConfig] = None,
         trace_and_reference: Optional[Tuple[CoordinationTrace, list, float]]
         = None,
-        codec: Optional[str] = None,
+        codec: str = "binary",
         pipeline: int = 1,
 ) -> Tuple[LoadgenStats, CoordinationService]:
     """Record (or reuse) a trace, serve it, replay it, drain — one scale.
@@ -218,7 +215,14 @@ async def run_service_benchmark(
     sweep record the in-process run once: ``(trace, reference_decisions,
     inproc_wall_seconds)``.  The (drained) service is returned so callers
     can string-compare full decision logs against the reference.
+
+    The service plane always encodes binary.  ``codec`` accepts only
+    ``"binary"`` and exists for callers that name the codec they measure
+    (the repo benchmark's service-replay workload); any other value
+    raises :class:`ValueError`.
     """
+    if codec != "binary":
+        raise ValueError(f"the service plane encodes binary, not {codec!r}")
     if trace_and_reference is None:
         trace, result = record_trace(spec)
         reference = result.decisions
@@ -240,7 +244,7 @@ async def run_service_benchmark(
         stats = await replay_trace(trace, host, port, nclients,
                                    reference_decisions=reference,
                                    inproc_wall_seconds=inproc_wall,
-                                   codec=codec, pipeline=pipeline)
+                                   pipeline=pipeline)
     finally:
         await service.drain(timeout=10.0)
         await service.close()

@@ -9,19 +9,23 @@ partial-read handling explicit; frames are capped at :data:`MAX_FRAME` to
 bound a malicious or broken peer.
 
 Two codecs produce payloads, and every payload is *self-describing* —
-the first byte distinguishes them, so one decoder handles both:
+the first byte distinguishes them, so one decoder handles both.  Each
+data plane's encoder is fixed by the code that builds it:
 
-``json`` (the oracle)
+``json`` (the oracle; the shard-worker plane)
     The payload is one canonical-JSON object encoded as UTF-8 (first byte
     ``{`` = 0x7B).  Python's :mod:`json` serializes floats via ``repr``,
     which round-trips every finite ``float`` exactly — the property that
     lets a replayed trace reproduce the in-process decision log *bit for
-    bit*.  JSON stays the default and the cross-checked reference: the
-    binary codec must be observationally equivalent to it (equal decoded
-    messages, string-equal decision logs), asserted by
-    ``tests/test_wire_codec.py``.
+    bit*.  JSON is the cross-checked reference: the binary codec must be
+    observationally equivalent to it (equal decoded messages,
+    string-equal decision logs), asserted by ``tests/test_wire_codec.py``.
+    The shard-worker plane (:mod:`repro.core.shardproc`) speaks it in
+    both directions, through JSON :class:`WireEncoder` objects (so its
+    frames are metered like the daemon's) and a blocking
+    :class:`FrameReader`.
 
-``binary`` (the service daemon's plane only)
+``binary`` (the service daemon's plane)
     The payload starts with a tag byte >= 0x80 followed by a
     struct-packed body.  The service's hot message types —
     Inform/Release/Complete/Withdraw, their acks and pushed grants —
@@ -39,27 +43,16 @@ Because interning is *stateful per connection and direction*, encoding
 and decoding live in :class:`WireEncoder` / :class:`WireDecoder`
 instances (a decoder accepts both codecs; an encoder produces exactly
 one).  The module-level :func:`encode_message` / :func:`decode_message`
-remain the stateless JSON primitives.
-
-Codec negotiation
------------------
-The ``hello``/``welcome`` handshake is always JSON.  A client that can
-decode binary sends ``{"codec": "binary"}`` inside its hello; the daemon
-answers with the codec it will actually speak in the ``welcome`` (an
-unknown proposal falls back to ``"json"``), and both sides switch their
-*encoders* after the handshake.  Decoders need no switch — payloads are
-self-describing.  The shard-worker plane
-(:mod:`repro.core.shardproc`) negotiates nothing: it speaks JSON in both
-directions, through JSON :class:`WireEncoder` objects (so its frames are
-metered like the daemon's) and a blocking :class:`FrameReader`.
+remain the stateless JSON primitives.  The service's ``hello``/``welcome``
+handshake goes through them, so it is always JSON; after it, both ends
+of a service connection encode binary.
 
 Message schemas (client → server)
 ---------------------------------
 ``hello``     ``{"type": "hello", "apps": [...], "mode": "replay"|"live",
-              "spec_sha": str|None, "codec": "json"|"binary"}`` — first
-              frame on a connection; declares the coordination sessions
-              the connection will multiplex.  Answered by ``welcome`` or
-              ``rejected``.
+              "spec_sha": str|None}`` — first frame on a connection;
+              declares the coordination sessions the connection will
+              multiplex.  Answered by ``welcome`` or ``rejected``.
 ``inform``    ``{"type": "inform", "seq": int, "t": float,
               "descriptor": {...}}`` — one Inform exchange; answered by
               ``inform-ack`` carrying the authorization verdict.
@@ -79,10 +72,8 @@ previously-queued app's authorization fires (the wire analogue of
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
-import os
 import struct
 from collections import deque
 from json.encoder import encode_basestring_ascii as _json_str
@@ -93,11 +84,9 @@ from ..core.arbiter import DecisionRecord
 from ..core.metrics import AccessDescriptor
 
 __all__ = [
-    "MAX_FRAME", "CODECS", "ProtocolError", "FrameError",
-    "canonical_json", "default_wire_codec",
+    "MAX_FRAME", "ProtocolError", "FrameError", "canonical_json",
     "WireEncoder", "WireDecoder", "FrameSplitter", "FrameReader",
-    "encode_message", "decode_message", "read_message", "write_message",
-    "write_frame",
+    "encode_message", "decode_message", "write_frame",
     "descriptor_to_dict", "descriptor_from_dict",
     "decision_to_dict", "decisions_to_json", "decisions_digest",
 ]
@@ -106,15 +95,6 @@ _LEN = struct.Struct(">I")
 
 #: Upper bound on one frame's payload, bytes (a descriptor is ~200 B).
 MAX_FRAME = 1 << 20
-
-#: The codecs an encoder can speak (a decoder always accepts both).
-CODECS = ("json", "binary")
-
-
-def default_wire_codec() -> str:
-    """The process-wide default codec: ``REPRO_WIRE_CODEC`` or ``json``."""
-    codec = os.environ.get("REPRO_WIRE_CODEC", "").strip().lower()
-    return codec if codec in CODECS else "json"
 
 
 class ProtocolError(Exception):
@@ -327,9 +307,9 @@ class WireEncoder:
         "_n_" + name for name in _ENCODER_COUNTERS)
 
     def __init__(self, codec: str = "json", perf=None):
-        if codec not in CODECS:
+        if codec not in ("json", "binary"):
             raise ValueError(f"unknown wire codec {codec!r} "
-                             f"(expected one of {CODECS})")
+                             "(expected 'json' or 'binary')")
         self.codec = codec
         #: static-descriptor tuple -> interned id (binary codec only).
         self._desc_ids: Dict[tuple, int] = {}
@@ -512,8 +492,8 @@ class WireDecoder:
     """One direction's frame decoder — accepts both codecs.
 
     Payloads are self-describing (first byte >= 0x80 means binary), so a
-    single decoder instance serves a connection regardless of what was
-    negotiated; the instance carries the interned-descriptor table the
+    single decoder instance serves a connection whatever its peer
+    encodes; the instance carries the interned-descriptor table the
     peer's encoder builds up.  Counters, folded into ``perf`` when given
     (as for :class:`WireEncoder`): ``wire_frames_decoded`` /
     ``wire_bytes_decoded`` per frame, ``wire_decode_seconds`` per
@@ -691,60 +671,15 @@ _REQUEST_TYPES = {_TAG_RELEASE: "release", _TAG_COMPLETE: "complete",
 
 
 # ---------------------------------------------------------------------------
-# Asynchronous framing (asyncio streams)
-# ---------------------------------------------------------------------------
-
-async def read_message(reader: asyncio.StreamReader,
-                       decoder: Optional[WireDecoder] = None
-                       ) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
-
-    With a :class:`WireDecoder` the payload may be either codec (and the
-    decoder's intern table is maintained); without one the payload must
-    be JSON — the pre-negotiation and legacy-caller path.
-    """
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError(f"connection dropped mid-frame: got "
-                         f"{len(exc.partial)} of {_LEN.size} header bytes"
-                         ) from None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise FrameError(f"announced frame of {length} bytes exceeds "
-                         f"MAX_FRAME ({MAX_FRAME})")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError(f"connection dropped mid-frame: got "
-                         f"{len(exc.partial)} of {length} payload bytes"
-                         ) from None
-    if decoder is not None:
-        return decoder.decode(payload)
-    return decode_message(payload)
-
-
-async def write_message(writer: asyncio.StreamWriter,
-                        message: Mapping[str, Any],
-                        encoder: Optional[WireEncoder] = None) -> None:
-    """Write one frame and drain (the back of the backpressure story)."""
-    writer.write(encoder.encode(message) if encoder is not None
-                 else encode_message(message))
-    await writer.drain()
-
-
-# ---------------------------------------------------------------------------
 # Push-style framing (every buffered reader)
 # ---------------------------------------------------------------------------
 
 class FrameSplitter:
     """Feed bytes in, take complete frame payloads out.
 
-    The one length-prefix parser of the buffered data planes: the
-    daemon's and the client's asyncio protocols feed it each chunk the
-    transport delivers, and :class:`FrameReader` feeds it each ``recv``.
+    The one length-prefix parser of the wire: the daemon's and the
+    client's asyncio protocols feed it each chunk the transport delivers,
+    and :class:`FrameReader` feeds it each ``recv``.
     Chunk boundaries can fall anywhere, a header included; a payload is
     returned only once all of its bytes have arrived.
     """
@@ -822,8 +757,7 @@ class FrameSplitter:
 #
 # The shard-worker transport (:mod:`repro.core.shardproc`) speaks the same
 # frames over blocking ``socketpair`` endpoints — a worker process has no
-# event loop, it just alternates read/apply/write.  ``None`` on clean EOF
-# at a frame boundary mirrors :func:`read_message`.
+# event loop, it just alternates read/apply/write.
 
 class FrameReader:
     """Buffered blocking frame reader over one socket.

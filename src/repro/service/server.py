@@ -58,7 +58,7 @@ from ..core import CalciomRuntime
 from ..experiments.spec import ExperimentSpec
 from ..platforms import Platform
 from .protocol import (
-    CODECS, FrameSplitter, ProtocolError, WireDecoder, WireEncoder,
+    FrameSplitter, ProtocolError, WireDecoder, WireEncoder,
     decisions_digest, decode_message, descriptor_from_dict, encode_message,
 )
 
@@ -134,7 +134,7 @@ class _Connection(asyncio.Protocol):
         self.cid = -1
         self.mode = ""
         self.apps: Set[str] = set()
-        self.encoder: Optional[WireEncoder] = None  #: negotiated codec
+        self.encoder: Optional[WireEncoder] = None  #: binary
         self.decoder: Optional[WireDecoder] = None  #: universal
         self.buffered = 0     #: out-of-order entries held by the sequencer
         self.holds = 0        #: _SEQUENCER | _WRITE while not read
@@ -372,7 +372,7 @@ class CoordinationService:
         await conn.ended
 
     def _admit(self, conn: _Connection, hello: dict) -> None:
-        """The hello handshake: admission control and codec negotiation."""
+        """The hello handshake: admission control."""
         if hello.get("type") != "hello":
             raise ProtocolError(f"expected hello, got {hello.get('type')!r}")
         apps = hello.get("apps", [])
@@ -380,13 +380,6 @@ class CoordinationService:
             raise ProtocolError(f"hello.apps must be a list, got {apps!r}")
         apps = [str(a) for a in apps]
         mode = hello.get("mode", "live")
-        # Codec negotiation: grant the client's proposal when we speak it,
-        # else fall back to the JSON oracle.  Hello/welcome are always
-        # JSON; only post-handshake *encoders* switch (payloads are
-        # self-describing, so decoders never need to).
-        codec = hello.get("codec", "json")
-        if codec not in CODECS:
-            codec = "json"
         reason = None
         if mode not in ("replay", "live"):
             reason = f"unknown mode {mode!r}"
@@ -410,7 +403,7 @@ class CoordinationService:
         self._next_cid += 1
         conn.mode = mode
         conn.apps = set(apps)
-        conn.encoder = WireEncoder(codec, perf=self.perf)
+        conn.encoder = WireEncoder("binary", perf=self.perf)
         conn.decoder = WireDecoder(perf=self.perf)
         self._connections[cid] = conn
         for app in apps:
@@ -419,8 +412,7 @@ class CoordinationService:
         self.perf.bump("service_connections")
         self.perf.bump("service_sessions", len(apps))
         conn.transport.write(encode_message({
-            "type": "welcome", "mode": mode, "next_seq": self._next_seq,
-            "codec": codec}))
+            "type": "welcome", "mode": mode, "next_seq": self._next_seq}))
 
     def _serve(self, conn: _Connection) -> None:
         """Serve the connection's decoded frames until a hold, then flush."""

@@ -1,9 +1,11 @@
-"""The A/B runner's statistics and verdict helpers (``tools/ab.py``).
+"""The A/B runner's statistics, verdict and revision helpers (``tools/ab.py``).
 
-No benchmark runs here: the helpers are pure functions of run results.
+No benchmark runs here: the statistics are pure functions of run
+results, and the revision label is read from a scratch git repository.
 """
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,22 @@ def test_report_lines():
     assert line.split() == ["wall_s", "base", "1", "[1,", "1]", "change",
                             "0.5", "[0.5,", "0.5]", "-50.0%", "won", "3/3",
                             "better"]
+
+
+def test_revision_marks_a_dirty_tree(tmp_path):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=ab",
+             "-c", "user.email=ab@example.invalid", *args],
+            check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    assert ab.revision(tmp_path) == head
+    (tmp_path / "a.txt").write_text("two\n")
+    assert ab.revision(tmp_path) == head + "+dirty"
+    git("commit", "-q", "-am", "two")
+    assert ab.revision(tmp_path) == git("rev-parse", "HEAD") != head

@@ -8,7 +8,6 @@ deterministic string — that string's equality is the definition of
 "bit-identical decision logs" the replay equivalence tests rely on.
 """
 
-import asyncio
 import json
 import math
 
@@ -20,31 +19,17 @@ from repro.core.strategies import Action
 from repro.experiments.scenarios import build_scenario
 from repro.service.protocol import (
     MAX_FRAME,
+    FrameSplitter,
     ProtocolError,
+    WireDecoder,
     decision_to_dict,
     decisions_to_json,
     decode_message,
     descriptor_from_dict,
     descriptor_to_dict,
     encode_message,
-    read_message,
 )
 from repro.service.trace import CoordinationTrace, spec_fingerprint
-
-
-def _reader_with(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    if data:
-        reader.feed_data(data)
-    reader.feed_eof()
-    return reader
-
-
-def _read(data: bytes):
-    async def go():
-        return await read_message(_reader_with(data))
-
-    return asyncio.run(go())
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +42,9 @@ def test_frame_round_trip():
     frame = encode_message(message)
     assert frame[:4] == len(frame[4:]).to_bytes(4, "big")
     assert decode_message(frame[4:]) == message
-    assert _read(frame) == message
-
-
-def test_read_message_clean_eof_is_none():
-    assert _read(b"") is None
-
-
-def test_read_message_dropped_mid_header():
-    with pytest.raises(ProtocolError):
-        _read(b"\x00\x00")
-
-
-def test_read_message_dropped_mid_payload():
-    frame = encode_message({"type": "bye"})
-    with pytest.raises(ProtocolError):
-        _read(frame[:-2])
-
-
-def test_read_message_rejects_oversized_announcement():
-    header = (MAX_FRAME + 1).to_bytes(4, "big")
-    with pytest.raises(ProtocolError):
-        _read(header + b"x" * 16)
+    splitter = FrameSplitter()
+    splitter.feed(frame)
+    assert splitter.next() == frame[4:]
 
 
 def test_encode_rejects_oversized_payload():
@@ -98,17 +64,11 @@ def test_decode_rejects_untyped_and_undecodable():
 def test_multiple_frames_stream_in_order():
     frames = [{"type": "a", "n": i} for i in range(5)]
     data = b"".join(encode_message(f) for f in frames)
-
-    async def _go():
-        reader = _reader_with(data)
-        out = []
-        while True:
-            message = await read_message(reader)
-            if message is None:
-                return out
-            out.append(message)
-
-    assert asyncio.run(_go()) == frames
+    splitter, out = FrameSplitter(), []
+    splitter.feed(data)
+    WireDecoder().decode_frames(splitter, out)
+    assert out == frames
+    assert splitter.truncation() is None
 
 
 # ---------------------------------------------------------------------------

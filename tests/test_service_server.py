@@ -10,6 +10,7 @@ import asyncio
 import json
 import math
 import socket
+from collections import deque
 
 import pytest
 
@@ -18,8 +19,8 @@ from repro.experiments.scenarios import build_scenario
 from repro.service.client import AdmissionRejected, ServiceClient
 from repro.service.loadgen import _entry_message
 from repro.service.protocol import (
-    FrameSplitter, WireDecoder, WireEncoder, decisions_to_json,
-    descriptor_to_dict, encode_message, read_message, write_message,
+    FrameSplitter, ProtocolError, WireDecoder, WireEncoder,
+    decisions_to_json, descriptor_to_dict, encode_message,
 )
 from repro.service.server import CoordinationService, ServiceConfig
 from repro.service.trace import record_trace, spec_fingerprint
@@ -207,23 +208,24 @@ def test_hello_frames_and_eof_in_one_write():
     async def go():
         service = await _start()
         host, port = service.address
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(encode_message({"type": "hello", "apps": ["w1"],
-                                     "mode": "live"})
-                     + encode_message({
-                         "type": "inform",
-                         "descriptor": descriptor_to_dict(_descriptor("w1"))}))
-        writer.write_eof()
+        conn = await _RawConnection.open(host, port)
+        conn.writer.write(encode_message({"type": "hello", "apps": ["w1"],
+                                          "mode": "live"})
+                          + encode_message({
+                              "type": "inform",
+                              "descriptor": descriptor_to_dict(
+                                  _descriptor("w1"))}))
+        conn.writer.write_eof()
         try:
-            assert (await read_message(reader))["type"] == "welcome"
-            assert (await read_message(reader))["type"] == "inform-ack"
+            assert (await conn.recv())["type"] == "welcome"
+            assert (await conn.recv())["type"] == "inform-ack"
             assert await _eventually(lambda: not service._connections)
             counters = service.perf.as_dict()
             assert counters["service_crash_withdrawals"] == 1
             assert not service.coordinator.is_authorized("w1")
             assert await service.drain(timeout=5.0) is True
         finally:
-            writer.close()
+            conn.close()
             await service.close()
 
     _run(go())
@@ -253,28 +255,69 @@ def test_clean_bye_keeps_authorizations():
 # Replay sequencing and backpressure
 # ---------------------------------------------------------------------------
 
+class _RawConnection:
+    """A framed socket without the client library.
+
+    Sends JSON frames (the daemon decodes either codec) and reads frames
+    through :class:`FrameSplitter` and :class:`WireDecoder`, so the
+    daemon's binary acks decode like its JSON handshake answers.
+    """
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+        self.splitter, self.decoder = FrameSplitter(), WireDecoder()
+        self.ready = deque()
+
+    @classmethod
+    async def open(cls, host, port):
+        return cls(*await asyncio.open_connection(host, port))
+
+    async def send(self, message):
+        self.writer.write(encode_message(message))
+        await self.writer.drain()
+
+    async def recv(self):
+        """The next frame's message; None on a clean end of stream."""
+        while not self.ready:
+            chunk = await self.reader.read(1 << 16)
+            if not chunk:
+                error = self.splitter.truncation()
+                if error is not None:
+                    raise error
+                return None
+            self.splitter.feed(chunk)
+            self.decoder.decode_frames(self.splitter, self.ready)
+        message = self.ready.popleft()
+        if isinstance(message, ProtocolError):
+            raise message
+        return message
+
+    def close(self):
+        self.writer.close()
+
+
 async def _raw_replay_connection(host, port, apps):
-    reader, writer = await asyncio.open_connection(host, port)
-    await write_message(writer, {"type": "hello", "apps": apps,
-                                 "mode": "replay", "spec_sha": None})
-    welcome = await read_message(reader)
+    conn = await _RawConnection.open(host, port)
+    await conn.send({"type": "hello", "apps": apps, "mode": "replay",
+                     "spec_sha": None})
+    welcome = await conn.recv()
     assert welcome["type"] == "welcome"
-    return reader, writer
+    return conn
 
 
 def test_sequencer_buffers_and_backpressures_out_of_order_entries():
     async def go():
         service = await _start(max_pending=2)
         host, port = service.address
-        ra, wa = await _raw_replay_connection(host, port, ["a"])
-        rb, wb = await _raw_replay_connection(host, port, ["b"])
+        a = await _raw_replay_connection(host, port, ["a"])
+        b = await _raw_replay_connection(host, port, ["b"])
         try:
             # Connection A races ahead: its entries (seq 1, 2) arrive
             # before the global head (seq 0, owned by connection B).
-            await write_message(wa, {
+            await a.send({
                 "type": "inform", "seq": 1, "t": 0.0,
                 "descriptor": descriptor_to_dict(_descriptor("a"))})
-            await write_message(wa, {
+            await a.send({
                 "type": "complete", "seq": 2, "t": 1.0, "app": "a"})
             counters = service.perf.as_dict
             assert await _eventually(
@@ -283,22 +326,22 @@ def test_sequencer_buffers_and_backpressures_out_of_order_entries():
             assert service.health()["pending"] == 2
 
             # The head arrives; the sequencer drains everything buffered.
-            await write_message(wb, {
+            await b.send({
                 "type": "inform", "seq": 0, "t": 0.0,
                 "descriptor": descriptor_to_dict(_descriptor("b"))})
-            acks_a = [await read_message(ra), await read_message(ra)]
-            assert [a["seq"] for a in acks_a] == [1, 2]
+            acks_a = [await a.recv(), await a.recv()]
+            assert [ack["seq"] for ack in acks_a] == [1, 2]
             assert acks_a[0]["type"] == "inform-ack"
-            ack_b = await read_message(rb)
+            ack_b = await b.recv()
             assert (ack_b["type"], ack_b["seq"]) == ("inform-ack", 0)
             assert service.health()["next_seq"] == 3
 
-            await write_message(wb, {"type": "complete", "seq": 3,
-                                     "t": 1.0, "app": "b"})
-            assert (await read_message(rb))["seq"] == 3
+            await b.send({"type": "complete", "seq": 3, "t": 1.0,
+                          "app": "b"})
+            assert (await b.recv())["seq"] == 3
         finally:
-            for w in (wa, wb):
-                w.close()
+            for conn in (a, b):
+                conn.close()
             await service.close()
 
     _run(go())
@@ -308,19 +351,19 @@ def test_sequencer_rejects_duplicate_seq():
     async def go():
         service = await _start()
         host, port = service.address
-        reader, writer = await _raw_replay_connection(host, port, ["a"])
+        conn = await _raw_replay_connection(host, port, ["a"])
         try:
             inform = {"type": "inform", "seq": 0, "t": 0.0,
                       "descriptor": descriptor_to_dict(_descriptor("a"))}
-            await write_message(writer, inform)
-            ack = await read_message(reader)
+            await conn.send(inform)
+            ack = await conn.recv()
             assert ack["type"] == "inform-ack"
-            await write_message(writer, dict(inform))  # replayed seq 0
-            error = await read_message(reader)
+            await conn.send(inform)                  # replayed seq 0
+            error = await conn.recv()
             assert error["type"] == "error"
             assert "duplicate seq" in error["reason"]
         finally:
-            writer.close()
+            conn.close()
             await service.close()
 
     _run(go())
@@ -413,35 +456,35 @@ def test_malformed_out_of_order_frame_is_blamed_on_its_sender():
         unhandled = _catch_loop_errors()
         service = await _start()
         host, port = service.address
-        ra, wa = await _raw_replay_connection(host, port, ["a"])
-        rb, wb = await _raw_replay_connection(host, port, ["b"])
+        a = await _raw_replay_connection(host, port, ["a"])
+        b = await _raw_replay_connection(host, port, ["b"])
         try:
             # A races ahead with a malformed seq 1: it must be rejected on
             # A's connection at once, not buffered for B to trip over.
             bad = descriptor_to_dict(_descriptor("a"))
             bad["nprocs"] = "many"
-            await write_message(wa, {"type": "inform", "seq": 1, "t": 0.0,
-                                     "descriptor": bad})
-            error = await asyncio.wait_for(read_message(ra), 5.0)
+            await a.send({"type": "inform", "seq": 1, "t": 0.0,
+                          "descriptor": bad})
+            error = await asyncio.wait_for(a.recv(), 5.0)
             assert error["type"] == "error"
             assert "bad descriptor" in error["reason"]
             assert service.health()["pending"] == 0
 
             # B owns the sequencer head and keeps its session throughout.
-            await write_message(wb, {
+            await b.send({
                 "type": "inform", "seq": 0, "t": 0.0,
                 "descriptor": descriptor_to_dict(_descriptor("b"))})
-            ack = await read_message(rb)
+            ack = await b.recv()
             assert (ack["type"], ack["seq"]) == ("inform-ack", 0)
-            await write_message(wb, {"type": "complete", "seq": 1,
-                                     "t": 1.0, "app": "b"})
-            ack = await read_message(rb)
+            await b.send({"type": "complete", "seq": 1, "t": 1.0,
+                          "app": "b"})
+            ack = await b.recv()
             assert (ack["type"], ack["seq"]) == ("complete-ack", 1)
             assert service.perf.get("service_protocol_errors") == 1
             assert service.health()["sessions"] == 1
         finally:
-            for w in (wa, wb):
-                w.close()
+            for conn in (a, b):
+                conn.close()
             await service.close()
         assert not unhandled
 
@@ -487,16 +530,16 @@ def test_malformed_field_gets_an_error_frame(frame, reason):
         unhandled = _catch_loop_errors()
         service = await _start()
         host, port = service.address
-        reader, writer = await _raw_replay_connection(host, port, ["a"])
+        conn = await _raw_replay_connection(host, port, ["a"])
         try:
-            await write_message(writer, frame)
-            error = await read_message(reader)
+            await conn.send(frame)
+            error = await conn.recv()
             assert error["type"] == "error"
             assert reason in error["reason"]
             assert service.perf.get("service_protocol_errors") == 1
             assert service.health()["next_seq"] == 0
         finally:
-            writer.close()
+            conn.close()
             await service.close()
         assert not unhandled
 
@@ -509,17 +552,17 @@ def test_malformed_hello_apps_gets_an_error_frame(apps):
         unhandled = _catch_loop_errors()
         service = await _start()
         host, port = service.address
-        reader, writer = await asyncio.open_connection(host, port)
+        conn = await _RawConnection.open(host, port)
         try:
-            await write_message(writer, {"type": "hello", "apps": apps,
-                                         "mode": "replay"})
-            error = await read_message(reader)
+            await conn.send({"type": "hello", "apps": apps,
+                             "mode": "replay"})
+            error = await conn.recv()
             assert error["type"] == "error"
             assert "hello.apps must be a list" in error["reason"]
             assert service.perf.get("service_protocol_errors") == 1
             assert service.health()["sessions"] == 0
         finally:
-            writer.close()
+            conn.close()
             await service.close()
         assert not unhandled
 
@@ -660,14 +703,15 @@ def test_request_nowait_queues_a_private_copy():
     received = []
 
     async def peer(reader, writer):
-        await read_message(reader)                       # the hello
-        await write_message(writer, {"type": "welcome", "codec": "json"})
+        conn = _RawConnection(reader, writer)
+        await conn.recv()                                # the hello
+        await conn.send({"type": "welcome"})
         while True:
-            message = await read_message(reader)
+            message = await conn.recv()
             if message is None:
                 break
             received.append(message)
-        writer.close()
+        conn.close()
 
     async def go():
         server = await asyncio.start_server(peer, "127.0.0.1", 0)

@@ -10,14 +10,16 @@ Two layers of guarantee:
   total: anything the fast paths refuse must still round-trip.
 * **Decision-log bit-identity** — replaying the committed
   ``service-many-writers`` scenario through the daemon must produce
-  string-equal canonical decision logs under both codecs.  The
-  ``workers="process"`` shard plane speaks JSON only, whatever
-  ``REPRO_WIRE_CODEC`` says, and its log equals the inline one.
+  string-equal canonical decision logs with the service plane's binary
+  encoders and with the JSON oracle substituted for them.  The
+  ``workers="process"`` shard plane speaks JSON only, and its log equals
+  the inline one.
 
 Plus the framing satellites: `FrameError` with byte offsets out of every
-truncation path of the async reader and the blocking `FrameReader`, the
-push-style `FrameSplitter` under every chunking of a recorded replay,
-codec negotiation, and the shared canonical-JSON helper.
+truncation path of the blocking `FrameReader` and the push-style
+`FrameSplitter`, the splitter under every chunking of a recorded replay,
+the daemon's answer to hellos that still propose a codec, and the shared
+canonical-JSON helper.
 """
 
 import asyncio
@@ -33,10 +35,10 @@ from repro.core.metrics import AccessDescriptor
 from repro.core.sharding import ShardRouter
 from repro.perf import PerfCounters
 from repro.service.protocol import (
-    CODECS, MAX_FRAME, FrameError, FrameReader, FrameSplitter, ProtocolError,
+    MAX_FRAME, FrameError, FrameReader, FrameSplitter, ProtocolError,
     WireDecoder, WireEncoder, canonical_json, decisions_to_json,
-    default_wire_codec, descriptor_from_dict, descriptor_to_dict,
-    encode_message, read_message, write_frame,
+    decode_message, descriptor_from_dict, descriptor_to_dict,
+    encode_message, write_frame,
 )
 from repro.simcore import Simulator
 
@@ -106,7 +108,7 @@ def _rand_message(rng):
     # Off-schema strays: must survive via the generic fallback.
     return rng.choice([
         {"type": "hello", "apps": [rng.choice(_APPS)], "mode": "replay",
-         "spec_sha": None, "codec": rng.choice(list(CODECS))},
+         "spec_sha": None, "codec": rng.choice(["json", "binary"])},
         {"type": "bye"},
         {"type": "decision-digest"},
         {"type": "error", "reason": "Δ" * rng.randrange(5)},
@@ -327,20 +329,6 @@ def test_frame_error_is_a_protocol_error():
     assert issubclass(FrameError, ProtocolError)
 
 
-def test_async_truncation_carries_offsets():
-    async def go():
-        a, b = socket.socketpair()
-        reader, _writer = await asyncio.open_connection(sock=b)
-        payload = canonical_json({"type": "bye"}).encode()
-        a.sendall(struct.pack(">I", len(payload)) + payload[:5])
-        a.close()
-        with pytest.raises(FrameError, match=r"got 5 of 14"):
-            await read_message(reader)
-        _writer.close()
-
-    asyncio.run(asyncio.wait_for(go(), _TIMEOUT))
-
-
 # ---------------------------------------------------------------------------
 # FrameReader: buffered reads, coalesced waves
 # ---------------------------------------------------------------------------
@@ -433,7 +421,7 @@ def _cut(stream, cuts):
     return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("codec", ["json", "binary"])
 def test_splitter_any_chunking_decodes_like_whole_buffer(codec):
     stream, offsets = _replay_stream(codec)
     whole = _split_decode([stream])
@@ -500,17 +488,8 @@ def test_canonical_json_float_policy_round_trips():
         assert json.loads(canonical_json(value)) == value
 
 
-def test_default_wire_codec_env(monkeypatch):
-    monkeypatch.delenv("REPRO_WIRE_CODEC", raising=False)
-    assert default_wire_codec() == "json"
-    monkeypatch.setenv("REPRO_WIRE_CODEC", "binary")
-    assert default_wire_codec() == "binary"
-    monkeypatch.setenv("REPRO_WIRE_CODEC", "bogus")
-    assert default_wire_codec() == "json"
-
-
 # ---------------------------------------------------------------------------
-# Codec negotiation (hello/welcome)
+# Hellos that still propose a codec
 # ---------------------------------------------------------------------------
 
 def _service_spec():
@@ -519,53 +498,61 @@ def _service_spec():
                           phases=1, seed=5, strategy="fcfs")[0]
 
 
-@pytest.mark.parametrize("proposal,granted", [
-    ("binary", "binary"), ("json", "json"), (None, "json")])
-def test_codec_negotiation(proposal, granted, monkeypatch):
-    monkeypatch.delenv("REPRO_WIRE_CODEC", raising=False)
-    from repro.service.client import ServiceClient
+@pytest.mark.parametrize("proposal", [None, "json", "binary", "msgpack"])
+def test_hello_codec_proposal_is_ignored(proposal):
+    """Clients from before the binary-only service plane put a ``codec``
+    in their hello and send JSON frames: they are admitted, and the daemon
+    answers a JSON welcome, then binary acks that WireDecoder decodes."""
     from repro.service.server import CoordinationService
 
     async def go():
         service = CoordinationService(_service_spec())
         await service.start()
-        host, port = service.address
-        client = await ServiceClient.connect(host, port, ["w00"],
-                                             mode="live", codec=proposal)
-        assert client.codec == granted
-        await client.close()
-        await service.close()
-
-    asyncio.run(asyncio.wait_for(go(), _TIMEOUT))
-
-
-def test_unknown_codec_proposal_falls_back_to_json():
-    """A raw hello naming an unsupported codec gets a JSON welcome."""
-    from repro.service.server import CoordinationService
-
-    async def go():
-        service = CoordinationService(_service_spec())
-        await service.start()
-        host, port = service.address
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(encode_message({"type": "hello", "apps": ["w00"],
-                                     "mode": "live", "spec_sha": None,
-                                     "codec": "msgpack"}))
-        await writer.drain()
-        welcome = await read_message(reader)
-        assert welcome["type"] == "welcome"
-        assert welcome["codec"] == "json"
-        writer.close()
-        await service.close()
+        reader, writer = await asyncio.open_connection(*service.address)
+        hello = {"type": "hello", "apps": ["w00"], "mode": "live",
+                 "spec_sha": None}
+        if proposal is not None:
+            hello["codec"] = proposal
+        descriptor = AccessDescriptor(app="w00", nprocs=4, total_bytes=1e6,
+                                      t_alone=1.0)
+        writer.write(encode_message(hello) + encode_message(
+            {"type": "inform", "descriptor": descriptor_to_dict(descriptor)}))
+        splitter, payloads = FrameSplitter(), []
+        try:
+            while len(payloads) < 2:
+                chunk = await reader.read(1 << 16)
+                assert chunk, "the daemon closed the connection"
+                splitter.feed(chunk)
+                payloads.extend(iter(splitter.next, None))
+        finally:
+            writer.close()
+            await service.close()
+        welcome, ack = payloads
+        assert decode_message(welcome)["type"] == "welcome"
+        assert "codec" not in decode_message(welcome)
+        assert ack[0] == 0x85                          # the binary ack tag
+        assert WireDecoder().decode(ack) == {
+            "type": "inform-ack", "t": 0.0, "app": "w00", "authorized": True}
 
     asyncio.run(asyncio.wait_for(go(), _TIMEOUT))
 
 
 # ---------------------------------------------------------------------------
-# Decision-log bit-identity across codecs
+# Decision-log bit-identity: binary against the JSON oracle
 # ---------------------------------------------------------------------------
 
-def _replay_with_codec(codec, pipeline):
+def _substitute_json_oracle(monkeypatch):
+    """Build the service plane's encoders as JSON, on both ends."""
+    from repro.service import client, server
+
+    def oracle(_codec, perf=None):
+        return WireEncoder("json", perf=perf)
+
+    monkeypatch.setattr(server, "WireEncoder", oracle)
+    monkeypatch.setattr(client, "WireEncoder", oracle)
+
+
+def _replay(pipeline):
     from repro.service.loadgen import run_service_benchmark
     from repro.service.trace import record_trace
 
@@ -577,25 +564,39 @@ def _replay_with_codec(codec, pipeline):
             spec, 3,
             trace_and_reference=(trace, result.decisions,
                                  float(result.perf["wall_seconds"])),
-            codec=codec, pipeline=pipeline)
+            pipeline=pipeline)
         return result, stats, service
 
     return asyncio.run(asyncio.wait_for(go(), _TIMEOUT))
 
 
 @pytest.mark.parametrize("pipeline", [1, 16])
-def test_service_replay_bit_identical_across_codecs(pipeline):
+def test_service_replay_bit_identical_across_codecs(pipeline, monkeypatch):
     logs = {}
-    for codec in CODECS:
-        result, stats, service = _replay_with_codec(codec, pipeline)
+    for codec in ("json", "binary"):
+        with monkeypatch.context() as patch:
+            if codec == "json":
+                _substitute_json_oracle(patch)
+            result, stats, service = _replay(pipeline)
         assert stats.equivalent, f"{codec} digest diverged"
         logs[codec] = decisions_to_json(service.decision_log)
         assert logs[codec] == decisions_to_json(result.decisions)
+        # The daemon's off-schema answers (bye-ack, the digest) take the
+        # binary generic path, so they show which encoder served.
+        generic = service.metrics_snapshot().get("wire_generic_frames", 0)
+        assert (generic > 0) == (codec == "binary"), (codec, generic)
     assert logs["binary"] == logs["json"]
 
 
+def test_run_service_benchmark_refuses_other_codecs():
+    from repro.service.loadgen import run_service_benchmark
+
+    with pytest.raises(ValueError, match="encodes binary"):
+        asyncio.run(run_service_benchmark(_service_spec(), 1, codec="json"))
+
+
 def test_service_metrics_expose_wire_counters():
-    result, stats, service = _replay_with_codec("binary", 16)
+    result, stats, service = _replay(16)
     snap = service.metrics_snapshot()
     assert snap.get("wire_frames_encoded", 0) > 0
     assert snap.get("wire_frames_decoded", 0) > 0
@@ -644,10 +645,9 @@ def _drive_shards(workers, seed=11):
     return decisions_to_json(router.decision_log), sim.now, perf
 
 
-def test_process_shards_speak_json_whatever_the_env(monkeypatch):
-    """REPRO_WIRE_CODEC selects the service codec only: process shards
-    still speak JSON, and their log equals the inline log."""
-    monkeypatch.setenv("REPRO_WIRE_CODEC", "binary")
+def test_process_shards_speak_json_whatever_the_env():
+    """Process shards speak JSON whatever the service plane encodes, and
+    their log equals the inline log."""
     log_inline, end_inline, _ = _drive_shards("inline")
     log_proc, end_proc, perf = _drive_shards("process")
     assert log_proc == log_inline

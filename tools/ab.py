@@ -4,8 +4,10 @@ Usage, from anywhere inside the checkout::
 
     python3 tools/ab.py --base HEAD~1 --pairs 10 --seconds 10
 
-The base revision is checked out into a temporary ``git worktree``.  For
-each workload, ``--pairs`` pairs of ``perfbench/run.py --seed 7 --trace 0``
+The base revision is checked out into a temporary ``git worktree``.  The
+report opens with the commit ids both sides run, the change's marked
+``+dirty`` when the working tree has uncommitted changes.  For each
+workload, ``--pairs`` pairs of ``perfbench/run.py --seed 7 --trace 0``
 runs alternate between the base checkout and this one (base first in even
 pairs, the change first in odd ones).  For every end-to-end metric that
 ``BENCHMARK.json`` declares, the report prints both medians with their
@@ -117,9 +119,15 @@ def run_problems(run: Optional[dict]) -> List[str]:
 
 
 # -- running ------------------------------------------------------------------
-def _git(*args: str) -> None:
-    subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                   stdout=subprocess.DEVNULL)
+def _git(checkout: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(checkout), *args], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def revision(checkout: Path) -> str:
+    """The commit ``checkout`` has out, ``+dirty`` if its tree differs."""
+    rev = _git(checkout, "rev-parse", "HEAD")
+    return rev + "+dirty" if _git(checkout, "status", "--porcelain") else rev
 
 
 def _run_once(checkout: Path, workload: str,
@@ -156,8 +164,10 @@ def main(argv=None) -> int:
     base_tree = tmp / "base"
     bad = 0
     try:
-        _git("worktree", "add", "--detach", str(base_tree), args.base)
+        _git(ROOT, "worktree", "add", "--detach", str(base_tree), args.base)
         checkouts = {"base": base_tree, "change": ROOT}
+        print(f"base {revision(base_tree)}  change {revision(ROOT)}",
+              flush=True)
         for workload in workloads:
             runs: Dict[str, List[dict]] = {"base": [], "change": []}
             for i in range(args.pairs):
