@@ -24,14 +24,17 @@ pushed ``grant`` frames are routed to the owning session's grant queue.
 Both happen in the client's ``data_received`` callback, as each chunk
 arrives — the client is its connection's :class:`asyncio.Protocol`, and
 its one task (``_pump_loop``) only waits for the connection to end and
-then fails every ack still outstanding.
+then fails every ack still outstanding.  A replay runs on that routing
+too (:meth:`ServiceClient.send_windows`): each ack's round time is
+stamped as the ack is routed, and the window's last ack sends the next.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Union
+from time import perf_counter
+from typing import Any, Deque, Dict, Iterator, List, Optional, Union
 
 from ..core.metrics import AccessDescriptor
 from .protocol import (
@@ -126,8 +129,9 @@ class ServiceClient(asyncio.Protocol):
         self._encoder: Optional[WireEncoder] = None
         self._decoder: Optional[WireDecoder] = None
         self._sessions = {app: RemoteSession(self, app) for app in apps}
-        #: FIFO of futures awaiting acks (requests apply in send order).
-        self._acks: Deque[asyncio.Future] = deque()
+        #: FIFO of ack waiters, futures or :class:`_Windows` (requests
+        #: apply in send order).
+        self._acks: Deque[Any] = deque()
         self._welcome: "asyncio.Future[Optional[dict]]" = \
             self._loop.create_future()
         #: The transport's close (its exception, None when clean).
@@ -207,17 +211,11 @@ class ServiceClient(asyncio.Protocol):
     def request_nowait(self, message: Dict[str, Any],
                        seq: Optional[int] = None,
                        t: Optional[float] = None) -> "asyncio.Future":
-        """Queue one frame without sending; the pipelined half of request.
+        """Queue one frame without sending; the first half of request.
 
         A shallow copy of ``message``, with ``seq``/``t`` added, is queued
-        on the client's encoder and its ack future returned; nothing hits
-        the socket until :meth:`flush`.  The caller's dict is not changed,
-        and keys it gains or loses later are not sent.
-        Queue a whole wave, flush once, then await the futures — one
-        syscall per wave instead of one write per exchange.  Valid
-        whenever exchanges need no interleaved responses: replay traces
-        (acks stay FIFO per connection; the daemon's sequencer orders
-        across connections by ``seq``), or a live fire-and-await burst.
+        and its ack future returned; nothing hits the socket until
+        :meth:`flush`, so several queued frames go out in one write.
         """
         if self._broken is not None:
             raise ConnectionError(f"connection is broken: {self._broken}")
@@ -246,6 +244,19 @@ class ServiceClient(asyncio.Protocol):
         if self._writable is not None:
             await self._writable
 
+    def send_windows(self, messages: Iterator[Dict[str, Any]], count: int,
+                     window: int, latencies: List[float]) -> "asyncio.Future":
+        """Send ``count`` frames of ``messages``, as they are, in windows.
+
+        Each window of up to ``window`` frames (1: lockstep) is written at
+        once, and the ack routing sends the next one when the window's
+        last ack arrives — once writable, as :meth:`flush` waits.  Each
+        ack's round time from its window's start is appended to
+        ``latencies`` as it is routed, so no task wakes up per exchange.
+        Returns a future for the end, failed if the connection breaks.
+        """
+        return _Windows(self, messages, count, window, latencies).finished
+
     async def decision_digest(self) -> Dict[str, Any]:
         """The daemon's current decision-log digest (equivalence checks)."""
         return await self.request({"type": "decision-digest"})
@@ -265,9 +276,9 @@ class ServiceClient(asyncio.Protocol):
         self._acks.clear()
         if self._bye_ack is not None:
             pending.append(self._bye_ack)
-        for future in pending:
-            if not future.done():
-                future.set_exception(
+        for waiter in pending:
+            if not waiter.done():
+                waiter.set_exception(
                     ConnectionError(f"connection lost: {exc}"))
 
     def _route(self) -> None:
@@ -292,9 +303,9 @@ class ServiceClient(asyncio.Protocol):
             elif ftype == "error":
                 self._break(ProtocolError(frame.get("reason", "unknown")))
             elif acks:
-                future = acks.popleft()
-                if not future.done():
-                    future.set_result(frame)
+                waiter = acks.popleft()     # a future or a _Windows
+                if not waiter.done():
+                    waiter.set_result(frame)
             else:
                 self._break(ProtocolError(f"unexpected frame {frame!r}"))
 
@@ -338,3 +349,56 @@ class ServiceClient(asyncio.Protocol):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ServiceClient apps={len(self.apps)} mode={self.mode!r} "
                 f"broken={self._broken is not None}>")
+
+
+class _Windows:
+    """:meth:`ServiceClient.send_windows` as an ack waiter: the ack routing
+    calls :meth:`set_result` per ack, :meth:`set_exception` if the
+    connection breaks."""
+
+    __slots__ = ("client", "messages", "unsent", "window", "latencies",
+                 "outstanding", "t0", "finished", "done")
+
+    def __init__(self, client: ServiceClient,
+                 messages: Iterator[Dict[str, Any]], count: int,
+                 window: int, latencies: List[float]):
+        self.client, self.messages, self.unsent = client, messages, count
+        self.window, self.latencies = max(1, window), latencies
+        self.outstanding = 0      #: acks the current window awaits
+        self.t0 = 0.0             #: when the current window was sent
+        self.finished: asyncio.Future = client._loop.create_future()
+        #: What the ack routing asks of every waiter, as of a future.
+        self.done = self.finished.done
+        self.send()
+
+    def send(self, _resumed=None) -> None:
+        """Queue and write the next window (finish when none is left)."""
+        if self.finished.done():
+            return
+        client, n = self.client, min(self.window, self.unsent)
+        if not n:
+            self.finished.set_result(None)
+        elif client._broken is not None or client._transport.is_closing():
+            self.set_exception(ConnectionError("connection is closed"))
+        else:
+            self.unsent -= n
+            self.outstanding = n
+            self.t0 = perf_counter()
+            for _ in range(n):
+                client._acks.append(self)
+                client._encoder.queue(next(self.messages))
+            client._transport.write(client._encoder.flush())
+
+    def set_result(self, ack: Dict[str, Any]) -> None:
+        self.latencies.append(perf_counter() - self.t0)
+        self.outstanding -= 1
+        if not self.outstanding:
+            writable = self.client._writable
+            if writable is None:
+                self.send()
+            else:
+                writable.add_done_callback(self.send)
+
+    def set_exception(self, exc: BaseException) -> None:
+        if not self.finished.done():
+            self.finished.set_exception(exc)

@@ -16,16 +16,20 @@ what the daemon sustains:
   wire; the benchmark additionally string-compares the full logs).
 
 Apps are dealt round-robin to clients, each client sends its sub-trace
-lockstep (one in-flight exchange per connection), and the sequencer
-serializes globally — so N clients reproduce exactly the recorded
-exchange order while exercising real interleaving on the wire.
+in windows (``pipeline``; 1, lockstep, is one in-flight exchange per
+connection), and the sequencer serializes globally — so N clients
+reproduce exactly the recorded exchange order while exercising real
+interleaving on the wire.  There is one replay path: the client's ack
+routing (:meth:`~repro.service.client.ServiceClient.send_windows`)
+stamps each round time as it routes the ack and sends the next window
+itself, so no task wakes up per exchange.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..experiments.spec import ExperimentSpec
@@ -96,13 +100,17 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 
 def _entry_message(entry: dict) -> dict:
+    """A trace entry's exchange frame (the recorded descriptor, uncopied)."""
     op = entry["op"]
     if op == "inform":
-        return {"type": "inform", "descriptor": dict(entry["descriptor"])}
+        return {"type": "inform", "descriptor": entry["descriptor"],
+                "seq": entry["seq"], "t": entry["t"]}
     if op == "release":
         return {"type": "release", "app": entry["app"],
-                "remaining": entry.get("remaining")}
-    return {"type": op, "app": entry["app"]}
+                "remaining": entry.get("remaining"),
+                "seq": entry["seq"], "t": entry["t"]}
+    return {"type": op, "app": entry["app"], "seq": entry["seq"],
+            "t": entry["t"]}
 
 
 async def _client_worker(host: str, port: int, apps: List[str],
@@ -111,37 +119,21 @@ async def _client_worker(host: str, port: int, apps: List[str],
                          pipeline: int = 1) -> None:
     """One connection's replay: its sub-trace, in seq order.
 
-    ``pipeline=1`` is the lockstep mode (one in-flight exchange, the
-    latency a synchronous client observes).  ``pipeline=n`` queues up to
-    ``n`` exchanges per flush and awaits the acks as a wave — valid in
-    replay mode because a connection's sub-trace is seq-ascending and
-    acks stay FIFO; throughput becomes wire/codec-bound instead of
-    RTT-bound.
-    Wave latencies are recorded per exchange from the wave's start.
+    ``pipeline`` is the window: ``1`` is lockstep (the latency a
+    synchronous client observes); ``n`` sends windows of ``n``
+    exchanges, one write each — valid in replay mode because a
+    connection's sub-trace is seq-ascending and acks stay FIFO.  Each
+    latency is stamped from its window's start as its ack is routed.
     """
     client = await ServiceClient.connect(host, port, apps, mode="replay",
                                          spec_sha=spec_sha)
     try:
-        if pipeline <= 1:
-            for entry in entries:
-                t0 = time.perf_counter()
-                ack = await client.request(_entry_message(entry),
-                                           seq=entry["seq"], t=entry["t"])
-                latencies.append(time.perf_counter() - t0)
-                del ack
-            return
-        for start in range(0, len(entries), pipeline):
-            wave = entries[start:start + pipeline]
-            t0 = time.perf_counter()
-            futures = [client.request_nowait(_entry_message(entry),
-                                             seq=entry["seq"], t=entry["t"])
-                       for entry in wave]
-            await client.flush()
-            for future in futures:
-                await future
-                latencies.append(time.perf_counter() - t0)
-    finally:
-        await client.close()
+        await client.send_windows(map(_entry_message, entries), len(entries),
+                                  pipeline, latencies)
+    except BaseException:
+        await client.abort()
+        raise
+    await client.close()
 
 
 async def replay_trace(trace: CoordinationTrace, host: str, port: int,
@@ -161,10 +153,17 @@ async def replay_trace(trace: CoordinationTrace, host: str, port: int,
     hands = [h for h in _deal(apps, nclients) if h]
     latencies: List[float] = []
     wall_t0 = time.perf_counter()
-    await asyncio.gather(*[
-        _client_worker(host, port, hand, trace.entries_for(hand), spec_sha,
-                       latencies, pipeline=pipeline)
-        for hand in hands])
+    workers = [asyncio.ensure_future(_client_worker(
+        host, port, hand, trace.entries_for(hand), spec_sha, latencies,
+        pipeline=pipeline)) for hand in hands]
+    try:
+        await asyncio.gather(*workers)
+    except BaseException:
+        # The others would stall at the sequencer: stop them first.
+        for worker in workers:
+            worker.cancel()
+        await asyncio.gather(*workers, return_exceptions=True)
+        raise
     wall = time.perf_counter() - wall_t0
 
     # Equivalence: ask the daemon for its decision-log digest.
@@ -232,11 +231,7 @@ async def run_service_benchmark(
     config = config or ServiceConfig()
     if config.spec_sha is None:
         # The probe/benchmark clients always send the trace's fingerprint.
-        config = ServiceConfig(
-            host=config.host, port=config.port, ops_port=config.ops_port,
-            max_sessions=config.max_sessions,
-            max_pending=config.max_pending,
-            spec_sha=spec_fingerprint(spec))
+        config = replace(config, spec_sha=spec_fingerprint(spec))
     service = CoordinationService(spec, config)
     await service.start()
     host, port = service.address

@@ -198,6 +198,8 @@ _TAG_GRANT = 0x86
 
 _ACK_TYPES = ("inform-ack", "release-ack", "complete-ack", "withdraw-ack")
 _ACK_CODES = {name: i for i, name in enumerate(_ACK_TYPES)}
+#: Exchange type -> the subtype code of its ack.
+_ACK_OF = {name[:-4]: i for i, name in enumerate(_ACK_TYPES)}
 
 _DESC_KEYS = frozenset((
     "app", "nprocs", "total_bytes", "t_alone", "remaining_bytes",
@@ -273,6 +275,40 @@ def _seq_t(m: Mapping[str, Any], nkeys: int) -> Tuple[int, tuple]:
     return flags, values
 
 
+def _pack_ack(code: int, t: Any, seq: Any, app: Any, authorized: Any) -> bytes:
+    """The binary frame of an ack from its fields (``code`` indexes
+    :data:`_ACK_TYPES`; ``seq`` None: none; ``authorized``: inform only)."""
+    name = _app_bytes(app)
+    if type(t) is not float and not _is_num(t):
+        raise _Unrepresentable
+    flags = 0
+    if code == 0:       # inform-ack: the verdict rides in the flags
+        if not isinstance(authorized, bool):
+            raise _Unrepresentable
+        flags = 6 if authorized else 2
+    if seq is None:
+        layout = _E_ACK[0]
+        return layout.pack(layout.size - 4 + len(name), _TAG_ACK, code,
+                           flags, t, len(name)) + name
+    if type(seq) is not int and not _is_int(seq):
+        raise _Unrepresentable
+    layout = _E_ACK[1]
+    return layout.pack(layout.size - 4 + len(name), _TAG_ACK, code,
+                       flags | 1, t, seq, len(name)) + name
+
+
+def _ack_message(code: int, t: Any, seq: Any, app: Any,
+                 authorized: Any) -> Dict[str, Any]:
+    """The ack message of :func:`_pack_ack`'s fields."""
+    message: Dict[str, Any] = {"type": _ACK_TYPES[code], "t": t}
+    if seq is not None:
+        message["seq"] = seq
+    message["app"] = app
+    if code == 0:
+        message["authorized"] = authorized
+    return message
+
+
 _ENCODER_COUNTERS = (
     "wire_frames_encoded", "wire_bytes_encoded", "wire_encode_seconds",
     "wire_flushes", "wire_coalesced_frames", "wire_generic_frames",
@@ -320,18 +356,24 @@ class WireEncoder:
         if perf is not None:
             perf.attach(self, _ENCODER_COUNTERS)
 
-    def encode(self, message: Mapping[str, Any]) -> bytes:
+    def encode(self, message: Any) -> bytes:
+        """One complete frame of ``message``, or of an ack queued as its
+        fields by :meth:`queue_ack`."""
+        ack = message if type(message) is tuple else None
+        frame = None
         if self.codec == "binary":
             try:
                 # An unknown type is a KeyError: generic, like a bad field.
-                frame = self._BINARY[message.get("type")](self, message)
+                frame = (_pack_ack(*ack) if ack else
+                         self._BINARY[message.get("type")](self, message))
             except (_Unrepresentable, struct.error, OverflowError,
                     UnicodeEncodeError, TypeError, KeyError, ValueError):
-                frame = _frame(b"\x80" + canonical_json(message).encode(
-                    "utf-8"))
                 self._n_wire_generic_frames += 1
-        else:
-            frame = _frame(canonical_json(message).encode("utf-8"))
+        if frame is None:
+            payload = canonical_json(
+                _ack_message(*ack) if ack else message).encode("utf-8")
+            frame = _frame(payload if self.codec == "json"
+                           else b"\x80" + payload)
         self._n_wire_frames_encoded += 1
         self._n_wire_bytes_encoded += len(frame)
         return frame
@@ -339,6 +381,12 @@ class WireEncoder:
     def queue(self, message: Mapping[str, Any]) -> None:
         """Queue ``message`` for the next :meth:`flush`."""
         self._queued.append(message)
+
+    def queue_ack(self, op: str, t: float, seq: Optional[int], app: str,
+                  authorized: Optional[bool] = None) -> None:
+        """Queue exchange ``op``'s ack as its fields, with no message dict;
+        the frame is :meth:`encode`'s of the same ack message."""
+        self._queued.append((_ACK_OF[op], t, seq, app, authorized))
 
     @property
     def queued(self) -> int:
@@ -452,28 +500,16 @@ class WireEncoder:
 
     def _enc_ack(self, m: Mapping[str, Any]) -> bytes:
         code = _ACK_CODES[m["type"]]
-        t, name = m["t"], _app_bytes(m["app"])
-        if type(t) is not float and not _is_num(t):
-            raise _Unrepresentable
-        flags, nkeys = 0, 3
-        if code == 0:       # inform-ack: the verdict rides in the flags
-            authorized = m["authorized"]
-            if not isinstance(authorized, bool):
-                raise _Unrepresentable
-            flags, nkeys = (6 if authorized else 2), 4
+        nkeys = 4 if code == 0 else 3           # an inform-ack's verdict
+        seq = m.get("seq")
         if "seq" in m:
-            seq = m["seq"]
-            if (type(seq) is not int and not _is_int(seq)
-                    or len(m) != nkeys + 1):
+            if seq is None:
                 raise _Unrepresentable
-            layout = _E_ACK[1]
-            return layout.pack(layout.size - 4 + len(name), _TAG_ACK, code,
-                               flags | 1, t, seq, len(name)) + name
+            nkeys += 1
         if len(m) != nkeys:
             raise _Unrepresentable
-        layout = _E_ACK[0]
-        return layout.pack(layout.size - 4 + len(name), _TAG_ACK, code,
-                           flags, t, len(name)) + name
+        return _pack_ack(code, m["t"], seq, m["app"],
+                         m["authorized"] if code == 0 else None)
 
     def _enc_grant(self, m: Mapping[str, Any]) -> bytes:
         t, name = m["t"], _app_bytes(m["app"])
@@ -522,7 +558,9 @@ class WireDecoder:
         """
         t0 = perf_counter()
         try:
-            while True:
+            # Stop once the buffer is used up, not on a None from next():
+            # a chunk of whole frames costs one next() per frame.
+            while splitter.buffered:
                 payload = splitter.next()
                 if payload is None:
                     break

@@ -454,6 +454,10 @@ class CoordinationService:
     def _push(self, conn: _Connection, message: dict) -> None:
         """Queue one frame for the connection's next flush."""
         conn.encoder.queue(message)
+        self._mark(conn)
+
+    def _mark(self, conn: _Connection) -> None:
+        """The connection has frames queued for the next flush."""
         if not conn.dirty:
             conn.dirty = True
             self._dirty.append(conn)
@@ -555,37 +559,35 @@ class CoordinationService:
     def _parse(self, conn: _Connection, message: dict) -> dict:
         """Validate one exchange frame into the entry :meth:`_apply` runs.
 
-        Runs on the sender's connection before anything is buffered, so a
-        malformed frame is its sender's :class:`ProtocolError` — never
-        the error of whichever peer's frame later drains the sequencer.
+        The decoded message becomes the entry, in place.  Runs on the
+        sender's connection before anything is buffered, so a malformed
+        frame is its sender's :class:`ProtocolError` — never the error of
+        whichever peer's frame later drains the sequencer.
         """
         op = message["type"]
         t = message.get("t")
-        entry: Dict[str, Any] = {"type": op,
-                                 "t": None if t is None else _finite(t, "t")}
-        if "seq" in message:
-            entry["seq"] = message["seq"]
+        message["t"] = None if t is None else _finite(t, "t")
         if op == "inform":
             data = message.get("descriptor")
             if not isinstance(data, dict):
                 raise ProtocolError(
                     f"inform needs a descriptor object, got {data!r}")
-            entry["descriptor"] = descriptor_from_dict(data)
-            app = entry["descriptor"].app
+            descriptor = message["descriptor"] = descriptor_from_dict(data)
+            app = descriptor.app
         else:
             app = message.get("app")
             if not isinstance(app, str):
                 raise ProtocolError(f"{op} needs an app name, got {app!r}")
             if op == "release":
                 remaining = message.get("remaining")
-                entry["remaining"] = (None if remaining is None
-                                      else _finite(remaining, "remaining"))
+                message["remaining"] = (None if remaining is None
+                                        else _finite(remaining, "remaining"))
         if app not in conn.apps:
             raise ProtocolError(
                 f"exchange for {app!r} on a connection serving "
                 f"{sorted(conn.apps)}")
-        entry["app"] = app
-        return entry
+        message["app"] = app
+        return message
 
     def _ingest(self, conn: _Connection, entry: dict) -> None:
         if conn.mode == "live":
@@ -627,27 +629,31 @@ class CoordinationService:
         op = entry["type"]
         app = entry["app"]
         t = entry["t"]
-        if t is not None and t > self.sim.now:
-            # Advance the virtual clock, firing grant notifications, span
-            # chains and hold timers scheduled before the new time.
-            self.sim.run(until=t)
-        ack: Dict[str, Any] = {"type": f"{op}-ack", "t": self.sim.now}
-        if "seq" in entry:
-            ack["seq"] = entry["seq"]
-        ack["app"] = app
+        sim = self.sim
+        if t is not None and t > sim.now:
+            # Advance the virtual clock to exactly ``t``, firing grant
+            # notifications, span chains and hold timers due by then; with
+            # nothing due the clock is set without entering the run loop.
+            if sim.peek() <= t:
+                sim.run(until=t)
+            else:
+                sim._now = t
+        now = sim.now
+        authorized = None
         if op == "inform":
-            authorized = self.coordinator.on_inform(entry["descriptor"])
+            authorized = bool(self.coordinator.on_inform(entry["descriptor"]))
             self._settle(conn)
             if not authorized:
                 self._subscribe_grant(conn, app)
-            ack["authorized"] = bool(authorized)
         elif op == "release":
             self.coordinator.on_release(app, entry["remaining"])
         else:  # complete / withdraw
             self.coordinator.withdraw(app)
             self._settle(conn)
         self._n_service_exchanges_applied += 1
-        self._push(conn, ack)
+        # Queued behind any grant the exchange pushed.
+        conn.encoder.queue_ack(op, now, entry.get("seq"), app, authorized)
+        self._mark(conn)
 
     def _settle(self, conn: _Connection) -> None:
         """Drive the simulator after an exchange, mode-appropriately.
@@ -660,10 +666,11 @@ class CoordinationService:
         between client exchanges); the clock stays monotonic because a
         client ``t`` may only move it forward.
         """
+        sim = self.sim
         if conn.mode == "live":
-            self.sim.run()
-        else:
-            self.sim.run(until=self.sim.now)
+            sim.run()
+        elif sim.peek() <= sim.now:
+            sim.run(until=sim.now)
 
     def _subscribe_grant(self, conn: _Connection, app: str) -> None:
         """Push a grant frame when a queued app's authorization fires."""

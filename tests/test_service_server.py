@@ -733,3 +733,95 @@ def test_request_nowait_queues_a_private_copy():
         {"type": "complete", "app": "w1", "seq": 3, "t": 0.5},
         {"type": "complete", "app": "w2"},
     ]
+
+
+# ---------------------------------------------------------------------------
+# The callback-driven replay: failure and write backpressure
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("window", [1, 16])
+def test_replay_raises_when_the_daemon_drops_a_connection(window,
+                                                          monkeypatch):
+    """A connection dropped mid-replay fails ``replay_trace`` with
+    :class:`ConnectionError`; the other client, stalled behind the lost
+    exchanges at the sequencer, is stopped, and no client task, ack
+    waiter or transport is left behind."""
+    from repro.service.loadgen import replay_trace
+
+    spec = _spec(napps=8, phases=3)
+    trace, _result = record_trace(spec)
+    clients = []
+    made = ServiceClient.connection_made
+
+    def track(client, transport):
+        clients.append(client)
+        made(client, transport)
+
+    monkeypatch.setattr(ServiceClient, "connection_made", track)
+
+    async def go():
+        before = asyncio.all_tasks()
+        service = await _start(spec=spec)
+        host, port = service.address
+        apply, applied = service._apply, [0]
+
+        def dropping_apply(conn, entry):
+            applied[0] += 1
+            if applied[0] == len(trace) // 2:
+                conn.transport.abort()
+                return
+            apply(conn, entry)
+
+        service._apply = dropping_apply
+        try:
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(
+                    replay_trace(trace, host, port, 2, pipeline=window), 10)
+            leftover = asyncio.all_tasks() - service._tasks - before
+            assert not leftover, leftover
+        finally:
+            await service.close()
+        assert len(clients) == 2
+        for client in clients:
+            assert client._transport.is_closing()
+            assert client._ended.done() and client._pump is None
+            assert not client._acks
+        assert await _eventually(lambda: not service._tasks)
+
+    _run(go())
+
+
+@pytest.mark.parametrize("window", [1, 4])
+def test_replay_waits_while_the_transport_is_paused(window):
+    """While the client's transport is paused for writing, the replay's
+    next window waits for ``resume_writing``, as ``flush`` does."""
+    from repro.service.loadgen import _entry_message
+
+    spec = _spec(napps=2, phases=2)
+    trace, result = record_trace(spec)
+
+    async def go():
+        service = await _start(spec=spec)
+        host, port = service.address
+        client = await ServiceClient.connect(host, port, trace.apps,
+                                            mode="replay")
+        latencies = []
+        try:
+            client.pause_writing()    # as the transport does when full
+            finished = client.send_windows(    # the first window goes out
+                map(_entry_message, trace.entries), len(trace.entries),
+                window, latencies)
+            assert await _eventually(lambda: len(latencies) == window)
+            await asyncio.sleep(0.05)
+            assert len(latencies) == window
+            assert service.health()["next_seq"] == window
+            client.resume_writing()
+            await finished
+        finally:
+            await client.close()
+            await service.close()
+        assert len(latencies) == len(trace.entries)
+        assert (decisions_to_json(service.decision_log)
+                == decisions_to_json(result.decisions))
+
+    _run(go())

@@ -17,9 +17,11 @@ Two layers of guarantee:
 
 Plus the framing satellites: `FrameError` with byte offsets out of every
 truncation path of the blocking `FrameReader` and the push-style
-`FrameSplitter`, the splitter under every chunking of a recorded replay,
-the daemon's answer to hellos that still propose a codec, and the shared
-canonical-JSON helper.
+`FrameSplitter`, the splitter under every chunking of a recorded replay
+and its one `next()` per frame, the daemon's answer to hellos that still
+propose a codec, the shared canonical-JSON helper, and the field-level
+ack packer: its frames against a frozen copy of the dict ack encoder,
+and JSON-only daemon frames under the oracle.
 """
 
 import asyncio
@@ -272,6 +274,112 @@ def test_golden_edge_cases_cover_both_paths():
     (_, edge), = [s for s in _golden_streams() if s[0] == "edge"]
     tags = {bytes.fromhex(entry["frame"])[4] for entry in edge}
     assert {0x80, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86} <= tags
+
+
+# ---------------------------------------------------------------------------
+# The field-level ack packer against the dict encoder it replaced
+# ---------------------------------------------------------------------------
+
+_ACK_LAYOUTS = (struct.Struct(">IBBBdH"), struct.Struct(">IBBBdQH"))
+_ACK_NAMES = ("inform-ack", "release-ack", "complete-ack", "withdraw-ack")
+
+
+def _reference_ack_frame(m):
+    """An ack's frame as the per-message ack encoder wrote it.
+
+    A frozen copy of the encoder's dict-only ack path from before acks
+    were packed field by field; anything it refuses is generic JSON.
+    """
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    def is_num(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def fast():
+        code = _ACK_NAMES.index(m["type"])
+        t, app = m["t"], m["app"]
+        if not isinstance(app, str) or not is_num(t):
+            raise ValueError
+        name = app.encode("utf-8")
+        flags, nkeys = 0, 3
+        if code == 0:
+            authorized = m["authorized"]
+            if not isinstance(authorized, bool):
+                raise ValueError
+            flags, nkeys = (6 if authorized else 2), 4
+        if "seq" in m:
+            seq = m["seq"]
+            if not is_int(seq) or len(m) != nkeys + 1:
+                raise ValueError
+            layout = _ACK_LAYOUTS[1]
+            return layout.pack(layout.size - 4 + len(name), 0x85, code,
+                               flags | 1, t, seq, len(name)) + name
+        if len(m) != nkeys:
+            raise ValueError
+        layout = _ACK_LAYOUTS[0]
+        return layout.pack(layout.size - 4 + len(name), 0x85, code, flags,
+                           t, len(name)) + name
+
+    try:
+        return fast()
+    except (ValueError, KeyError, struct.error, OverflowError,
+            UnicodeEncodeError):
+        payload = b"\x80" + canonical_json(m).encode("utf-8")
+        return struct.pack(">I", len(payload)) + payload
+
+
+_NO = object()      #: "key absent" in the ack cases below
+
+
+def _ack_cases():
+    """(op, t, seq, app, authorized) over every subtype and edge field."""
+    for op in ("inform", "release", "complete", "withdraw"):
+        for seq in (_NO, 0, 7, 2 ** 64 - 1, 2 ** 64, -1, True, None, 3.0):
+            for verdict in ((True, False, _NO, None, 1) if op == "inform"
+                            else (_NO, True)):
+                for t in (0.0, 2.5, 3, True):
+                    for app in ("w00", "アプリ", "", 5):
+                        yield op, t, seq, app, verdict
+
+
+def _ack_dict(op, t, seq, app, verdict):
+    """The ack message as the daemon built it: type, t, seq, app, verdict."""
+    m = {"type": f"{op}-ack", "t": t}
+    if seq is not _NO:
+        m["seq"] = seq
+    m["app"] = app
+    if verdict is not _NO:
+        m["authorized"] = verdict
+    return m
+
+
+def test_ack_dicts_encode_as_before():
+    encoder = WireEncoder("binary")
+    for case in _ack_cases():
+        m = _ack_dict(*case)
+        assert encoder.encode(m) == _reference_ack_frame(m), m
+
+
+@pytest.mark.parametrize("codec", ["binary", "json"])
+def test_field_level_acks_match_the_dict_encoding(codec):
+    """``queue_ack`` packs each ack the daemon can send exactly as the
+    dict encoder wrote it: binary frames byte-identical to the reference,
+    JSON frames those of the canonical message."""
+    encoder = WireEncoder(codec)
+    checked = 0
+    for op, t, seq, app, verdict in _ack_cases():
+        # The daemon sends no null seq, and a verdict on inform-acks only.
+        if seq is None or (verdict is not _NO) != (op == "inform"):
+            continue
+        encoder.queue_ack(op, t, None if seq is _NO else seq, app,
+                          None if verdict is _NO else verdict)
+        m = _ack_dict(op, t, seq, app, verdict)
+        expected = (_reference_ack_frame(m) if codec == "binary"
+                    else encode_message(m))
+        assert encoder.flush() == expected, m
+        checked += 1
+    assert checked > 500
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +660,11 @@ def _substitute_json_oracle(monkeypatch):
     monkeypatch.setattr(client, "WireEncoder", oracle)
 
 
-def _replay(pipeline):
+def _replay(pipeline, spec=None):
     from repro.service.loadgen import run_service_benchmark
     from repro.service.trace import record_trace
 
-    spec = _service_spec()
+    spec = spec or _service_spec()
 
     async def go():
         trace, result = record_trace(spec)
@@ -586,6 +694,63 @@ def test_service_replay_bit_identical_across_codecs(pipeline, monkeypatch):
         generic = service.metrics_snapshot().get("wire_generic_frames", 0)
         assert (generic > 0) == (codec == "binary"), (codec, generic)
     assert logs["binary"] == logs["json"]
+
+
+def test_json_oracle_daemon_sends_only_json(monkeypatch):
+    """With the JSON oracle substituted, every frame the daemon writes —
+    each ack and pushed grant included — has a JSON payload."""
+    from repro.service import client, server
+
+    written = []
+
+    class Recording(WireEncoder):
+        def flush(self):
+            data = super().flush()
+            written.append(data)
+            return data
+
+    monkeypatch.setattr(server, "WireEncoder",
+                        lambda _codec, perf=None: Recording("json", perf))
+    monkeypatch.setattr(client, "WireEncoder",
+                        lambda _codec, perf=None: WireEncoder("json", perf))
+    # Contended enough that the daemon pushes grants.
+    from repro.experiments.scenarios import build_scenario
+    spec, = build_scenario("service-many-writers", napps=8, nservers=4,
+                           phases=2, seed=5, strategy="fcfs")
+    for pipeline in (1, 16):
+        result, stats, service = _replay(pipeline, spec)
+        assert stats.equivalent
+        assert service.metrics_snapshot()["service_grants_pushed"] > 0
+    splitter, types = FrameSplitter(), {}
+    splitter.feed(b"".join(written))
+    for payload in iter(splitter.next, None):
+        assert payload[0] < 0x80, payload[:16]
+        mtype = decode_message(payload)["type"]
+        types[mtype] = types.get(mtype, 0) + 1
+    assert splitter.buffered == 0
+    assert types.get("grant", 0) > 0, types
+    assert sum(types.get(name, 0) for name in _ACK_NAMES) == 2 * stats.exchanges
+
+
+def test_lockstep_replay_splits_each_frame_with_one_next(monkeypatch):
+    """Every ``FrameSplitter.next`` call of a lockstep replay, on both
+    ends, returns a frame: a chunk is not probed again once it is used
+    up."""
+    calls, frames = [0], [0]
+    split = FrameSplitter.next
+
+    def counted(splitter):
+        calls[0] += 1
+        payload = split(splitter)
+        frames[0] += payload is not None
+        return payload
+
+    monkeypatch.setattr(FrameSplitter, "next", counted)
+    result, stats, service = _replay(1)
+    assert stats.equivalent
+    # Each exchange is a request and an ack, each split once.
+    assert frames[0] > 2 * stats.exchanges
+    assert calls[0] == frames[0]
 
 
 def test_run_service_benchmark_refuses_other_codecs():
