@@ -20,7 +20,6 @@ from .metrics import (
     MaxSlowdown, SumInterferenceFactors, TotalIOTime, WaitingTotals,
     make_metric,
 )
-from .registry import ApplicationRecord, ApplicationRegistry
 from .session import CalciomSession
 from .sharding import ArbiterShard, ShardRouter, ShardWorkerError
 from .strategies import (
@@ -32,7 +31,6 @@ __all__ = [
     "CalciomRuntime", "CalciomSession",
     "Arbiter", "AccessState", "CoordinationRound", "DecisionRecord",
     "ArbiterShard", "ShardRouter", "ShardWorkerError",
-    "ApplicationRegistry", "ApplicationRecord",
     "AccessDescriptor", "DescriptorSetView", "WaitingTotals",
     "EfficiencyMetric", "CpuSecondsWasted",
     "SumInterferenceFactors", "MaxSlowdown", "TotalIOTime", "make_metric",

@@ -11,10 +11,15 @@ Typical usage::
     session = runtime.session("appA", client, nprocs=336)
     # hand `session` to an ADIOLayer (guard=session) — done.
 
-The runtime owns the coordinator (strategy enforcement), the application
-registry (job-scheduler integration), and builds per-application sessions
-wired with the platform's coordination latency and standalone-time
-estimator.
+The runtime owns the coordinator (strategy enforcement) and builds
+per-application sessions wired with the platform's coordination latency
+and standalone-time estimator.  Its live sessions are the paper's list of
+running applications, which the job scheduler updates when a job starts
+(:meth:`CalciomRuntime.session`) and finishes
+(:meth:`CalciomRuntime.end_job`).  Each access state lives in the
+coordinator's :class:`~repro.core.arbiter.AccessBook`: the arbiter's own,
+or, with ``workers="process"``, a router-side mirror of each shard
+worker's, replayed from its transition stream through the same book.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from ..mpisim import Communicator
 from ..platforms import Platform
 from ..simcore import SimulationError
 from .arbiter import Arbiter
-from .registry import ApplicationRegistry
 from .session import CalciomSession
 from .sharding import ShardRouter, make_coordinator
 from .strategies import Strategy
@@ -106,7 +110,6 @@ class CalciomRuntime:
                 strat.capacity = (
                     platform.config.aggregate_bandwidth if nshards == 1
                     else platform.config.partition_bandwidth(index))
-        self.registry = ApplicationRegistry()
         self._sessions: Dict[str, CalciomSession] = {}
 
     @property
@@ -116,7 +119,7 @@ class CalciomRuntime:
     def session(self, app: str, client: str, nprocs: int,
                 comm: Optional[Communicator] = None,
                 partitions: Optional[Sequence[int]] = None) -> CalciomSession:
-        """Create (and register) the CALCioM session for one application.
+        """Create the CALCioM session for one application (its job start).
 
         ``partitions`` is the application's declared file-system placement
         (as in :meth:`Platform.app_partitions`); ``None`` resolves to the
@@ -124,7 +127,6 @@ class CalciomRuntime:
         """
         if app in self._sessions:
             raise SimulationError(f"application {app!r} already has a session")
-        self.registry.register(app, nprocs, client, self.sim.now)
         session = CalciomSession(
             self.sim, self.coordinator, app=app, client=client, nprocs=nprocs,
             estimator=self.platform.standalone_write_time,
@@ -145,10 +147,9 @@ class CalciomRuntime:
         return tuple(int(p) for p in requested) if requested else (0,)
 
     def end_job(self, app: str) -> None:
-        """Job termination: deregister and withdraw any access state."""
+        """Job termination: drop the session and withdraw any access state."""
         if app not in self._sessions:
             raise SimulationError(f"unknown application {app!r}")
-        self.registry.unregister(app, self.sim.now)
         self.coordinator.withdraw(app)
         del self._sessions[app]
 

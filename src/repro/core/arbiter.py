@@ -19,6 +19,14 @@ A *preempted* application keeps its in-flight request (interruption happens
 at the next guard hook — the round/file boundary, exactly like the paper's
 ADIO placement) and resumes with priority once the interrupter completes.
 
+Every state write goes through one :class:`AccessBook`, which owns the
+per-app state map and the side effects of a transition: the waiter event
+a WAITING app registers, the grant that reaches an ACTIVE one
+``grant_latency`` later, and what a return to IDLE forgets.  The arbiter,
+the process-shard router's mirror of a worker
+(:class:`~repro.core.shardproc.WorkerShardProxy`) and the
+:class:`repro.oracles.UnbatchedArbiter` oracle all keep their states in it.
+
 Scaling (the indexed/batched coordination layer)
 ------------------------------------------------
 The arbiter keeps **maintained indexes** — an O(1)-membership
@@ -48,7 +56,8 @@ from ..simcore import Event, SimulationError, Simulator
 from .metrics import AccessDescriptor, DescriptorSetView
 from .strategies import Action, Decision, Strategy, make_strategy
 
-__all__ = ["AccessState", "Arbiter", "CoordinationRound", "DecisionRecord"]
+__all__ = ["AccessBook", "AccessState", "Arbiter", "CoordinationRound",
+           "DecisionRecord"]
 
 #: The arbiter's counters, folded into its ``perf`` bag on read.
 _COORD_COUNTERS = ("coord_decisions", "coord_rounds", "coord_exchanges",
@@ -73,6 +82,107 @@ class DecisionRecord:
     active: List[str]        #: apps active at decision time
     waiting: List[str]
     costs: Dict[str, float] = field(default_factory=dict)
+
+
+class AccessBook:
+    """Per-app access states and the side effects of changing them.
+
+    :meth:`set` is the only state write; by the new state it
+
+    * ACTIVE — fires the app's waiter event ``grant_latency`` later (the
+      grant notification crossing the fabric) and keeps it as the
+      in-flight grant until it is processed;
+    * WAITING — registers a waiter event now, not lazily in ``wait()``,
+      so a same-timestamp grant still delivers ``grant_latency``;
+    * IDLE — forgets the in-flight grant, which belongs to the access
+      that ended, and the last decision.
+
+    Every write is reported to ``transition_observer``
+    (``(app, AccessState)``, in apply order) when one is set.  IDLE
+    entries stay in ``_state``, so its order is first-seen order.
+    """
+
+    def __init__(self, sim: Simulator, grant_latency: float = 0.0):
+        self.sim = sim
+        self.grant_latency = float(grant_latency)
+        self._state: Dict[str, AccessState] = {}
+        self._waiters: Dict[str, Event] = {}
+        #: Granted-but-unprocessed waiter events (grant_latency in flight);
+        #: lets late ``authorization_event`` callers observe the delayed
+        #: grant instead of an instant one.
+        self._inflight: Dict[str, Event] = {}
+        #: Most recent strategy decision per app: ``(Action, delay)``.
+        self._last_decision: Dict[str, tuple] = {}
+        self.transition_observer = None
+
+    def set(self, app: str, state: AccessState) -> None:
+        self._state[app] = state
+        observer = self.transition_observer
+        if observer is not None:
+            observer(app, state)
+        if state is AccessState.ACTIVE:
+            ev = self._waiters.pop(app, None)
+            if ev is not None and not ev.triggered:
+                ev.succeed(None, delay=self.grant_latency)
+                if self.grant_latency > 0:
+                    self._inflight[app] = ev
+
+                    def _clear(_processed, app=app, ev=ev):
+                        # Only this grant's entry: a withdraw + re-grant
+                        # may have installed a successor event meanwhile.
+                        if self._inflight.get(app) is ev:
+                            del self._inflight[app]
+
+                    ev.callbacks.append(_clear)
+        elif state is AccessState.WAITING:
+            ev = self._waiters.get(app)
+            if ev is None or ev.triggered:
+                self._waiters[app] = self.sim.event()
+        elif state is AccessState.IDLE:
+            self._inflight.pop(app, None)
+            self._last_decision.pop(app, None)
+
+    def state_of(self, app: str) -> AccessState:
+        return self._state.get(app, AccessState.IDLE)
+
+    def is_authorized(self, app: str) -> bool:
+        """Whether ``app`` may issue file-system requests right now."""
+        return self.state_of(app) is AccessState.ACTIVE
+
+    def grant_in_flight(self, app: str) -> bool:
+        """Whether ``app``'s grant notification is still crossing the fabric.
+
+        True between a grant decision and the granted application observing
+        it (``grant_latency`` later).  Sessions consult this so a batched
+        round's deferred continuation still pays the authorization-message
+        latency.
+        """
+        ev = self._inflight.get(app)
+        return ev is not None and not ev.processed
+
+    def authorization_event(self, app: str) -> Event:
+        """Event that fires when ``app`` becomes (or already is) authorized."""
+        inflight = self._inflight.get(app)
+        if inflight is not None and not inflight.processed:
+            return inflight  # grant_latency still in flight
+        if self._state.get(app) is AccessState.ACTIVE:
+            ev = self.sim.event()
+            ev.succeed(None)
+            return ev
+        ev = self._waiters.get(app)
+        if ev is None or ev.triggered:
+            ev = self._waiters[app] = self.sim.event()
+        return ev
+
+    def last_decision_for(self, app: str):
+        """``(Action, delay)`` of ``app``'s most recent strategy decision.
+
+        ``None`` once the access returned to IDLE (or was never seen).
+        Continuations don't re-decide, so this is the verdict that put the
+        app in its current queue — the shard router reads it to tell a
+        DELAY-hold apart from a plain WAIT.
+        """
+        return self._last_decision.get(app)
 
 
 class _FifoIndex:
@@ -163,8 +273,8 @@ class CoordinationRound:
         return f"<CoordinationRound t={self.time:g} entries={len(self.entries)}>"
 
 
-class Arbiter:
-    """Decision-maker and authorization bookkeeper.
+class Arbiter(AccessBook):
+    """Decision-maker over an :class:`AccessBook`.
 
     Parameters
     ----------
@@ -191,21 +301,14 @@ class Arbiter:
     def __init__(self, sim: Simulator, strategy, grant_latency: float = 0.0,
                  decision_log_limit: Optional[int] = None,
                  perf=None):
-        self.sim = sim
+        super().__init__(sim, grant_latency)
         self.strategy: Strategy = make_strategy(strategy)
-        self.grant_latency = float(grant_latency)
         self.perf = perf
         for name in _COORD_COUNTERS:
             setattr(self, "_n_" + name, 0)
         if perf is not None:
             perf.attach(self, _COORD_COUNTERS)
-        self._state: Dict[str, AccessState] = {}
         self._desc: Dict[str, AccessDescriptor] = {}
-        self._auth_events: Dict[str, Event] = {}
-        #: Granted-but-unprocessed authorization events (grant_latency in
-        #: flight); lets late ``authorization_event`` callers observe the
-        #: delayed grant instead of an instant one.
-        self._inflight: Dict[str, Event] = {}
         #: Per-app access generation; bumped on every return to IDLE so
         #: stale DELAY-hold timers can detect a withdraw+re-inform cycle.
         #: Kept as a belt-and-braces cross-check even though stale hold
@@ -214,15 +317,6 @@ class Arbiter:
         #: Pending DELAY-hold timer per app; cancelled (not just outrun by
         #: the epoch guard) when the access ends or a new hold supersedes.
         self._hold_timers: Dict[str, object] = {}
-        #: Most recent strategy decision per app: ``(Action, delay)``.
-        #: Cleared on return to IDLE; lets the shard router distinguish a
-        #: DELAY-hold from a plain WAIT when negotiating span accesses.
-        self._last_decision: Dict[str, tuple] = {}
-        #: Optional callback ``(app, AccessState)`` fired on every state
-        #: transition, in apply order.  The process-shard worker uses it to
-        #: ship an ordered transition stream back to the router so the
-        #: router-side mirror replays grants (and their latency) exactly.
-        self.transition_observer = None
         self.decision_log_limit = decision_log_limit
         self.decision_log = ([] if decision_log_limit is None
                              else deque(maxlen=int(decision_log_limit)))
@@ -244,13 +338,6 @@ class Arbiter:
                                                track_totals=True)
 
     # -- queries -----------------------------------------------------------
-    def state_of(self, app: str) -> AccessState:
-        return self._state.get(app, AccessState.IDLE)
-
-    def is_authorized(self, app: str) -> bool:
-        """Whether ``app`` may issue file-system requests right now."""
-        return self.state_of(app) is AccessState.ACTIVE
-
     def descriptor_of(self, app: str) -> Optional[AccessDescriptor]:
         return self._desc.get(app)
 
@@ -263,47 +350,6 @@ class Arbiter:
     def preempted_descriptors(self) -> List[AccessDescriptor]:
         """Preempted accesses, in preemption (FIFO re-grant) order."""
         return [self._desc[app] for app in self._preempted]
-
-    def grant_in_flight(self, app: str) -> bool:
-        """Whether ``app``'s grant notification is still crossing the fabric.
-
-        True between a grant decision and the granted application observing
-        it (``grant_latency`` later).  Sessions consult this so a batched
-        round's deferred continuation still pays the authorization-message
-        latency.
-        """
-        ev = self._inflight.get(app)
-        return ev is not None and not ev.processed
-
-    def authorization_event(self, app: str) -> Event:
-        """Event that fires when ``app`` becomes (or already is) authorized."""
-        inflight = self._inflight.get(app)
-        if inflight is not None and not inflight.processed:
-            return inflight  # grant_latency still in flight
-        if self.is_authorized(app):
-            ev = self.sim.event()
-            ev.succeed(None)
-            return ev
-        ev = self._auth_events.get(app)
-        if ev is None or ev.triggered:
-            ev = self.sim.event()
-            self._auth_events[app] = ev
-        return ev
-
-    def last_decision_for(self, app: str):
-        """``(Action, delay)`` of ``app``'s most recent strategy decision.
-
-        ``None`` once the access returned to IDLE (or was never seen).
-        Continuations don't re-decide, so this is the verdict that put the
-        app in its current queue — the shard router reads it to tell a
-        DELAY-hold apart from a plain WAIT.
-        """
-        return self._last_decision.get(app)
-
-    def _note_transition(self, app: str, state: AccessState) -> None:
-        observer = self.transition_observer
-        if observer is not None:
-            observer(app, state)
 
     def _add_seconds(self, dt: float) -> None:
         self._n_coord_seconds += dt
@@ -359,9 +405,7 @@ class Arbiter:
         """End of one guarded step: refresh remaining-work knowledge."""
         self._flush_pending()
         t0 = time.perf_counter() if self.perf is not None else 0.0
-        desc = self._desc.get(app)
-        if desc is not None and remaining_bytes is not None:
-            desc.remaining_bytes = max(0.0, float(remaining_bytes))
+        self._refresh(app, remaining_bytes)
         if self.perf is not None:
             self._add_seconds(time.perf_counter() - t0)
 
@@ -375,9 +419,7 @@ class Arbiter:
         """
         t0 = time.perf_counter() if self.perf is not None else 0.0
         if self._round is None:
-            desc = self._desc.get(app)
-            if desc is not None and remaining_bytes is not None:
-                desc.remaining_bytes = max(0.0, float(remaining_bytes))
+            self._refresh(app, remaining_bytes)
             self._n_coord_exchanges += 1
         else:
             self._open_round().entries.append(_Exchange(
@@ -396,14 +438,9 @@ class Arbiter:
             self._leave_waiting(app)
         self._preempted.discard(app)
         self._active.pop(app, None)
-        self._state[app] = AccessState.IDLE
-        self._note_transition(app, AccessState.IDLE)
-        self._last_decision.pop(app, None)
+        self.set(app, AccessState.IDLE)
         self._epoch[app] = self._epoch.get(app, 0) + 1
         self._cancel_hold(app)
-        # A grant notification still in flight belongs to the access that
-        # just ended; the next access must not observe it.
-        self._inflight.pop(app, None)
         self._desc.pop(app, None)
         self._grant_next()
         if self.perf is not None:
@@ -440,9 +477,7 @@ class Arbiter:
         while i < n:
             e = entries[i]
             if e.kind == _Exchange.RELEASE:
-                desc = self._desc.get(e.app)
-                if desc is not None and e.remaining is not None:
-                    desc.remaining_bytes = max(0.0, float(e.remaining))
+                self._refresh(e.app, e.remaining)
                 i += 1
                 continue
             if self.state_of(e.app) is not AccessState.IDLE:
@@ -524,8 +559,7 @@ class Arbiter:
             targets = self._active_view.names()
         for victim in targets:
             if self.state_of(victim) is AccessState.ACTIVE:
-                self._state[victim] = AccessState.PREEMPTED
-                self._note_transition(victim, AccessState.PREEMPTED)
+                self.set(victim, AccessState.PREEMPTED)
                 self._active.pop(victim, None)
                 self._preempted.add(victim)
                 self._n_coord_preemptions += 1
@@ -533,14 +567,9 @@ class Arbiter:
         return True
 
     def _enqueue_waiting(self, app: str) -> None:
-        self._state[app] = AccessState.WAITING
-        self._note_transition(app, AccessState.WAITING)
+        self.set(app, AccessState.WAITING)
         self._waiting.add(app)
         self._waiting_view.note_append(self._desc[app])
-        # Register the authorization event now (not lazily in wait()):
-        # a same-timestamp grant must deliver grant_latency even if the
-        # session's continuation has not resumed yet.
-        self._register_auth_event(app)
 
     def _leave_waiting(self, app: str) -> None:
         """Take a WAITING ``app`` off the waiting queue."""
@@ -594,26 +623,12 @@ class Arbiter:
         # Granted by any route (hold expiry, slot free, preemption refill):
         # a still-pending hold timer for this access is now moot.
         self._cancel_hold(app)
-        self._state[app] = AccessState.ACTIVE
         self._active[app] = None
-        self._note_transition(app, AccessState.ACTIVE)
         desc = self._desc.get(app)
         if desc is not None and desc.access_started is None:
             desc.access_started = self.sim.now
         self._n_coord_grants += 1
-        ev = self._auth_events.pop(app, None)
-        if ev is not None and not ev.triggered:
-            ev.succeed(None, delay=self.grant_latency)
-            if self.grant_latency > 0:
-                self._inflight[app] = ev
-
-                def _clear(_processed, app=app, ev=ev):
-                    # Only this grant's entry: a withdraw + re-grant may
-                    # have installed a successor event meanwhile.
-                    if self._inflight.get(app) is ev:
-                        del self._inflight[app]
-
-                ev.callbacks.append(_clear)
+        self.set(app, AccessState.ACTIVE)
 
     def _grant_next(self) -> None:
         """Grant priority to preempted apps, then the FIFO waiter queue."""
@@ -627,7 +642,8 @@ class Arbiter:
             self._waiting_view.note_remove()
             self._activate(app)
 
-    def _register_auth_event(self, app: str) -> None:
-        ev = self._auth_events.get(app)
-        if ev is None or ev.triggered:
-            self._auth_events[app] = self.sim.event()
+    def _refresh(self, app: str, remaining_bytes: Optional[float]) -> None:
+        """A Release: refresh ``app``'s remaining-work knowledge."""
+        desc = self._desc.get(app)
+        if desc is not None and remaining_bytes is not None:
+            desc.remaining_bytes = max(0.0, float(remaining_bytes))

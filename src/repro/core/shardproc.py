@@ -22,10 +22,11 @@ its own worker process:
   on schedule, and meters router-side elapsed wall time into
   ``coord_wall_seconds``.
 * :class:`WorkerShardProxy` — presents the :class:`Arbiter` protocol
-  surface for one remote shard.  A router-side *mirror* (state map,
-  authorization events, in-flight grants, last decisions) is replayed
-  from the ordered transition streams, applying the router-level
-  ``grant_latency`` exactly where the in-process arbiter would.
+  surface for one remote shard.  It is the router-side *mirror* of the
+  worker: an :class:`~repro.core.arbiter.AccessBook` with the router's
+  ``grant_latency``, fed each transition of the ordered streams through
+  the book's one ``set``, so waiters, in-flight grants and last
+  decisions follow the same rules as in the in-process arbiter's book.
 
 Clock discipline and bit-identity
 ---------------------------------
@@ -69,7 +70,7 @@ from typing import Any, Dict, List, Optional
 
 from ..perf import PerfCounters
 from ..simcore import Event, Simulator
-from .arbiter import AccessState, Arbiter, DecisionRecord
+from .arbiter import AccessBook, AccessState, Arbiter, DecisionRecord
 from .metrics import AccessDescriptor
 from .sharding import ShardWorkerError
 from .strategies import Action
@@ -397,7 +398,8 @@ class ShardProcessPool:
             if not handle.proc.is_alive():
                 continue
             try:
-                for app in list(proxy._state):
+                for app in [a for a, state in proxy._state.items()
+                            if state is not AccessState.IDLE]:
                     handle.sock.sendall(encode_message(
                         {"type": "op", "op": "withdraw", "t": now, "r": 0,
                          "app": app}))
@@ -507,21 +509,18 @@ class ShardProcessPool:
                     self._pending_per_shard[entry.shard] -= 1
                     reply = self._read_reply(entry.shard)
                     entry.reply = reply
-                    proxy = self.proxies[entry.shard]
-                    for app, state in reply.get("tr", ()):
-                        proxy._apply_transition(app, state)
+                    self._replay(entry.shard, reply)
                     if entry.kind == "inform":
                         dec = reply.get("dec")
                         if dec is not None and entry.app is not None:
-                            proxy._last_decision[entry.app] = (
-                                Action(dec[0]), float(dec[1]))
+                            self.proxies[entry.shard]._last_decision[
+                                entry.app] = (Action(dec[0]), float(dec[1]))
                         if entry.event is not None:
                             key = shard_first.setdefault(entry.shard,
                                                          len(shard_first))
                             succeeds.append(
                                 (key, len(succeeds), entry.event,
                                  bool(reply.get("ok"))))
-                    self._note_wake(entry.shard, reply.get("nw"))
                 succeeds.sort(key=lambda item: (item[0], item[1]))
                 for _, _, ev, ok in succeeds:
                     ev.succeed(ok)
@@ -535,11 +534,15 @@ class ShardProcessPool:
             self._send(shard, msg)
             self._flush_sends()
             reply = self._read_reply(shard)
-            proxy = self.proxies[shard]
-            for app, state in reply.get("tr", ()):
-                proxy._apply_transition(app, state)
-            self._note_wake(shard, reply.get("nw"))
+            self._replay(shard, reply)
             return reply
+
+    def _replay(self, shard: int, reply: Dict[str, Any]) -> None:
+        """Apply a reply's transitions to the mirror; arm its wake."""
+        mirror = self.proxies[shard]
+        for app, state in reply.get("tr", ()):
+            mirror.set(app, AccessState(state))
+        self._note_wake(shard, reply.get("nw"))
 
     def _fetch_log(self, shard: int) -> List[DecisionRecord]:
         with self._meter():
@@ -601,88 +604,41 @@ class ShardProcessPool:
         return f"<ShardProcessPool nshards={self.nshards} {state}>"
 
 
-class WorkerShardProxy:
+class WorkerShardProxy(AccessBook):
     """The :class:`Arbiter` protocol surface for one remote shard.
 
-    Mirrors the worker's per-app state from the ordered transition
-    streams; authorization events and ``grant_latency`` in-flight
-    bookkeeping replicate :class:`Arbiter`'s semantics exactly, so
-    sessions (and the span-grant protocol) cannot tell a proxy from a
-    local arbiter.  Queries drain outstanding replies first, making the
-    mirror exact at observation points; descriptor-level queries round-trip
-    to the worker.
+    The proxy's book mirrors the worker's per-app states from the ordered
+    transition streams, with the router's ``grant_latency``, so sessions
+    (and the span-grant protocol) cannot tell a proxy from a local
+    arbiter.  Queries drain outstanding replies first, making the mirror
+    exact at observation points; descriptor-level queries round-trip to
+    the worker.
     """
 
     def __init__(self, pool: ShardProcessPool, index: int, strategy):
+        super().__init__(pool.sim, pool.grant_latency)
         self._pool = pool
         self.index = index
-        self.sim = pool.sim
         self.strategy = strategy
-        self.grant_latency = pool.grant_latency
-        self._state: Dict[str, AccessState] = {}
-        self._auth_events: Dict[str, Event] = {}
-        self._inflight: Dict[str, Event] = {}
-        self._last_decision: Dict[str, tuple] = {}
         self._log_cache: Optional[List[DecisionRecord]] = None
         pool.proxies.append(self)
-
-    # -- mirror maintenance -------------------------------------------------
-    def _apply_transition(self, app: str, state_value: str) -> None:
-        state = AccessState(state_value)
-        if state is AccessState.IDLE:
-            self._state.pop(app, None)
-            self._inflight.pop(app, None)
-            self._last_decision.pop(app, None)
-            return
-        self._state[app] = state
-        if state is AccessState.ACTIVE:
-            ev = self._auth_events.pop(app, None)
-            if ev is not None and not ev.triggered:
-                ev.succeed(None, delay=self.grant_latency)
-                if self.grant_latency > 0:
-                    self._inflight[app] = ev
-
-                    def _clear(_processed, app=app, ev=ev):
-                        if self._inflight.get(app) is ev:
-                            del self._inflight[app]
-
-                    ev.callbacks.append(_clear)
-        elif state is AccessState.WAITING:
-            ev = self._auth_events.get(app)
-            if ev is None or ev.triggered:
-                self._auth_events[app] = self.sim.event()
 
     # -- queries ------------------------------------------------------------
     def state_of(self, app: str) -> AccessState:
         self._pool.drain()
-        return self._state.get(app, AccessState.IDLE)
-
-    def is_authorized(self, app: str) -> bool:
-        return self.state_of(app) is AccessState.ACTIVE
+        return super().state_of(app)
 
     def grant_in_flight(self, app: str) -> bool:
         self._pool.drain()
-        ev = self._inflight.get(app)
-        return ev is not None and not ev.processed
+        return super().grant_in_flight(app)
 
     def last_decision_for(self, app: str):
         self._pool.drain()
-        return self._last_decision.get(app)
+        return super().last_decision_for(app)
 
     def authorization_event(self, app: str) -> Event:
         self._pool.drain()
-        inflight = self._inflight.get(app)
-        if inflight is not None and not inflight.processed:
-            return inflight
-        if self._state.get(app) is AccessState.ACTIVE:
-            ev = self.sim.event()
-            ev.succeed(None)
-            return ev
-        ev = self._auth_events.get(app)
-        if ev is None or ev.triggered:
-            ev = self.sim.event()
-            self._auth_events[app] = ev
-        return ev
+        return super().authorization_event(app)
 
     def descriptor_of(self, app: str) -> Optional[AccessDescriptor]:
         reply = self._pool._direct(self.index,
@@ -719,8 +675,9 @@ class WorkerShardProxy:
     def submit_inform(self, descriptor: AccessDescriptor) -> Event:
         ev = self.sim.event()
         app = descriptor.app
-        state = self._state.get(app)
-        if state is not None and not self._pool.pending_for(self.index):
+        state = self._state.get(app, AccessState.IDLE)
+        if (state is not AccessState.IDLE
+                and not self._pool.pending_for(self.index)):
             # Continuation fast path: the mirror is exact for this shard
             # (no unread replies) and the app is not IDLE, so the worker's
             # answer is already known — ship the knowledge refresh

@@ -155,9 +155,7 @@ def execute_spec(spec: ExperimentSpec,
             # so per-worker counters and logs are shipped back and merged.
             # RecordingRouter and friends forward close() to the router.
             if runtime is not None:
-                closer = getattr(runtime.coordinator, "close", None)
-                if closer is not None:
-                    closer()
+                runtime.close()
 
     records = {app.config.name: AppRecord.from_app(app) for app in apps}
     makespan = max(p.end for app in apps for p in app.phases)

@@ -204,26 +204,18 @@ class UnbatchedArbiter(Arbiter):
             if decision.action is Action.GO:
                 self._activate(app)
                 return True
-            if decision.action is Action.WAIT:
-                self._state[app] = AccessState.WAITING
-                self._note_transition(app, AccessState.WAITING)
+            if decision.action in (Action.WAIT, Action.DELAY):
+                self.set(app, AccessState.WAITING)
                 self._waiting.append(app)
-                self._register_auth_event(app)
-                return False
-            if decision.action is Action.DELAY:
-                self._state[app] = AccessState.WAITING
-                self._note_transition(app, AccessState.WAITING)
-                self._waiting.append(app)
-                self._register_auth_event(app)
-                self._schedule_hold(app, decision.delay)
+                if decision.action is Action.DELAY:
+                    self._schedule_hold(app, decision.delay)
                 return False
             targets = decision.preempt
             if targets is None:
                 targets = [d.app for d in self.active_descriptors()]
             for victim in targets:
                 if self.state_of(victim) is AccessState.ACTIVE:
-                    self._state[victim] = AccessState.PREEMPTED
-                    self._note_transition(victim, AccessState.PREEMPTED)
+                    self.set(victim, AccessState.PREEMPTED)
                     self._preempted.append(victim)
                     self._n_coord_preemptions += 1
             self._activate(app)
@@ -250,12 +242,9 @@ class UnbatchedArbiter(Arbiter):
             self._waiting.remove(app)
         if app in self._preempted:
             self._preempted.remove(app)
-        self._state[app] = AccessState.IDLE
-        self._note_transition(app, AccessState.IDLE)
-        self._last_decision.pop(app, None)
+        self.set(app, AccessState.IDLE)
         self._epoch[app] = self._epoch.get(app, 0) + 1
         self._cancel_hold(app)
-        self._inflight.pop(app, None)
         self._desc.pop(app, None)
         self._grant_next()
         if self.perf is not None:

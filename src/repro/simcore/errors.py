@@ -6,9 +6,10 @@ The kernel distinguishes three failure channels:
   driven (scheduling into the past, reusing a triggered event, ...).
 * :class:`Interrupt` — thrown *into* a process generator by
   :meth:`repro.simcore.process.Process.interrupt`; carries an arbitrary
-  ``cause`` so the interrupted process can decide how to react.  This is the
-  mechanism CALCioM-enabled applications use to yield the file system to a
-  competing application.
+  ``cause`` so the interrupted process can decide how to react.  CALCioM
+  does not use it: an application yields the file system at its next guard
+  hook, when the arbiter has moved its access state to PREEMPTED.  Tests
+  use it to kill a running application.
 * Ordinary exceptions raised by a process propagate through the events that
   wait on it, exactly like SimPy's failure propagation.
 """
@@ -36,9 +37,7 @@ class Interrupt(Exception):
     Parameters
     ----------
     cause:
-        Arbitrary object describing why the process was interrupted.  For
-        CALCioM this is typically a :class:`~repro.core.api.InterruptRequest`
-        naming the application that asked for the file system.
+        Arbitrary object describing why the process was interrupted.
     """
 
     def __init__(self, cause=None):

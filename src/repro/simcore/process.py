@@ -11,7 +11,9 @@ Interrupts
 into the generator at the current simulation time, detaching it from whatever
 event it was waiting on.  The process may re-wait on that event afterwards
 (its reference is available as :attr:`Process.target` before the interrupt).
-This is the low-level mechanism behind CALCioM's interruption strategy.
+CALCioM's interruption strategy does not use it — a preempted application
+stops at its next guard hook, through its arbiter access state — but a
+failure-injection test kills an application this way.
 
 The detached event is deliberately *not* cancelled: the interrupted process
 (or anyone else holding a reference) may still re-wait on it, pass it to

@@ -1,12 +1,10 @@
-"""Unit tests for the arbiter state machine and the application registry."""
+"""Unit tests for the arbiter state machine."""
 
 import pytest
 
-from repro.core import (
-    AccessDescriptor, AccessState, ApplicationRegistry, Arbiter,
-)
+from repro.core import AccessDescriptor, AccessState, Arbiter
 from repro.oracles import UnbatchedArbiter
-from repro.simcore import SimulationError, Simulator
+from repro.simcore import Simulator
 
 
 def desc(app, nprocs=10, t_alone=5.0):
@@ -157,47 +155,6 @@ def test_waiting_app_completing_is_removed_from_queue():
     assert arb.is_authorized("c")
 
 
-# -- registry -----------------------------------------------------------------
-
-def test_registry_register_and_peers():
-    reg = ApplicationRegistry()
-    reg.register("a", 128, "a", now=0.0)
-    reg.register("b", 64, "b", now=1.0)
-    assert len(reg) == 2
-    assert [r.name for r in reg.peers_of("a")] == ["b"]
-
-
-def test_registry_unregister():
-    reg = ApplicationRegistry()
-    reg.register("a", 128, "a", now=0.0)
-    reg.unregister("a", now=5.0)
-    assert len(reg) == 0
-    assert reg.lookup("a").finished_at == 5.0
-
-
-def test_registry_double_register_rejected():
-    reg = ApplicationRegistry()
-    reg.register("a", 128, "a", now=0.0)
-    with pytest.raises(SimulationError):
-        reg.register("a", 128, "a", now=1.0)
-
-
-def test_registry_rereregister_after_finish_ok():
-    reg = ApplicationRegistry()
-    reg.register("a", 128, "a", now=0.0)
-    reg.unregister("a", now=1.0)
-    reg.register("a", 256, "a", now=2.0)
-    assert reg.lookup("a").nprocs == 256
-
-
-def test_registry_unregister_unknown_rejected():
-    reg = ApplicationRegistry()
-    with pytest.raises(SimulationError):
-        reg.unregister("ghost", now=0.0)
-    with pytest.raises(SimulationError):
-        reg.lookup("ghost")
-
-
 def test_delay_action_grants_after_hold():
     from repro.core import Decision, Action, Strategy
 
@@ -247,3 +204,105 @@ def test_delay_action_early_grant_wins():
     assert sim.now == pytest.approx(2.0)  # granted at a's completion
     sim.run()  # the stale hold timer must not break anything
     assert arb.is_authorized("b")
+
+
+# -- the access book as a mirror ---------------------------------------------
+
+def _mirror_run(mirrored):
+    """One scripted access history, observed through an access book.
+
+    ``mirrored=False`` drives an :class:`Arbiter` with the grant latency
+    and observes its own book.  ``mirrored=True`` drives an
+    ``Arbiter(grant_latency=0)`` and feeds its transition stream into a
+    separate :class:`AccessBook` with the latency, as the process-shard
+    router does with a worker's.  Returns the per-probe snapshots of every
+    app's state and in-flight grant, and the fire time of every waiter.
+    """
+    from repro.core import Action, Decision, Strategy
+    from repro.core.arbiter import AccessBook
+
+    latency = 0.25
+    verdicts = {
+        "a": Decision(Action.GO),
+        "b": Decision(Action.WAIT),
+        "c": Decision(Action.INTERRUPT),      # preempts a
+        "d": Decision(Action.DELAY, delay=0.3),
+        "e": Decision(Action.GO),
+        "f": Decision(Action.WAIT),
+    }
+
+    class Scripted(Strategy):
+        def decide(self, now, active, waiting, incoming):
+            return verdicts[incoming.app]
+
+    script = [
+        (0.0, [("inform", "a"), ("inform", "b")]),
+        (0.1, [("inform", "c")]),
+        (0.2, [("inform", "d")]),
+        (0.3, [("on_complete", "c")]),   # a re-granted, d still held
+        (0.6, [("on_complete", "a")]),   # d's hold expired at 0.5
+        (0.7, [("on_complete", "d")]),   # b granted; in flight to 0.95
+        (0.8, [("withdraw", "b"),        # drops b's in-flight grant
+               ("inform", "e"), ("inform", "b")]),
+        (0.85, [("on_complete", "e")]),  # b re-granted; in flight to 1.1
+        # f waits and is granted before its session looks: the waiter
+        # registered at WAITING still delivers the latency.
+        (1.5, [("inform", "f"), ("on_complete", "b")]),
+        (1.9, [("on_complete", "f")]),
+    ]
+    sim = Simulator()
+    if mirrored:
+        arb = Arbiter(sim, Scripted(), grant_latency=0.0)
+        book = AccessBook(sim, grant_latency=latency)
+        arb.transition_observer = book.set
+    else:
+        arb = book = Arbiter(sim, Scripted(), grant_latency=latency)
+    apps = sorted(verdicts)
+    snapshots, fired, watched = [], [], {}
+
+    def watch_waiters():
+        # A session waits until its app is authorized and the grant landed.
+        for app in apps:
+            if book.grant_in_flight(app) or book.state_of(app) in (
+                    AccessState.WAITING, AccessState.PREEMPTED):
+                ev = book.authorization_event(app)
+                if watched.get(app) is not ev:
+                    watched[app] = ev
+                    ev.callbacks.append(
+                        lambda _ev, app=app: fired.append((app, sim.now)))
+
+    def step(ops):
+        for op, app in ops:
+            if op == "inform":
+                arb.on_inform(desc(app))
+            else:
+                getattr(arb, op)(app)
+        watch_waiters()
+
+    def probe():
+        snapshots.append((sim.now, [(app, book.state_of(app),
+                                     book.grant_in_flight(app))
+                                    for app in apps]))
+
+    for t, ops in script:
+        sim.call_at(t, lambda ops=ops: step(ops))
+    for k in range(40):
+        sim.call_at(0.05 * k + 0.01, probe)
+    sim.run()
+    return snapshots, fired
+
+
+def test_mirror_book_replays_a_zero_latency_stream_exactly():
+    """GO, WAIT, DELAY, INTERRUPT, complete/withdraw and a re-grant while
+    a grant is in flight: the mirror matches the in-process arbiter."""
+    snapshots, fired = _mirror_run(mirrored=True)
+    assert (snapshots, fired) == _mirror_run(mirrored=False)
+    in_flight = {(round(t, 2), app) for t, row in snapshots
+                 for app, _, flying in row if flying}
+    assert (0.36, "a") in in_flight           # preempted a, re-granted
+    assert (0.76, "b") in in_flight           # the first grant to b
+    assert (0.81, "b") not in in_flight       # gone with the withdraw
+    assert (0.96, "b") in in_flight           # the re-grant outlives it
+    assert (1.51, "f") in in_flight
+    assert sorted(fired) == [("a", 0.55), ("b", 0.95), ("b", 1.1),
+                             ("d", 0.75), ("f", 1.75)]

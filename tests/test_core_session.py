@@ -73,7 +73,7 @@ def test_end_job_withdraws():
     platform.add_client("x", 4)
     runtime.session("x", "x", 4)
     runtime.end_job("x")
-    assert len(runtime.registry) == 0
+    assert runtime.sessions() == {}
     with pytest.raises(SimulationError):
         runtime.end_job("x")
     # Name can be reused for a new job.

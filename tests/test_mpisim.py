@@ -1,15 +1,14 @@
 """Unit tests for the simulated MPI layer: info, patterns, communicators,
-two-phase planning, ADIO execution, and the MPI-IO facade."""
+two-phase planning and ADIO execution."""
 
 
 import pytest
 
 from repro.mpisim import (
-    ADIOLayer, Communicator, Contiguous, MPIInfo, MPIIOFile,
+    ADIOLayer, Communicator, Contiguous, MPIInfo,
     Strided, WriteStats, plan_collective_write,
 )
 from repro.platforms import Platform, PlatformConfig
-from repro.simcore import SimulationError
 
 
 # -- MPIInfo -----------------------------------------------------------------
@@ -345,44 +344,3 @@ def test_adio_sees_pfs_hooks_installed_after_planning(monkeypatch):
 
     platform.sim.run(until=platform.sim.process(body()))
     assert seen == ["write", "write", "read", "read"]
-
-
-# -- MPI-IO facade ---------------------------------------------------------------------
-
-def test_mpiio_file_advances_offset():
-    platform, adio = adio_fixture()
-    f = MPIIOFile(adio, "/f")
-
-    def body():
-        yield from f.write_all(Contiguous(block_size=1000), grain=None)
-        yield from f.write_all(Contiguous(block_size=1000), grain=None)
-
-    platform.sim.process(body())
-    platform.sim.run()
-    assert f.offset == 16000
-    assert platform.pfs.stat("/f").size == 16000
-
-
-def test_mpiio_write_at_all_does_not_move_pointer():
-    platform, adio = adio_fixture()
-    f = MPIIOFile(adio, "/f")
-
-    def body():
-        yield from f.write_at_all(0, Contiguous(block_size=1000), grain=None)
-
-    platform.sim.process(body())
-    platform.sim.run()
-    assert f.offset == 0
-
-
-def test_mpiio_closed_file_rejects_io():
-    platform, adio = adio_fixture()
-    f = MPIIOFile(adio, "/f")
-    f.close()
-
-    def body():
-        yield from f.write(100)
-
-    platform.sim.process(body())
-    with pytest.raises(SimulationError, match="closed"):
-        platform.sim.run()

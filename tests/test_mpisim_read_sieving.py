@@ -149,15 +149,24 @@ def test_sieved_strided_much_slower_than_collective():
 
 
 def test_mpiio_read_all_advances_offset():
-    from repro.mpisim import MPIIOFile
+    """Consecutive collective reads, each at the offset the last one ended."""
     platform, adio = adio_fixture()
-    f = MPIIOFile(adio, "/f")
+    pattern = Contiguous(block_size=1000)
 
     def body():
-        yield from f.write_all(Contiguous(block_size=1000), grain=None)
-        f.offset = 0
-        yield from f.read_all(Contiguous(block_size=1000), grain=None)
+        offset = 0
+        for _ in range(2):
+            stats = yield from adio.write_collective(
+                "/f", pattern, grain=None, base_offset=offset)
+            offset += stats.bytes
+        offset = 0
+        for _ in range(2):
+            stats = yield from adio.read_collective(
+                "/f", pattern, grain=None, base_offset=offset)
+            assert stats.bytes == 8000 and stats.duration > 0
+            offset += stats.bytes
+        return offset
 
-    platform.sim.process(body())
-    platform.sim.run()
-    assert f.offset == 8000
+    p = platform.sim.process(body())
+    assert platform.sim.run(until=p) == 16000
+    assert platform.pfs.stat("/f").size == 16000
